@@ -93,13 +93,19 @@ inline std::string BenchMetaJson(const CliFlags& flags,
   std::ostringstream os;
   os << "{";
   if (bench_name[0] != '\0') os << "\"bench\":\"" << bench_name << "\",";
-  os << "\"git_sha\":\"" << BA_BENCH_GIT_SHA << "\",\"compiler\":\""
-     << BA_BENCH_COMPILER << "\",\"cxx_flags\":\"" << BA_BENCH_CXX_FLAGS
-     << "\",\"threads_flag\":" << flags.GetInt("threads", 0)
+  // Free-text fields are escaped: flags may carry quoted -D defines.
+  os << "\"git_sha\":\"";
+  obs::AppendJsonEscaped(&os, BA_BENCH_GIT_SHA);
+  os << "\",\"compiler\":\"";
+  obs::AppendJsonEscaped(&os, BA_BENCH_COMPILER);
+  os << "\",\"cxx_flags\":\"";
+  obs::AppendJsonEscaped(&os, BA_BENCH_CXX_FLAGS);
+  os << "\",\"threads_flag\":" << flags.GetInt("threads", 0)
      << ",\"shared_pool_threads\":" << util::SharedPoolThreads()
      << ",\"hardware_concurrency\":" << std::thread::hardware_concurrency()
-     << ",\"cpu_model\":\"" << CpuModelName()
-     << "\",\"gemm_variant\":\"" << tensor::internal::GemmVariantName()
+     << ",\"cpu_model\":\"";
+  obs::AppendJsonEscaped(&os, CpuModelName());
+  os << "\",\"gemm_variant\":\"" << tensor::internal::GemmVariantName()
      << "\",\"int8_gemm_variant\":\"" << tensor::internal::Int8GemmVariantName()
      << "\"}";
   return os.str();

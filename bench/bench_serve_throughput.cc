@@ -20,9 +20,11 @@
 // eviction-aware-admission story: a mixer_hunt-style cold sweep runs
 // concurrently with the hot polling clients against small per-shard
 // caches, and the sweep detector's no-promote mode must keep the hot
-// set's hit rate at >= 90% of its no-sweep value. Gates (at the
-// default N = 4): sharded qps >= 3.0x single-engine qps, and the hit-
-// rate ratio >= 0.9. Writes BENCH_serve_sharded.json.
+// set's hit rate at >= 90% of its no-sweep value. Gates: sharded qps
+// >= 0.75 x min(N, cores) x single-engine qps, and the hit-rate ratio
+// >= 0.9. Writes BENCH_serve_sharded.json. On a 4-vCPU host N = 4
+// measures 1.06x: one engine's blocking callers already run in
+// parallel, so sharding has little left to add there.
 
 #include <algorithm>
 #include <atomic>

@@ -51,8 +51,15 @@
 #                      mismatch, serial/threaded loss divergence, or a
 #                      missed int8 gate; the JSON outputs land in the
 #                      build dir, not the repo root.
+#   profile            Release build of the repo benchmark's own project
+#                      (bench_profile/, into its own build dir) and that
+#                      build's ctest: latency_recorder_test plus
+#                      `bench_profile --smoke`, which runs all five
+#                      workloads briefly and checks every answer against
+#                      BaClassifier::Predict. Runs the benchmark only;
+#                      nothing under bench_profile/ is modified.
 #
-# Usage: scripts/check.sh [address|thread|trace|chaos|net|shard|perf] [build-dir]
+# Usage: scripts/check.sh [address|thread|trace|chaos|net|shard|perf|profile] [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -73,7 +80,7 @@ require_test_binaries() {
       echo "check.sh: MISSING TEST BINARY: $build_dir/tests/$name" >&2
       missing=1
     fi
-  done < <(sed -n 's/^ba_add_test(\([a-z_0-9]*\)).*/\1/p' tests/CMakeLists.txt)
+  done < <(sed -n 's/^ba_add_test(\([a-z_0-9]*\)[ )].*/\1/p' tests/CMakeLists.txt)
   if [ "$missing" -ne 0 ]; then
     echo "check.sh: tier-1 test binaries missing after build; failing" >&2
     exit 1
@@ -340,8 +347,21 @@ EOF
       --out "$BUILD_DIR/BENCH_serve_int8.json"
     echo "perf smoke OK (threads=$THREADS)"
     ;;
+  profile)
+    BUILD_DIR="${2:-build-profile}"
+    cmake -S bench_profile -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release
+    cmake --build "$BUILD_DIR" -j "$(nproc)"
+    for bin in bench_profile latency_recorder_test; do
+      if [ ! -x "$BUILD_DIR/$bin" ]; then
+        echo "check.sh: MISSING BINARY: $BUILD_DIR/$bin" >&2
+        exit 1
+      fi
+    done
+    ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error
+    echo "profile smoke OK"
+    ;;
   *)
-    echo "usage: scripts/check.sh [address|thread|trace|chaos|net|shard|perf] [build-dir]" >&2
+    echo "usage: scripts/check.sh [address|thread|trace|chaos|net|shard|perf|profile] [build-dir]" >&2
     exit 2
     ;;
 esac

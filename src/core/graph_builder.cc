@@ -154,7 +154,7 @@ std::vector<AddressGraph> GraphConstructor::BuildGraphsFrom(
 
 std::vector<AddressGraph> GraphConstructor::BuildGraphsFrom(
     const chain::LedgerSnapshot& snapshot, chain::AddressId address,
-    int start_slice) {
+    int start_slice, int end_slice) {
   BA_TRACE_SPAN("core.graph.build");
   Stopwatch watch;
 
@@ -162,7 +162,7 @@ std::vector<AddressGraph> GraphConstructor::BuildGraphsFrom(
   std::vector<AddressGraph> graphs;
   {
     BA_TRACE_SPAN("core.graph.extract");
-    graphs = ExtractOriginalGraphs(snapshot, address, start_slice);
+    graphs = ExtractOriginalGraphs(snapshot, address, start_slice, end_slice);
   }
   watch.Stop();
   timings_.extract_seconds += watch.ElapsedSeconds();
@@ -214,7 +214,7 @@ std::vector<AddressGraph> GraphConstructor::ExtractOriginalGraphs(
 
 std::vector<AddressGraph> GraphConstructor::ExtractOriginalGraphs(
     const chain::LedgerSnapshot& snapshot, chain::AddressId address,
-    int start_slice) const {
+    int start_slice, int end_slice) const {
   const std::vector<chain::TxId> txs = snapshot.TransactionsOf(
       address, static_cast<size_t>(options_.max_txs_per_address));
 
@@ -222,10 +222,11 @@ std::vector<AddressGraph> GraphConstructor::ExtractOriginalGraphs(
   const int slice_size = options_.slice_size;
   const int num_slices =
       static_cast<int>((txs.size() + slice_size - 1) / slice_size);
-  if (start_slice >= num_slices) return graphs;
-  graphs.reserve(static_cast<size_t>(num_slices - start_slice));
+  const int stop = std::min(num_slices, end_slice);
+  if (start_slice >= stop) return graphs;
+  graphs.reserve(static_cast<size_t>(stop - start_slice));
 
-  for (int s = start_slice; s < num_slices; ++s) {
+  for (int s = start_slice; s < stop; ++s) {
     const size_t begin = static_cast<size_t>(s) * slice_size;
     const size_t end =
         std::min(txs.size(), begin + static_cast<size_t>(slice_size));

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "chain/ledger.h"
@@ -83,14 +84,19 @@ class GraphConstructor {
   std::vector<AddressGraph> BuildGraphs(const chain::Ledger& ledger,
                                         chain::AddressId address);
 
-  /// \brief Same, but only for slices with index >= `start_slice` —
-  /// the incremental path of the serving cache: slices before
-  /// `start_slice` are immutable on an append-only ledger, so a caller
-  /// holding their embeddings only rebuilds the growing tail.
+  /// Default `end_slice`: through the last slice.
+  static constexpr int kAllSlices = std::numeric_limits<int>::max();
+
+  /// \brief Same, but only for slices with index in [`start_slice`,
+  /// `end_slice`) — the incremental path of the serving cache: slices
+  /// before `start_slice` are immutable on an append-only ledger, so a
+  /// caller holding their embeddings only rebuilds the growing tail,
+  /// and a bounded `end_slice` lets it build a long history one window
+  /// at a time instead of holding every slice graph at once.
   /// `slice_index` of the returned graphs is the absolute index.
   std::vector<AddressGraph> BuildGraphsFrom(
       const chain::LedgerSnapshot& snapshot, chain::AddressId address,
-      int start_slice);
+      int start_slice, int end_slice = kAllSlices);
   std::vector<AddressGraph> BuildGraphsFrom(const chain::Ledger& ledger,
                                             chain::AddressId address,
                                             int start_slice);
@@ -104,10 +110,11 @@ class GraphConstructor {
   std::vector<AddressGraph> ExtractOriginalGraphs(
       const chain::Ledger& ledger, chain::AddressId address) const;
 
-  /// Stage 1 starting at `start_slice` (see BuildGraphsFrom).
+  /// Stage 1 for slices [`start_slice`, `end_slice`) (see
+  /// BuildGraphsFrom).
   std::vector<AddressGraph> ExtractOriginalGraphs(
       const chain::LedgerSnapshot& snapshot, chain::AddressId address,
-      int start_slice) const;
+      int start_slice, int end_slice = kAllSlices) const;
   std::vector<AddressGraph> ExtractOriginalGraphs(const chain::Ledger& ledger,
                                                   chain::AddressId address,
                                                   int start_slice) const;

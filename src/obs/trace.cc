@@ -37,6 +37,8 @@ int64_t SteadyNs() {
       .count();
 }
 
+}  // namespace
+
 void AppendJsonEscaped(std::ostringstream* os, const std::string& s) {
   for (char c : s) {
     switch (c) {
@@ -63,8 +65,6 @@ void AppendJsonEscaped(std::ostringstream* os, const std::string& s) {
     }
   }
 }
-
-}  // namespace
 
 /// \brief Per-thread event ring. Mutation happens on the owning thread;
 /// the mutex only serializes against concurrent export/reset, so the

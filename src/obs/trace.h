@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -49,6 +50,10 @@ namespace internal {
 inline std::atomic<bool> g_trace_enabled{false};
 
 }  // namespace internal
+
+/// Appends `s` to `os` escaped for the inside of a JSON string literal
+/// (quotes, backslashes and control characters).
+void AppendJsonEscaped(std::ostringstream* os, const std::string& s);
 
 /// \brief One recorded event (a completed span, a counter sample, or
 /// one end of an async flow).

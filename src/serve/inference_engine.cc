@@ -24,6 +24,11 @@ constexpr uint32_t kCacheVersion = 2;
 /// Ceiling on per-entry slice counts accepted from a cache file, so a
 /// corrupted length can never drive a huge allocation.
 constexpr uint32_t kMaxSlicesPerEntry = 1u << 20;
+/// Slices a miss builds and embeds at a time. A 2000-tx history at
+/// slice size 20 has 100 slices; building them window by window keeps
+/// one window's graphs alive instead of all of them, bounding a miss's
+/// memory however many threads build at once.
+constexpr int kBuildWindowSlices = 8;
 
 template <typename T>
 void AppendPod(std::string* out, const T& value) {
@@ -362,33 +367,51 @@ void InferenceEngine::RecordDelivery(chain::AddressId address,
   }
 }
 
-void InferenceEngine::Enqueue(const std::vector<Request*>& requests,
-                              bool inline_leader) {
-  // One clock read stamps the whole submit batch — timelines must not
-  // tax the enqueue path with a syscall per request.
-  const auto now = SteadyClock::now();
-  for (Request* r : requests) r->tl.enqueue_ns = r->SinceSubmitNs(now);
+void InferenceEngine::Enqueue(Request* req) {
+  req->tl.enqueue_ns = req->SinceSubmitNs(SteadyClock::now());
   std::unique_lock<std::mutex> lock(queue_mu_);
-  inflight_requests_ += static_cast<int64_t>(requests.size());
-  for (Request* r : requests) {
-    queue_.push_back(r);
-    queue_depth_.fetch_add(1, std::memory_order_relaxed);
-  }
+  ++inflight_requests_;
+  queue_.push_back(req);
+  queue_depth_.fetch_add(1, std::memory_order_relaxed);
   if (active_leaders_ >= options_.max_batch_leaders) return;
   ++active_leaders_;
-  if (inline_leader) {
-    RunLeader(&lock);
-    return;
-  }
-  // Async submit: the leader runs on the worker pool so the caller
-  // (e.g. an epoll thread) never blocks on inference. A shut-down pool
-  // rejects the task; drain inline rather than strand queued requests.
+  // A shut-down pool rejects the leader; drain inline rather than
+  // strand queued requests.
   if (!pool_->Submit([this] {
         std::unique_lock<std::mutex> leader_lock(queue_mu_);
         RunLeader(&leader_lock);
       })) {
     RunLeader(&lock);
   }
+}
+
+void InferenceEngine::RunOwnBatches(const std::vector<Request*>& requests) {
+  // One clock read stamps the whole submit — timelines must not tax the
+  // submit path with a syscall per request. There is no queue to wait
+  // in, so the first batch joins at the enqueue stamp.
+  const auto now = SteadyClock::now();
+  for (Request* r : requests) r->tl.enqueue_ns = r->SinceSubmitNs(now);
+  const size_t limit = static_cast<size_t>(options_.max_batch_size);
+  for (size_t begin = 0; begin < requests.size(); begin += limit) {
+    const size_t end = std::min(requests.size(), begin + limit);
+    std::vector<Request*> batch(requests.begin() + static_cast<ptrdiff_t>(begin),
+                                requests.begin() + static_cast<ptrdiff_t>(end));
+    const auto joined = begin == 0 ? now : SteadyClock::now();
+    for (Request* r : batch) r->tl.batch_join_ns = r->SinceSubmitNs(joined);
+    ProcessBatch(std::move(batch));
+  }
+}
+
+void InferenceEngine::Deliver(const std::vector<Request*>& requests) {
+  int64_t async_done = 0;
+  for (Request* req : requests) {
+    async_done += req->async ? 1 : 0;
+    FinishRequest(req);
+  }
+  if (async_done == 0) return;
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  inflight_requests_ -= async_done;
+  done_cv_.notify_all();
 }
 
 void InferenceEngine::FinishRequest(Request* req) {
@@ -417,14 +440,17 @@ void InferenceEngine::ClassifyAsync(chain::AddressId address,
                                     const ClassifyOptions& options,
                                     ClassifyCallback done) {
   Request* req = MakeRequest(address, options, std::move(done));
-  if (req != nullptr) Enqueue({req}, /*inline_leader=*/false);
+  if (req == nullptr) return;
+  req->async = true;
+  Enqueue(req);
 }
 
 Result<ClassifyResult> InferenceEngine::Classify(
     chain::AddressId address, const ClassifyOptions& options) {
   BA_TRACE_SPAN("serve.request");
-  // Blocking wrapper over the async submit path: a stack latch stands
-  // in for the caller's continuation.
+  // The caller runs its own batch; a stack latch stands in for its
+  // continuation, because a request that joins another batch's build
+  // is delivered by that batch's thread.
   struct SyncState {
     std::mutex mu;
     std::condition_variable cv;
@@ -441,7 +467,7 @@ Result<ClassifyResult> InferenceEngine::Classify(
         state.cv.notify_one();
       });
   if (req != nullptr) {
-    Enqueue({req}, /*inline_leader=*/true);
+    RunOwnBatches({req});
     std::unique_lock<std::mutex> lk(state.mu);
     state.cv.wait(lk, [&state] { return state.done; });
   }
@@ -453,8 +479,8 @@ std::vector<Result<ClassifyResult>> InferenceEngine::ClassifyBatch(
     const ClassifyOptions& options) {
   const size_t n = addresses.size();
   // Submit-side decisions (validation, admission, expired deadlines)
-  // run per request; survivors are enqueued as one unit so a single
-  // caller still gets batched execution.
+  // run per request; the caller then runs the survivors as its own
+  // batches.
   struct BatchState {
     std::mutex mu;
     std::condition_variable cv;
@@ -462,8 +488,8 @@ std::vector<Result<ClassifyResult>> InferenceEngine::ClassifyBatch(
   } state;
   state.remaining = n;
   std::vector<std::unique_ptr<Result<ClassifyResult>>> outcomes(n);
-  std::vector<Request*> to_enqueue;
-  to_enqueue.reserve(n);
+  std::vector<Request*> own;
+  own.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     Request* req = MakeRequest(
         addresses[i], options,
@@ -474,9 +500,9 @@ std::vector<Result<ClassifyResult>> InferenceEngine::ClassifyBatch(
               std::make_unique<Result<ClassifyResult>>(std::move(r));
           if (--state.remaining == 0) state.cv.notify_one();
         });
-    if (req != nullptr) to_enqueue.push_back(req);
+    if (req != nullptr) own.push_back(req);
   }
-  if (!to_enqueue.empty()) Enqueue(to_enqueue, /*inline_leader=*/true);
+  if (!own.empty()) RunOwnBatches(own);
   {
     std::unique_lock<std::mutex> lk(state.mu);
     state.cv.wait(lk, [&state] { return state.remaining == 0; });
@@ -511,20 +537,17 @@ void InferenceEngine::RunLeader(std::unique_lock<std::mutex>* lock) {
         --active_leaders_;  // pool shut down: this leader drains alone
       }
     }
-    lock->unlock();
-    ProcessBatch(batch);
     // Callbacks fire with the queue lock released — a callback may
     // submit follow-up async work without self-deadlocking.
-    for (Request* r : batch) FinishRequest(r);
+    lock->unlock();
+    ProcessBatch(std::move(batch));
     lock->lock();
-    inflight_requests_ -= static_cast<int64_t>(batch.size());
-    done_cv_.notify_all();
   }
   --active_leaders_;
   done_cv_.notify_all();
 }
 
-void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
+void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
   obs::ScopedSpan batch_span("serve.batch");
   batch_span.AddArg("batch_size", static_cast<double>(batch.size()));
   Stopwatch batch_sw;
@@ -569,11 +592,13 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
     for (Request* req : batch) req->status = st;
     batch_sw.Stop();
     stats_.batch_latency.Record(batch_sw.ElapsedSeconds());
+    Deliver(batch);
     return;
   }
 
   // Stage 1 — cache lookup (serial, one short critical section).
-  // Duplicate addresses within the batch coalesce onto one Work unit —
+  // Duplicate addresses within the batch coalesce onto one Work unit,
+  // and a miss another batch is already building joins that build —
   // N monitoring clients polling the same address cost one computation.
   // Requests already past deadline are decided here, before any graph
   // construction: stale cached answer (allow_degraded), fallback
@@ -596,6 +621,9 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
     /// True only while every requester is router-flagged sweep
     /// traffic; one normal requester earns the result a cache slot.
     bool no_promote = true;
+    /// True while this unit holds `flights_[address]`, where requests
+    /// from other batches park to be delivered by this one.
+    bool owns_flight = false;
   };
   std::vector<Work> work;
   work.reserve(batch.size());
@@ -604,7 +632,8 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
   {
     BA_TRACE_SPAN("serve.batch.lookup");
     std::unique_lock<std::mutex> lock(cache_mu_);
-    for (Request* req : batch) {
+    for (Request*& slot : batch) {
+      Request* req = slot;
       const uint64_t n = TxCountOf(snapshot, req->address);
       if (n == 0) {
         // Free and exact regardless of deadline or overload.
@@ -667,11 +696,26 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
         stats_.slices_reused.Increment(it->second.slice_embeddings.size());
         continue;
       }
+      auto flight = flights_.find(req->address);
+      if (flight != flights_.end() && flight->second.tx_count == n) {
+        // Another batch is building exactly this answer: join it. That
+        // batch delivers the request, so this one lets go of it here
+        // and must not touch it once the lock drops.
+        req->tl.lookup_ns = req->SinceSubmitNs(SteadyClock::now());
+        flight->second.joiners.push_back(req);
+        stats_.coalesced.Increment();
+        slot = nullptr;
+        continue;
+      }
       Work w;
       w.reqs.push_back(req);
       w.address = req->address;
       w.tx_count = n;
       w.no_promote = req->cache_mode == CacheMode::kNoPromote;
+      // Hold the address's flight, unless a build at another epoch of
+      // it already does.
+      w.owns_flight =
+          flights_.try_emplace(req->address, Flight{n, {}}).second;
       // An entry computed at a shorter history can donate its complete
       // slices — they are immutable on the append-only ledger. (An
       // entry *ahead* of the live ledger can only mean the ledger was
@@ -700,13 +744,35 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
       work.push_back(std::move(w));
     }
   }
+  std::erase(batch, nullptr);  // the requests that joined other builds
   {
-    // Lookup-stage stamp for every request still alive in the batch,
+    // Lookup-stage stamp for every request this batch still holds,
     // including those decided here (hits, degraded, rejections) — one
     // clock read for the batch.
     const auto now = SteadyClock::now();
     for (Request* req : batch) req->tl.lookup_ns = req->SinceSubmitNs(now);
   }
+
+  // Moves the requests other batches parked on `w`'s flight into
+  // `w.reqs` — this batch delivers them from here on. With `close` the
+  // flight is retired too, so later arrivals read the cache or build
+  // afresh. Caller holds cache_mu_.
+  std::vector<Request*> adopted;
+  auto adopt = [this, &adopted](Work& w, bool close) {
+    if (!w.owns_flight) return;
+    auto it = flights_.find(w.address);
+    for (Request* req : it->second.joiners) {
+      w.reqs.push_back(req);
+      w.no_promote =
+          w.no_promote && req->cache_mode == CacheMode::kNoPromote;
+      adopted.push_back(req);
+    }
+    it->second.joiners.clear();
+    if (close) {
+      flights_.erase(it);
+      w.owns_flight = false;
+    }
+  };
   for (Request* req : fallback_pending) {
     if (options_.degraded_fallback) {
       req->result.predicted = options_.degraded_fallback(req->address);
@@ -722,8 +788,14 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
   // Stage boundary lookup -> build: the injected build fault (and any
   // armed latency) lands here, then deadlines are re-checked so a
   // request that expired while queued behind the lookup never pays for
-  // graph construction.
+  // graph construction. Requests that joined this batch's builds so
+  // far cross the boundary with it; a build fault retires every
+  // flight, so its joiners fail with the batch.
   const bool build_fault = faults.ShouldFail(kFaultBatchBuild);
+  if (!work.empty()) {
+    std::unique_lock<std::mutex> lock(cache_mu_);
+    for (Work& w : work) adopt(w, /*close=*/build_fault);
+  }
   {
     const auto now = SteadyClock::now();
     std::vector<Request*> keep;
@@ -751,10 +823,17 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
       w.reqs.swap(keep);
     }
     // Units whose every requester was decided are dropped whole — no
-    // speculative graph work on behalf of nobody.
-    work.erase(std::remove_if(work.begin(), work.end(),
-                              [](const Work& w) { return w.reqs.empty(); }),
-               work.end());
+    // speculative graph work on behalf of nobody. Retiring such a
+    // unit's flight adopts any request that joined since, which keeps
+    // the unit alive for it.
+    const auto idle = [](const Work& w) { return w.reqs.empty(); };
+    if (std::any_of(work.begin(), work.end(), idle)) {
+      std::unique_lock<std::mutex> lock(cache_mu_);
+      for (Work& w : work) {
+        if (idle(w)) adopt(w, /*close=*/true);
+      }
+    }
+    work.erase(std::remove_if(work.begin(), work.end(), idle), work.end());
   }
   if (build_fault) {
     const Status st = Status::Internal(std::string("injected fault at ") +
@@ -766,9 +845,9 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
   }
 
   // Stage 2 — graph construction + encoder forward for the tail slices
-  // of every miss, fanned out over the pool. The classifier's inference
-  // paths are const and share frozen weights, so workers may embed
-  // concurrently.
+  // of every miss, fanned out over the pool and this thread. The
+  // classifier's inference paths are const and share frozen weights, so
+  // threads may embed concurrently.
   if (!work.empty()) {
     BA_TRACE_SPAN("serve.batch.build_embed");
     const core::GraphModel& model = classifier_->graph_model();
@@ -777,23 +856,30 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
       Work& w = work[i];
       core::GraphConstructor ctor(
           classifier_->options().dataset.construction);
-      const std::vector<core::AddressGraph> graphs =
-          ctor.BuildGraphsFrom(snapshot, w.address, w.reuse_slices);
-      stats_.build_seconds.AddSeconds(ctor.timings().TotalSeconds());
       Stopwatch embed_sw;
-      embed_sw.Start();
-      for (const core::AddressGraph& g : graphs) {
-        const core::GraphTensors gt = core::PrepareGraphTensors(g, k_hops_);
-        const tensor::Tensor e =
-            int8 ? model.EmbedQuantized(gt) : model.Embed(gt);
-        std::vector<float> row(static_cast<size_t>(embed_dim_));
-        for (int64_t j = 0; j < embed_dim_; ++j) {
-          row[static_cast<size_t>(j)] = e.at(0, j);
+      const int num_slices = static_cast<int>(
+          (w.tx_count + static_cast<uint64_t>(slice_size_) - 1) /
+          static_cast<uint64_t>(slice_size_));
+      for (int begin = w.reuse_slices; begin < num_slices;
+           begin += kBuildWindowSlices) {
+        const std::vector<core::AddressGraph> graphs = ctor.BuildGraphsFrom(
+            snapshot, w.address, begin, begin + kBuildWindowSlices);
+        embed_sw.Start();
+        for (const core::AddressGraph& g : graphs) {
+          const core::GraphTensors gt =
+              core::PrepareGraphTensors(g, k_hops_);
+          const tensor::Tensor e =
+              int8 ? model.EmbedQuantized(gt) : model.Embed(gt);
+          std::vector<float> row(static_cast<size_t>(embed_dim_));
+          for (int64_t j = 0; j < embed_dim_; ++j) {
+            row[static_cast<size_t>(j)] = e.at(0, j);
+          }
+          w.rows.push_back(std::move(row));
+          ++w.built;
         }
-        w.rows.push_back(std::move(row));
-        ++w.built;
+        embed_sw.Stop();
       }
-      embed_sw.Stop();
+      stats_.build_seconds.AddSeconds(ctor.timings().TotalSeconds());
       stats_.embed_seconds.AddSeconds(embed_sw.ElapsedSeconds());
     });
     const auto built = SteadyClock::now();
@@ -804,10 +890,15 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
     }
   }
 
-  // Stage boundary build -> aggregate: injected aggregate fault.
+  // Stage boundary build -> aggregate: injected aggregate fault, which
+  // fails the joiners of this batch's builds too.
   if (!work.empty() && faults.ShouldFail(kFaultBatchAggregate)) {
     const Status st = Status::Internal(std::string("injected fault at ") +
                                        kFaultBatchAggregate);
+    {
+      std::unique_lock<std::mutex> lock(cache_mu_);
+      for (Work& w : work) adopt(w, /*close=*/true);
+    }
     for (Work& w : work) {
       for (Request* req : w.reqs) req->status = st;
     }
@@ -840,6 +931,17 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
         }
         classifier_->scaler().Apply(&seqs);
         predicted = classifier_->aggregator().Predict(seqs[0].embeddings);
+        CacheEntry entry;
+        entry.tx_count = w.tx_count;
+        entry.slice_embeddings = std::move(w.rows);
+        entry.predicted = predicted;
+        StoreEntry(w.address, std::move(entry), w.no_promote);
+      }
+      // The answer is in the cache now: retire the flight, adopting the
+      // requests that joined during the build.
+      if (w.owns_flight) {
+        std::unique_lock<std::mutex> lock(cache_mu_);
+        adopt(w, /*close=*/true);
       }
       const auto now = SteadyClock::now();
       for (Request* req : w.reqs) {
@@ -858,13 +960,6 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
           DegradedLateCounter()->Increment();
         }
       }
-      if (!w.rows.empty()) {
-        CacheEntry entry;
-        entry.tx_count = w.tx_count;
-        entry.slice_embeddings = std::move(w.rows);
-        entry.predicted = predicted;
-        StoreEntry(w.address, std::move(entry), w.no_promote);
-      }
     }
     const auto aggregated = SteadyClock::now();
     for (Work& w : work) {
@@ -879,6 +974,8 @@ void InferenceEngine::ProcessBatch(const std::vector<Request*>& batch) {
   stats_.batch_latency.Record(batch_sw.ElapsedSeconds());
   backlog_gauge_->Set(static_cast<int64_t>(pool_->in_flight()));
   queue_depth_gauge_->Set(queue_depth_.load(std::memory_order_relaxed));
+  batch.insert(batch.end(), adopted.begin(), adopted.end());
+  Deliver(batch);
 }
 
 void InferenceEngine::StoreEntry(chain::AddressId address, CacheEntry entry,

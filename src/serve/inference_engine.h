@@ -31,12 +31,18 @@
 /// repetition — the same addresses come back block after block. The
 /// engine exploits all three properties:
 ///
-///  * **Micro-batching.** Concurrent Classify() callers enqueue their
-///    request; the first caller becomes the batch leader, drains up to
-///    `max_batch_size` requests, and fans the expensive graph
-///    construction + encoder forward passes out over a shared
-///    `util::ThreadPool`. Followers block until the leader fulfills
-///    their request (group commit).
+///  * **Caller-led micro-batching.** A blocking Classify() /
+///    ClassifyBatch() caller leads the batch that holds its own
+///    requests, on its own thread, and fans the expensive graph
+///    construction + encoder forward passes out over a
+///    `util::ThreadPool` whose ParallelFor also works on the calling
+///    thread — so concurrent callers build their misses in parallel.
+///    ClassifyAsync requests queue instead and are drained by up to
+///    `max_batch_leaders` leaders started on the pool. Duplicate
+///    addresses within a batch coalesce onto one computation, and a
+///    miss that another batch is already building joins that build
+///    (single flight): the building batch delivers it, so no answer is
+///    built twice and no thread blocks on another batch's build.
 ///
 ///  * **Incremental caching.** Results are cached per address, keyed on
 ///    the length of the address's transaction history (a proxy for
@@ -64,9 +70,12 @@
 /// from any number of threads, and — new with the epoch layer — the
 /// ledger's single writer may grow the chain (NewAddress /
 /// ApplyTransaction / SealBlock) at any time with **no external
-/// ordering**. Each micro-batch pins a `chain::LedgerSnapshot` when the
-/// leader starts processing it; every result in the batch is computed
-/// against that pinned epoch, reported in `ClassifyResult::tx_count`.
+/// ordering**. Each micro-batch pins a `chain::LedgerSnapshot` when it
+/// starts processing; every result in the batch is computed against
+/// that pinned epoch, reported in `ClassifyResult::tx_count`. A request
+/// that joins another batch's build is answered at that batch's epoch,
+/// which has the same capped tx count for the address and therefore
+/// the same answer (the key the cache relies on too).
 /// Queries are therefore not linearizable across a concurrent seal — a
 /// request racing a seal may be answered from the epoch just before or
 /// just after it — but every answer is exactly what a quiesced engine
@@ -107,22 +116,29 @@ const char* PrecisionName(Precision p);
 
 /// \brief Engine tunables.
 struct InferenceEngineOptions {
-  /// Requests the batch leader drains per micro-batch.
+  /// Requests per micro-batch: a blocking caller's requests run in
+  /// batches of this size, and an async leader drains up to this many.
   int max_batch_size = 32;
-  /// Concurrent batch leaders. With 1 (the default, the historical
-  /// behavior) a slow batch serializes every arrival behind it; with
-  /// more, a leader that takes a batch while queued work remains hands
-  /// off mid-drain — it spawns a fresh leader on the pool before
-  /// processing, so arrivals keep draining while the slow batch runs.
-  /// The sharded tier defaults each shard to 2.
+  /// Concurrent leaders draining the ClassifyAsync queue, each started
+  /// on the pool. Blocking callers never take a slot: each leads its
+  /// own batch. With 1 (the default) a slow async batch serializes the
+  /// async arrivals behind it; with more, a leader that takes a batch
+  /// while queued work remains hands off mid-drain — it spawns a fresh
+  /// leader on the pool before processing, so arrivals keep draining
+  /// while the slow batch runs. The sharded tier defaults each shard
+  /// to 2.
   int max_batch_leaders = 1;
   /// Embed-stage precision. kInt8 runs the quantized encoder path;
   /// Create() fails when the classifier has not been quantized. Cached
   /// embeddings are precision-specific (the cache file records which
   /// path produced it and refuses a mismatched warm start).
   Precision precision = Precision::kFp32;
-  /// Worker threads for graph construction + encoder passes. 0 draws
-  /// on the process-wide `util::SharedPool()` instead of creating a
+  /// Pool workers that run async leaders and help any batch with graph
+  /// construction + encoder passes. The thread that runs a batch (a
+  /// blocking caller or an async leader) works alongside them, so N
+  /// concurrent blocking callers can keep up to N + num_threads cores
+  /// busy, and a one-miss batch never leaves its own thread. 0 draws on
+  /// the process-wide `util::SharedPool()` instead of creating a
   /// private pool — the right choice when an engine coexists with
   /// training or other engines in one process (no oversubscription).
   int num_threads = 2;
@@ -175,14 +191,17 @@ struct InferenceEngineOptions {
 /// \brief Completion hook of `ClassifyAsync`. Invoked exactly once per
 /// submitted request — either synchronously on the submitting thread
 /// (fast-path rejections: unknown address, shed, deadline expired at
-/// submit) or later on an engine worker thread. The second argument is
+/// submit) or later on the thread running the batch that delivers it:
+/// an async leader on the pool, or a blocking caller whose build the
+/// request joined. The second argument is
 /// the request's timeline — identical to `result.timeline` on ok
 /// outcomes, and the only way to observe the timeline of an error
 /// outcome (a Status cannot carry one); its `outcome` field always
 /// matches the delivered result. The callback must not block and must
 /// not call the engine's *blocking* methods (Classify / ClassifyBatch
-/// / ~InferenceEngine) — it runs on the thread that drains batches, so
-/// blocking there deadlocks the engine.
+/// / ~InferenceEngine) — it runs on a thread that is delivering a
+/// batch, so blocking there stalls every request that batch still
+/// owes an answer (and ~InferenceEngine there deadlocks).
 using ClassifyCallback =
     std::function<void(Result<ClassifyResult>, const RequestTimeline&)>;
 
@@ -192,7 +211,8 @@ struct InferenceMetricsSnapshot {
   uint64_t full_hits = 0;     ///< answered from cache outright
   uint64_t partial_hits = 0;  ///< tail rebuilt, prefix reused
   uint64_t misses = 0;
-  /// Batch-duplicate requests folded onto another request's work.
+  /// Requests folded onto another request's work: a duplicate in the
+  /// same batch, or a miss that joined another batch's build.
   uint64_t coalesced = 0;
   uint64_t empty_history = 0;  ///< addresses with no transactions
   uint64_t batches = 0;
@@ -334,15 +354,16 @@ class InferenceEngine : public Engine {
   /// under overload the call can instead return DeadlineExceeded /
   /// ResourceExhausted, or a labeled degraded answer when
   /// `options.allow_degraded` permits one (see the resilience contract
-  /// above). Implemented as a wrapper over ClassifyAsync; the calling
-  /// thread becomes the batch leader when none is active, so blocking
-  /// callers keep their pre-async latency profile.
+  /// above). The calling thread leads the batch that holds its request,
+  /// so concurrent callers run in parallel; a request for an answer
+  /// another batch is building waits for that build instead of
+  /// repeating it.
   Result<ClassifyResult> Classify(chain::AddressId address,
                                   const ClassifyOptions& options = {}) override;
 
-  /// \brief Classifies many addresses through the same batching path
-  /// (the whole list is enqueued before processing starts, so a single
-  /// caller still gets batched execution). Results align with input;
+  /// \brief Classifies many addresses through the same batching path:
+  /// the caller runs the whole list as its own batches, so its misses
+  /// build in parallel over the pool. Results align with input;
   /// `options` applies to every request in the list.
   std::vector<Result<ClassifyResult>> ClassifyBatch(
       const std::vector<chain::AddressId>& addresses,
@@ -413,6 +434,8 @@ class InferenceEngine : public Engine {
     ClassifyCallback done;
     /// True when this request holds an admission slot to release.
     bool admitted = false;
+    /// Submitted through ClassifyAsync: counted in inflight_requests_.
+    bool async = false;
     /// Submit time, for the request-latency histogram, trace span and
     /// the timeline's stamp origin.
     std::chrono::steady_clock::time_point submitted{};
@@ -443,26 +466,35 @@ class InferenceEngine : public Engine {
                        const ClassifyOptions& options,
                        ClassifyCallback done);
 
-  /// Pushes prepared requests onto the queue in one critical section
-  /// (a multi-request submit is batched as a unit) and ensures a
-  /// leader is running: dispatched to the worker pool when
-  /// `inline_leader` is false (async submit — the caller must not
-  /// block), run on the calling thread when true and no leader is
-  /// active (blocking submit — keeps the pre-async latency profile and
-  /// stays deadlock-free when the caller *is* a pool worker).
-  void Enqueue(const std::vector<Request*>& requests, bool inline_leader);
+  /// Async submit: pushes the request onto the queue and ensures a
+  /// leader is draining it — at most `max_batch_leaders`, each started
+  /// on the worker pool so the submitting thread (e.g. an epoll loop)
+  /// never blocks on inference.
+  void Enqueue(Request* req);
+
+  /// Blocking submit: runs the caller's own requests as batches of up
+  /// to `max_batch_size` on the calling thread. No queue and no leader
+  /// slot, so concurrent callers build in parallel — and a caller that
+  /// is itself a pool worker stays deadlock-free.
+  void RunOwnBatches(const std::vector<Request*>& requests);
 
   /// Completes one request: releases its admission slot, records
   /// request metrics, fires the callback and frees it.
   void FinishRequest(Request* req);
 
-  /// Leader loop: drains the queue in micro-batches until empty.
-  /// Entered and left with `queue_mu_` held; callbacks fire with the
-  /// lock released.
+  /// FinishRequest for each of `requests`, then retires the async ones
+  /// from `inflight_requests_`.
+  void Deliver(const std::vector<Request*>& requests);
+
+  /// Async leader loop: drains the queue in micro-batches until empty.
+  /// Entered and left with `queue_mu_` held; batches run with the lock
+  /// released.
   void RunLeader(std::unique_lock<std::mutex>* lock);
 
-  /// Executes one micro-batch (no queue lock held).
-  void ProcessBatch(const std::vector<Request*>& batch);
+  /// Executes one micro-batch (no queue lock held) and delivers every
+  /// request it decided: its own, except those that joined another
+  /// batch's build, plus those that joined one of its builds.
+  void ProcessBatch(std::vector<Request*> batch);
 
   /// Capped chronological tx count of `address` at the pinned epoch —
   /// the cache key.
@@ -526,18 +558,36 @@ class InferenceEngine : public Engine {
   /// The pool work actually runs on: injected, shared, or owned_pool_.
   ThreadPool* pool_;
 
+  /// A miss some batch is building right now (see `flights_`).
+  struct Flight {
+    uint64_t tx_count = 0;  ///< the capped history length being built
+    /// Requests from other batches waiting for this build; the batch
+    /// that owns it delivers them.
+    std::vector<Request*> joiners;
+  };
+
   mutable std::mutex cache_mu_;
   std::unordered_map<chain::AddressId, CacheEntry> cache_;
+  /// Single flight, guarded by cache_mu_: at most one build per
+  /// address. A lookup that misses the cache but finds its (address,
+  /// tx_count) here joins that build instead of starting its own. A
+  /// flight is retired only after its result is in the cache, so a
+  /// lookup finds one or the other (unless sweep traffic kept the
+  /// result out of the cache).
+  std::unordered_map<chain::AddressId, Flight> flights_;
   uint64_t lru_tick_ = 0;
 
   std::mutex queue_mu_;
-  /// Signals queue-drained (destructor) and leader handoff.
+  /// Signals the destructor: queue drained, leaders gone, async
+  /// requests delivered.
   std::condition_variable done_cv_;
+  /// ClassifyAsync requests not yet in a batch.
   std::deque<Request*> queue_;
-  /// Leaders currently draining (<= options_.max_batch_leaders).
+  /// Async leaders currently draining (<= options_.max_batch_leaders).
   int active_leaders_ = 0;
-  /// Requests submitted but not yet finished (callback not returned) —
-  /// the destructor drains this to zero before tearing down.
+  /// Async requests submitted but not yet delivered (callback not
+  /// returned) — the destructor drains this to zero before tearing
+  /// down.
   int64_t inflight_requests_ = 0;
   /// Mirrors queue_.size() without the lock — the admission backlog
   /// signal must be readable in nanoseconds from any thread.

@@ -14,15 +14,21 @@
 /// \brief N inference engines behind a consistent-hash router, served
 /// through the same `serve::Engine` surface as one.
 ///
-/// A single `InferenceEngine` tops out on two serial resources: the
-/// batch-leader pipeline (even with hand-off, every request crosses one
-/// queue mutex) and the embedding cache's `cache_mu_`. The sharded tier
-/// scales past both by partitioning the *address space*: each of N
-/// engines owns the cache, queue, leaders and admission slots for its
-/// consistent-hash slice, so engines share nothing per-request and
-/// throughput on a cache-friendly workload scales near-linearly (the
-/// `--engines N` mode of bench_serve_throughput gates on >= 3x at
-/// N = 4).
+/// A single `InferenceEngine` tops out on serial resources: the
+/// embedding cache's `cache_mu_`, and for async traffic the
+/// batch-leader pipeline (even with hand-off, every async request
+/// crosses one queue mutex). The sharded tier partitions the *address
+/// space*: each of N engines owns the cache, queue, leaders and
+/// admission slots for its consistent-hash slice, so engines share
+/// nothing per-request. How much that buys depends on what one engine
+/// already parallelizes. Since blocking callers lead their own batches,
+/// one engine keeps every core busy on its own: measured on a 4-vCPU
+/// Xeon, `bench_serve_throughput --engines 4` (hot set, 8 blocking
+/// clients) gives 1.06x one engine (728k vs 686k qps; it was 1.62x,
+/// 418k vs 258k, when one engine served blocking callers through a
+/// single leader). Its gate is 0.75 x min(N, cores), which that run
+/// misses; the >= 3x the bench once promised at N = 4 is unmeasured on
+/// any host here.
 ///
 /// Routing is deterministic (see router.h): the same address always
 /// lands on the same shard, which is what makes per-shard caches

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <utility>
 
 #include "util/logging.h"
@@ -24,6 +27,14 @@
 ///    so a reader that observes `size() == n` also observes the fully
 ///    written contents of elements `[0, n)`.
 ///
+/// Chunk storage is allocated uninitialized and each element is
+/// constructed only when it is published. A new chunk is as large as
+/// all the chunks before it together, so constructing it whole would
+/// touch (and keep resident) that much memory the moment the container
+/// crosses a power of two; constructing on publish costs only the pages
+/// the published elements occupy. It also lets `push_back` store types
+/// without a default constructor.
+///
 /// Concurrency contract: any number of reader threads may call the
 /// const interface (`size`, `operator[]`) concurrently with ONE writer
 /// thread calling the mutating interface. Multiple concurrent writers,
@@ -36,9 +47,11 @@ template <typename T>
 class ChunkedVector {
  public:
   /// Elements in chunk 0; chunk `c` holds `kFirstChunkElems << c`
-  /// elements, so 48 chunks cover ~1.8e16 elements.
+  /// elements, so 32 chunks cover ~2.7e11 elements. The directory is
+  /// part of every instance — the ledger keeps one instance per address
+  /// — so it is sized for any reachable ledger, not for size_t.
   static constexpr size_t kFirstChunkElems = 64;
-  static constexpr int kMaxChunks = 48;
+  static constexpr int kMaxChunks = 32;
 
   ChunkedVector() = default;
 
@@ -89,9 +102,8 @@ class ChunkedVector {
 
   /// Appends a copy/move of `value` (writer thread only).
   void push_back(T value) {
-    T& slot = PrepareNext();
-    slot = std::move(value);
-    CommitNext();
+    new (NextSlot()) T(std::move(value));
+    Publish();
   }
 
   /// Publishes one default-constructed element and returns it (writer
@@ -99,12 +111,14 @@ class ChunkedVector {
   /// only types that are internally synchronized (or never read before
   /// some later publication point) should be filled in afterwards.
   T& Append() {
-    T& slot = PrepareNext();
-    CommitNext();
-    return slot;
+    T* slot = new (NextSlot()) T();
+    Publish();
+    return *slot;
   }
 
  private:
+  static size_t ChunkElems(int c) { return kFirstChunkElems << c; }
+
   /// Chunk index of element `i`; writes the offset within the chunk.
   static int ChunkOf(size_t i, size_t* offset) {
     const size_t j = i / kFirstChunkElems + 1;
@@ -113,7 +127,9 @@ class ChunkedVector {
     return c;
   }
 
-  T& PrepareNext() {
+  /// Uninitialized storage for the next element, allocating its chunk
+  /// on first use.
+  void* NextSlot() {
     const size_t i = size_.load(std::memory_order_relaxed);
     size_t offset = 0;
     const int c = ChunkOf(i, &offset);
@@ -121,22 +137,34 @@ class ChunkedVector {
     T* chunk = chunks_[static_cast<size_t>(c)].load(
         std::memory_order_relaxed);
     if (chunk == nullptr) {
-      chunk = new T[kFirstChunkElems << c]();
+      chunk = std::allocator<T>().allocate(ChunkElems(c));
       chunks_[static_cast<size_t>(c)].store(chunk,
                                             std::memory_order_release);
     }
-    return chunk[offset];
+    return chunk + offset;
   }
 
-  void CommitNext() {
+  void Publish() {
     size_.store(size_.load(std::memory_order_relaxed) + 1,
                 std::memory_order_release);
   }
 
+  /// Destroys the published elements — exactly the constructed ones —
+  /// and releases every chunk.
   void Free() {
-    for (auto& c : chunks_) {
-      delete[] c.load(std::memory_order_relaxed);
-      c.store(nullptr, std::memory_order_relaxed);
+    const size_t n = size_.load(std::memory_order_relaxed);
+    size_t first = 0;  // index of chunk c's first element
+    for (int c = 0; c < kMaxChunks; ++c) {
+      T* chunk = chunks_[static_cast<size_t>(c)].load(
+          std::memory_order_relaxed);
+      const size_t capacity = ChunkElems(c);
+      if (chunk != nullptr) {
+        if (first < n) std::destroy_n(chunk, std::min(capacity, n - first));
+        std::allocator<T>().deallocate(chunk, capacity);
+        chunks_[static_cast<size_t>(c)].store(nullptr,
+                                              std::memory_order_relaxed);
+      }
+      first += capacity;
     }
     size_.store(0, std::memory_order_relaxed);
   }

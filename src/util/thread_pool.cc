@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -29,9 +30,25 @@ obs::Counter* TasksCounter() {
   return counter;
 }
 
-/// Set for the lifetime of every WorkerLoop, so nested parallel
-/// regions can detect they are already running on pool capacity.
-thread_local bool t_in_pool_worker = false;
+/// Set for the lifetime of every WorkerLoop, and while any other thread
+/// runs ParallelFor iterations, so nested parallel regions can detect
+/// they already run in one.
+thread_local bool t_in_parallel_region = false;
+
+/// Marks the calling thread as running ParallelFor iterations for its
+/// lifetime, restoring the previous mark afterwards.
+class ParallelRegion {
+ public:
+  ParallelRegion() : outer_(t_in_parallel_region) {
+    t_in_parallel_region = true;
+  }
+  ~ParallelRegion() { t_in_parallel_region = outer_; }
+  ParallelRegion(const ParallelRegion&) = delete;
+  ParallelRegion& operator=(const ParallelRegion&) = delete;
+
+ private:
+  bool outer_;
+};
 
 }  // namespace
 
@@ -84,57 +101,63 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-bool ThreadPool::InWorkerThread() { return t_in_pool_worker; }
+bool ThreadPool::InWorkerThread() { return t_in_parallel_region; }
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  // A worker calling back into its own (or any) pool must not block on
-  // pool capacity — every worker could end up waiting for tasks only
-  // the waiting workers themselves would run. Degrade to serial.
-  if (t_in_pool_worker) {
+  // One item has nothing to share, and a nested call would only queue
+  // helpers behind its own busy peers: both run inline. The iterations
+  // see the same parallel-region mark either way.
+  if (n <= 1 || t_in_parallel_region) {
+    ParallelRegion region;
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  const size_t chunks = std::min(n, std::max<size_t>(workers_.size(), 1) * 4);
-  const size_t chunk_size = (n + chunks - 1) / chunks;
+  // workers_ is empty after Shutdown; the caller then runs every chunk.
+  const size_t max_chunks =
+      std::min(n, std::max<size_t>(workers_.size(), 1) * 4);
+  const size_t chunk_size = (n + max_chunks - 1) / max_chunks;
+  const size_t chunks = (n + chunk_size - 1) / chunk_size;
 
-  // Per-call completion latch: on a shared pool, Wait() would also
-  // block on unrelated submitters' tasks. Only this call's chunks are
-  // counted here.
-  struct Latch {
+  // The caller and up to chunks-1 helpers claim chunks from one cursor.
+  // A helper that dequeues after the cursor ran out claims nothing and
+  // never touches `body`, so only the cursor state is shared-owned: it
+  // may outlive this call, the body need not.
+  struct Shared {
+    std::atomic<size_t> next{0};
+    size_t finished = 0;  // guarded by mu
     std::mutex mu;
     std::condition_variable cv;
-    size_t remaining = 0;
-  } latch;
-
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * chunk_size;
-    const size_t end = std::min(n, begin + chunk_size);
-    if (begin >= end) break;
-    {
-      std::unique_lock<std::mutex> lock(latch.mu);
-      ++latch.remaining;
+  };
+  auto shared = std::make_shared<Shared>();
+  auto run_chunks = [n, chunk_size, chunks, &body](Shared* s) {
+    for (;;) {
+      const size_t c = s->next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      const size_t end = std::min(n, (c + 1) * chunk_size);
+      for (size_t i = c * chunk_size; i < end; ++i) body(i);
+      std::lock_guard<std::mutex> lock(s->mu);
+      if (++s->finished == chunks) s->cv.notify_all();
     }
-    const bool accepted = Submit([begin, end, &body, &latch] {
-      for (size_t i = begin; i < end; ++i) body(i);
-      std::unique_lock<std::mutex> lock(latch.mu);
-      if (--latch.remaining == 0) latch.cv.notify_all();
-    });
-    if (!accepted) {
-      // Pool already shut down: degrade to inline execution.
-      for (size_t i = begin; i < end; ++i) body(i);
-      std::unique_lock<std::mutex> lock(latch.mu);
-      --latch.remaining;
-    }
+  };
+  const size_t helpers = std::min(chunks - 1, workers_.size());
+  for (size_t h = 0; h < helpers; ++h) {
+    // A rejected helper (pool shut down) leaves more for the caller.
+    if (!Submit([shared, run_chunks] { run_chunks(shared.get()); })) break;
   }
-  std::unique_lock<std::mutex> lock(latch.mu);
-  latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
+  {
+    ParallelRegion region;
+    run_chunks(shared.get());
+  }
+  // Every chunk is claimed once the caller's loop ends; wait only for
+  // the ones helpers are still running.
+  std::unique_lock<std::mutex> lock(shared->mu);
+  shared->cv.wait(lock, [&] { return shared->finished == chunks; });
 }
 
 void ThreadPool::WorkerLoop() {
   obs::Tracer::Instance().SetCurrentThreadName("ba.pool.worker");
-  t_in_pool_worker = true;
+  t_in_parallel_region = true;
   for (;;) {
     PendingTask task;
     {

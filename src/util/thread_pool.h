@@ -56,22 +56,28 @@ class ThreadPool {
   /// backlog gauge for serving metrics.
   size_t in_flight() const;
 
-  /// Runs `body(i)` for i in [0, n), distributing contiguous chunks
-  /// over the pool, and blocks until all iterations complete. The body
-  /// must be safe to invoke concurrently for distinct indices.
+  /// Runs `body(i)` for i in [0, n) and returns once every iteration
+  /// has finished. The body must be safe to invoke concurrently for
+  /// distinct indices.
   ///
-  /// Completion is tracked per call (not via pool-wide Wait), so
-  /// concurrent ParallelFor calls on one shared pool never block on
-  /// each other's unrelated work. When invoked from inside one of this
-  /// pool's own workers, or on a shut-down pool, the iterations run
-  /// inline on the calling thread — nested data parallelism degrades
-  /// to serial instead of deadlocking.
+  /// The range is cut into contiguous chunks that the calling thread
+  /// and up to `num_threads()` pool helpers claim from one shared
+  /// cursor; the call waits only for chunks a helper has claimed and is
+  /// still running. Because the caller works too, the call makes
+  /// progress when every worker is busy (or the pool is shut down) —
+  /// the caller then runs every chunk itself — and concurrent calls on
+  /// one shared pool never wait on each other's work. A one-item call,
+  /// or any call nested inside ParallelFor iterations or a pool task,
+  /// runs inline without touching the pool: nested data parallelism
+  /// degrades to serial.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
-  /// True when the calling thread is a worker of *any* ThreadPool.
-  /// Lets nested parallel regions (e.g. a large GEMM reached from a
-  /// training worker) fall back to serial execution instead of
-  /// submitting to — and then waiting on — an already-busy pool.
+  /// True when the calling thread is a worker of *any* ThreadPool, or
+  /// is running ParallelFor iterations — as that call's caller, or
+  /// inline. Every iteration therefore sees it set, whichever thread
+  /// runs it. Lets nested parallel regions (e.g. a large GEMM reached
+  /// from a training lane or a serving build) run serially instead of
+  /// queueing helpers behind an already-busy pool.
   static bool InWorkerThread();
 
  private:

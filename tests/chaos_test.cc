@@ -41,9 +41,10 @@ using serve::ClassifyResult;
 using serve::InferenceEngine;
 
 /// FaultInjector arming, firing, and disarming hammered from many
-/// threads at once (satellite a). The assertions are deliberately
-/// weak — the test's value is running data-race-free under TSan while
-/// every mode and the hit counter are exercised concurrently.
+/// threads at once. The concurrent assertion is deliberately weak — the
+/// test's value is running data-race-free under TSan while every mode
+/// and the hit counter are exercised concurrently — and the exact
+/// semantics are checked afterwards on a quiesced point.
 TEST(FaultInjectorChaosTest, ConcurrentArmFireDisarmIsRaceFree) {
   auto& faults = util::FaultInjector::Instance();
   faults.DisarmAll();
@@ -53,6 +54,7 @@ TEST(FaultInjectorChaosTest, ConcurrentArmFireDisarmIsRaceFree) {
   constexpr int kRounds = 400;
 
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> calls{0};
   std::atomic<uint64_t> fired{0};
   std::vector<std::thread> threads;
   for (int a = 0; a < kArmers; ++a) {
@@ -71,6 +73,7 @@ TEST(FaultInjectorChaosTest, ConcurrentArmFireDisarmIsRaceFree) {
   for (int f = 0; f < kFirers; ++f) {
     threads.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
+        calls.fetch_add(1);
         if (faults.ShouldFail(kPoint)) fired.fetch_add(1);
       }
     });
@@ -79,9 +82,22 @@ TEST(FaultInjectorChaosTest, ConcurrentArmFireDisarmIsRaceFree) {
   stop.store(true, std::memory_order_release);
   for (size_t t = kArmers; t < threads.size(); ++t) threads[t].join();
 
-  // Armers ran to completion and firers observed a sane counter: the
-  // injector's own hit count never runs behind the verdicts we saw.
-  EXPECT_GE(static_cast<uint64_t>(faults.HitCount(kPoint)), fired.load());
+  // Disarm erases the point and its hit count, so HitCount bounds
+  // nothing after the hammer; what Disarm cannot reset is the firers'
+  // own tally — no call fires more than once.
+  EXPECT_LE(fired.load(), calls.load());
+
+  // Exact semantics on a quiesced point: every kth of m calls fires.
+  faults.DisarmAll();
+  constexpr int kPeriod = 3;
+  constexpr int kCalls = 20;
+  faults.ArmEveryNth(kPoint, kPeriod);
+  int quiesced_fired = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    quiesced_fired += faults.ShouldFail(kPoint) ? 1 : 0;
+  }
+  EXPECT_EQ(quiesced_fired, kCalls / kPeriod);
+  EXPECT_EQ(faults.HitCount(kPoint), kCalls);
   faults.DisarmAll();
   EXPECT_FALSE(faults.ShouldFail(kPoint));
 }

@@ -357,6 +357,36 @@ TEST_F(GraphBuilderTest, MaxTxCapLimitsSliceCount) {
   EXPECT_EQ(graphs.size(), 2u);  // ceil(15 / 10)
 }
 
+TEST_F(GraphBuilderTest, SliceWindowsConcatenateToTheWholeHistory) {
+  const AddressId target = ledger_.NewAddress();
+  for (int i = 0; i < 25; ++i) FundTarget(target, i * 600);
+  GraphConstructorOptions opts;
+  opts.slice_size = 4;  // 25 txs -> 7 slices
+  GraphConstructor whole(opts);
+  GraphConstructor windowed(opts);
+  const auto snapshot = ledger_.Snapshot();
+  const auto all = whole.BuildGraphs(snapshot, target);
+  ASSERT_EQ(all.size(), 7u);
+  std::vector<AddressGraph> joined;
+  for (int begin = 0; begin < 7; begin += 3) {
+    for (auto& g : windowed.BuildGraphsFrom(snapshot, target, begin,
+                                            begin + 3)) {
+      joined.push_back(std::move(g));
+    }
+  }
+  ASSERT_EQ(joined.size(), all.size());
+  for (size_t s = 0; s < all.size(); ++s) {
+    EXPECT_EQ(joined[s].slice_index, all[s].slice_index);
+    ASSERT_EQ(joined[s].num_nodes(), all[s].num_nodes());
+    EXPECT_EQ(joined[s].num_edges(), all[s].num_edges());
+    for (int i = 0; i < all[s].num_nodes(); ++i) {
+      EXPECT_EQ(joined[s].nodes[static_cast<size_t>(i)].features,
+                all[s].nodes[static_cast<size_t>(i)].features);
+    }
+  }
+  EXPECT_TRUE(windowed.BuildGraphsFrom(snapshot, target, 5, 5).empty());
+}
+
 TEST_F(GraphBuilderTest, GfnTensorsHaveAugmentedWidth) {
   const AddressId target = ledger_.NewAddress();
   FundTarget(target, 0);

@@ -47,9 +47,12 @@ TEST(ThreadPoolTest, InWorkerThreadDistinguishesPoolWorkers) {
   EXPECT_FALSE(ThreadPool::InWorkerThread());
   ThreadPool pool(2);
   std::atomic<int> inside{0};
-  pool.ParallelFor(8, [&](size_t) {
-    if (ThreadPool::InWorkerThread()) inside.fetch_add(1);
-  });
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(pool.Submit([&] {
+      if (ThreadPool::InWorkerThread()) inside.fetch_add(1);
+    }));
+  }
+  pool.Wait();
   EXPECT_EQ(inside.load(), 8);
   EXPECT_FALSE(ThreadPool::InWorkerThread());
 }

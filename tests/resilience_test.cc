@@ -764,6 +764,29 @@ TEST_F(ResilienceServeTest, SecondBatchLeaderDrainsDuringSlowBatch) {
   EXPECT_LT(elapsed, 0.28) << "batches serialized behind one leader";
 }
 
+// The blocking twin: each blocking caller leads its own batch, so with
+// default options two slow batches from two callers overlap too.
+TEST_F(ResilienceServeTest, BlockingCallersLeadTheirOwnBatches) {
+  FaultGuard guard;
+  auto engine = MakeEngine();
+  util::FaultInjector::Instance().ArmLatency(
+      InferenceEngine::kFaultBatchBuild, 0.15);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < 2; ++i) {
+    callers.emplace_back([&, i] {
+      const auto outcome = engine->Classify((*watched_)[i].address);
+      EXPECT_TRUE(outcome.ok()) << outcome.status().message();
+    });
+  }
+  for (auto& t : callers) t.join();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed, 0.28) << "blocking callers serialized behind one leader";
+}
+
 TEST_F(ResilienceServeTest, RegistryExportsLoadAndAdmissionInstruments) {
   serve::InferenceEngineOptions options;
   options.enable_admission = true;

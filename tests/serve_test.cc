@@ -303,15 +303,51 @@ TEST_F(ServeTest, ThreadPoolInstrumentsCountServeWork) {
   auto& reg = obs::MetricsRegistry::Instance();
   const uint64_t tasks_before =
       reg.GetCounter("util.thread_pool.tasks")->value();
-  auto engine = MakeEngine();
-  for (const auto& a : *test_) {
-    ASSERT_TRUE(engine->Classify(a.address).ok());
+  {
+    auto engine = MakeEngine();
+    std::vector<chain::AddressId> addresses;
+    for (const auto& a : *test_) addresses.push_back(a.address);
+    // One batch of many misses: its stage-2 fan-out submits pool
+    // helpers, so the process-wide counter moved.
+    for (const auto& r : engine->ClassifyBatch(addresses)) {
+      ASSERT_TRUE(r.ok()) << r.status().message();
+    }
+    EXPECT_GT(reg.GetCounter("util.thread_pool.tasks")->value(),
+              tasks_before);
   }
-  // Stage-2 fan-out submits pool tasks; the process-wide counter moved.
-  EXPECT_GT(reg.GetCounter("util.thread_pool.tasks")->value(),
-            tasks_before);
-  // All pairs of Add(+1)/Add(-1) resolved — queue is drained.
+  // The engine's pool drained on teardown: every Add(+1) met its
+  // Add(-1), including helpers that found no chunk left to claim.
   EXPECT_EQ(reg.GetGauge("util.thread_pool.queue_depth")->value(), 0);
+}
+
+TEST_F(ServeTest, ConcurrentMissesOnOneAddressBuildOnce) {
+  util::FaultInjector::Instance().DisarmAll();
+  const datagen::LabeledAddress target = (*test_)[0];
+  const int expected = SerialTruth({target})[0];
+  auto engine = MakeEngine();
+  // Hold the first build at its build boundary long enough for every
+  // other caller to find it in flight.
+  util::FaultInjector::Instance().ArmLatency(
+      InferenceEngine::kFaultBatchBuild, 0.3);
+  constexpr int kCallers = 6;
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kCallers) std::this_thread::yield();
+      const auto r = engine->Classify(target.address);
+      if (!r.ok() || r.value().predicted != expected) wrong.fetch_add(1);
+    });
+  }
+  for (auto& t : callers) t.join();
+  util::FaultInjector::Instance().DisarmAll();
+  EXPECT_EQ(wrong.load(), 0);
+  const InferenceMetricsSnapshot m = engine->Metrics();
+  EXPECT_EQ(m.requests, static_cast<uint64_t>(kCallers));
+  EXPECT_EQ(m.misses, 1u);
+  EXPECT_EQ(m.coalesced, static_cast<uint64_t>(kCallers - 1));
 }
 
 TEST_F(ServeTest, UnknownAddressIsRejectedNotFatal) {

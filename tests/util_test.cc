@@ -1,14 +1,21 @@
 // Unit tests for src/util: Status/Result, Rng, Stopwatch, ThreadPool,
-// TablePrinter, CliFlags.
+// ChunkedVector, TablePrinter, CliFlags.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "obs/metrics.h"
+#include "util/chunked_vector.h"
 #include "util/cli.h"
 #include "util/retry.h"
 #include "util/rng.h"
@@ -365,6 +372,116 @@ TEST(ThreadPoolTest, ParallelForRunsInlineAfterShutdown) {
   std::vector<int> hits(10, 0);  // plain ints: iterations run inline
   pool.ParallelFor(hits.size(), [&hits](size_t i) { hits[i] += 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolTest, ParallelForOfOneRunsOnTheCallerWithoutThePool) {
+  ThreadPool pool(2);
+  const obs::Counter* tasks =
+      obs::MetricsRegistry::Instance().GetCounter("util.thread_pool.tasks");
+  const uint64_t tasks_before = tasks->value();
+  std::thread::id ran_on;
+  bool marked_parallel = false;
+  pool.ParallelFor(1, [&](size_t) {
+    ran_on = std::this_thread::get_id();
+    marked_parallel = ThreadPool::InWorkerThread();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(tasks->value(), tasks_before);
+  // The iteration still counts as a parallel region (nested GEMMs run
+  // serially, as they would on a worker); the caller is unmarked after.
+  EXPECT_TRUE(marked_parallel);
+  EXPECT_FALSE(ThreadPool::InWorkerThread());
+}
+
+TEST(ThreadPoolTest, ParallelForFinishesWhileEveryWorkerIsBusy) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int parked = 0;
+  bool release = false;
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    ASSERT_TRUE(pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }));
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == 2; });
+  }
+  // A ParallelFor that needs a worker would wait forever; the watchdog
+  // frees the workers after a while so the test fails instead of
+  // hanging.
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return release; });
+    release = true;
+    cv.notify_all();
+  });
+  std::vector<std::atomic<int>> hits(8);
+  pool.ParallelFor(hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_FALSE(release) << "ParallelFor waited for a parked worker";
+    release = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+/// Tracks live instances: every constructor adds one, the destructor
+/// removes one.
+struct Counted {
+  static inline int live = 0;
+  int value = 0;
+  Counted() { ++live; }
+  explicit Counted(int v) : value(v) { ++live; }
+  Counted(const Counted& other) : value(other.value) { ++live; }
+  Counted(Counted&& other) noexcept : value(other.value) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { --live; }
+};
+
+TEST(ChunkedVectorTest, ConstructsEachElementWhenPublished) {
+  Counted::live = 0;
+  // Past chunks 0 and 1 (64 + 128 elements) into chunk 2.
+  const size_t n = 3 * util::ChunkedVector<Counted>::kFirstChunkElems + 1;
+  {
+    util::ChunkedVector<Counted> v;
+    for (size_t i = 0; i < n; ++i) {
+      v.push_back(Counted(static_cast<int>(i)));
+      ASSERT_EQ(Counted::live, static_cast<int>(v.size()))
+          << "a chunk was constructed ahead of publication";
+    }
+    v.Append().value = -1;
+    EXPECT_EQ(Counted::live, static_cast<int>(n + 1));
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(v[i].value, static_cast<int>(i));
+    EXPECT_EQ(v.back().value, -1);
+
+    util::ChunkedVector<Counted> moved(std::move(v));
+    EXPECT_EQ(moved.size(), n + 1);
+    EXPECT_TRUE(v.empty());
+    EXPECT_EQ(Counted::live, static_cast<int>(n + 1));
+  }
+  EXPECT_EQ(Counted::live, 0) << "constructions and destructions differ";
+}
+
+/// Storable only through push_back: there is no default constructor.
+struct NoDefault {
+  explicit NoDefault(std::string s) : text(std::move(s)) {}
+  std::string text;
+};
+
+TEST(ChunkedVectorTest, PushBackNeedsNoDefaultConstructor) {
+  util::ChunkedVector<NoDefault> v;
+  for (int i = 0; i < 200; ++i) v.push_back(NoDefault(std::to_string(i)));
+  ASSERT_EQ(v.size(), 200u);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(v[static_cast<size_t>(i)].text, std::to_string(i));
+  }
 }
 
 TEST(TablePrinterTest, RendersAlignedRows) {
