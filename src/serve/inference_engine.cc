@@ -386,6 +386,10 @@ void InferenceEngine::Enqueue(Request* req) {
 }
 
 void InferenceEngine::RunOwnBatches(const std::vector<Request*>& requests) {
+  // Admission must still see blocking traffic though it never queues:
+  // these requests count in the backlog until Deliver retires them.
+  blocking_backlog_.fetch_add(static_cast<int64_t>(requests.size()),
+                              std::memory_order_relaxed);
   // One clock read stamps the whole submit — timelines must not tax the
   // submit path with a syscall per request. There is no queue to wait
   // in, so the first batch joins at the enqueue stamp.
@@ -403,11 +407,17 @@ void InferenceEngine::RunOwnBatches(const std::vector<Request*>& requests) {
 }
 
 void InferenceEngine::Deliver(const std::vector<Request*>& requests) {
-  int64_t async_done = 0;
-  for (Request* req : requests) {
-    async_done += req->async ? 1 : 0;
-    FinishRequest(req);
+  const int64_t async_done =
+      std::count_if(requests.begin(), requests.end(),
+                    [](const Request* req) { return req->async; });
+  // Blocking requests leave the backlog before their callers wake, so a
+  // caller's next submit never sees its own finished request.
+  const int64_t blocking_done =
+      static_cast<int64_t>(requests.size()) - async_done;
+  if (blocking_done > 0) {
+    blocking_backlog_.fetch_sub(blocking_done, std::memory_order_relaxed);
   }
+  for (Request* req : requests) FinishRequest(req);
   if (async_done == 0) return;
   std::lock_guard<std::mutex> lock(queue_mu_);
   inflight_requests_ -= async_done;
@@ -753,21 +763,32 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
     for (Request* req : batch) req->tl.lookup_ns = req->SinceSubmitNs(now);
   }
 
-  // Moves the requests other batches parked on `w`'s flight into
-  // `w.reqs` — this batch delivers them from here on. With `close` the
-  // flight is retired too, so later arrivals read the cache or build
-  // afresh. Caller holds cache_mu_.
+  // Moves `joiners` (requests other batches parked on `w`'s flight)
+  // into `w.reqs` — this batch delivers them from here on. Once the
+  // build is done a joiner's build stage is done too: at the build's
+  // end, or at its own lookup when it joined after that.
   std::vector<Request*> adopted;
-  auto adopt = [this, &adopted](Work& w, bool close) {
-    if (!w.owns_flight) return;
-    auto it = flights_.find(w.address);
-    for (Request* req : it->second.joiners) {
+  std::chrono::steady_clock::time_point built{};
+  auto take = [&adopted, &built](Work& w, std::vector<Request*>& joiners) {
+    for (Request* req : joiners) {
+      if (built != std::chrono::steady_clock::time_point{}) {
+        req->tl.build_ns =
+            std::max(req->SinceSubmitNs(built), req->tl.lookup_ns);
+      }
       w.reqs.push_back(req);
       w.no_promote =
           w.no_promote && req->cache_mode == CacheMode::kNoPromote;
       adopted.push_back(req);
     }
-    it->second.joiners.clear();
+    joiners.clear();
+  };
+  // Adopts `w`'s joiners so far. With `close` the flight is retired
+  // too, so later arrivals read the cache or build afresh. Caller holds
+  // cache_mu_.
+  auto adopt = [this, &take](Work& w, bool close) {
+    if (!w.owns_flight) return;
+    auto it = flights_.find(w.address);
+    take(w, it->second.joiners);
     if (close) {
       flights_.erase(it);
       w.owns_flight = false;
@@ -882,7 +903,7 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
       stats_.build_seconds.AddSeconds(ctor.timings().TotalSeconds());
       stats_.embed_seconds.AddSeconds(embed_sw.ElapsedSeconds());
     });
-    const auto built = SteadyClock::now();
+    built = SteadyClock::now();
     for (Work& w : work) {
       for (Request* req : w.reqs) {
         req->tl.build_ns = req->SinceSubmitNs(built);
@@ -935,11 +956,15 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
         entry.tx_count = w.tx_count;
         entry.slice_embeddings = std::move(w.rows);
         entry.predicted = predicted;
-        StoreEntry(w.address, std::move(entry), w.no_promote);
-      }
-      // The answer is in the cache now: retire the flight, adopting the
-      // requests that joined during the build.
-      if (w.owns_flight) {
+        // Storing retires the flight in the same critical section, so
+        // the requests that joined during the build both get a say in
+        // no_promote and are adopted here.
+        std::vector<Request*> joiners;
+        StoreEntry(w.address, std::move(entry), w.no_promote,
+                   w.owns_flight ? &joiners : nullptr);
+        w.owns_flight = false;
+        take(w, joiners);
+      } else if (w.owns_flight) {
         std::unique_lock<std::mutex> lock(cache_mu_);
         adopt(w, /*close=*/true);
       }
@@ -979,11 +1004,20 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
 }
 
 void InferenceEngine::StoreEntry(chain::AddressId address, CacheEntry entry,
-                                 bool no_promote) {
+                                 bool no_promote,
+                                 std::vector<Request*>* flight_joiners) {
   std::vector<std::pair<uint64_t, chain::AddressId>> order;
   size_t want_evicted = 0;
   {
     std::unique_lock<std::mutex> lock(cache_mu_);
+    if (flight_joiners != nullptr) {
+      auto flight = flights_.find(address);
+      for (Request* req : flight->second.joiners) {
+        flight_joiners->push_back(req);
+        no_promote = no_promote && req->cache_mode == CacheMode::kNoPromote;
+      }
+      flights_.erase(flight);
+    }
     if (no_promote) {
       // Sweep traffic: refresh an entry the hot set already earned
       // (same recency — reading it was not a working-set signal), but

@@ -482,6 +482,7 @@ class InferenceEngine : public Engine {
   /// request metrics, fires the callback and frees it.
   void FinishRequest(Request* req);
 
+  /// Retires the blocking ones from `blocking_backlog_`, runs
   /// FinishRequest for each of `requests`, then retires the async ones
   /// from `inflight_requests_`.
   void Deliver(const std::vector<Request*>& requests);
@@ -506,10 +507,14 @@ class InferenceEngine : public Engine {
   /// untouched) and a new address is not inserted at all — sweep
   /// traffic cannot trigger eviction. Candidate ordering for an
   /// eviction sweep runs outside `cache_mu_` so concurrent lookups
-  /// never stall behind the O(size) scan's nth_element. Caller must
-  /// not hold `cache_mu_`.
+  /// never stall behind the O(size) scan's nth_element. With
+  /// `flight_joiners` the address's flight is retired in the same
+  /// critical section as the store: its joiners are appended there (a
+  /// normal-mode joiner earns the entry a slot), so a lookup always
+  /// finds the flight or the entry. Caller must not hold `cache_mu_`.
   void StoreEntry(chain::AddressId address, CacheEntry entry,
-                  bool no_promote);
+                  bool no_promote,
+                  std::vector<Request*>* flight_joiners = nullptr);
 
   Status LoadCacheFile(const std::string& path);
 
@@ -539,10 +544,11 @@ class InferenceEngine : public Engine {
   /// flow event.
   void RecordDelivery(chain::AddressId address, const RequestTimeline& tl);
 
-  /// Live backlog signal for admission: enqueued requests plus pool
-  /// tasks in flight.
+  /// Live backlog signal for admission: enqueued async requests,
+  /// blocking requests not yet delivered, and pool tasks in flight.
   int64_t Backlog() const {
     return queue_depth_.load(std::memory_order_relaxed) +
+           blocking_backlog_.load(std::memory_order_relaxed) +
            static_cast<int64_t>(pool_->in_flight());
   }
 
@@ -592,6 +598,9 @@ class InferenceEngine : public Engine {
   /// Mirrors queue_.size() without the lock — the admission backlog
   /// signal must be readable in nanoseconds from any thread.
   std::atomic<int64_t> queue_depth_{0};
+  /// Blocking requests handed to RunOwnBatches and not yet delivered.
+  /// They never queue, so this is their share of the backlog signal.
+  std::atomic<int64_t> blocking_backlog_{0};
 
   /// Set only with options_.enable_admission.
   std::unique_ptr<AdmissionController> admission_;

@@ -379,8 +379,10 @@ TEST_F(ChaosServeTest, CachePersistenceSurvivesRandomSaveFaults) {
   std::atomic<int> saves_ok{0};
   std::atomic<int> saves_failed{0};
   std::atomic<bool> bad_failure{false};
+  // The saver makes at least one attempt: the classify loop below can
+  // finish before the thread is first scheduled.
   std::thread saver([&] {
-    while (!stop.load(std::memory_order_acquire)) {
+    do {
       const Status st = engine->SaveCache();
       if (st.ok()) {
         saves_ok.fetch_add(1);
@@ -391,7 +393,7 @@ TEST_F(ChaosServeTest, CachePersistenceSurvivesRandomSaveFaults) {
         }
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    } while (!stop.load(std::memory_order_acquire));
   });
   for (int i = 0; i < 3; ++i) {
     for (const auto& labeled : *watched_) {

@@ -626,6 +626,8 @@ TEST_F(ResilienceServeTest, EngineShedsUnderOverloadThenRecovers) {
   EXPECT_EQ(ok_count + shed_count, kClients * kCallsPerClient);
   EXPECT_EQ(other_count.load(), 0);
   EXPECT_GT(ok_count.load(), 0);
+  // Blocking callers never queue, yet admission must still see them.
+  EXPECT_GT(shed_count.load(), 0);
   const auto m = engine->Metrics();
   EXPECT_EQ(m.shed, static_cast<uint64_t>(shed_count.load()));
 
@@ -785,6 +787,37 @@ TEST_F(ResilienceServeTest, BlockingCallersLeadTheirOwnBatches) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_LT(elapsed, 0.28) << "blocking callers serialized behind one leader";
+}
+
+// A sweep request (kNoPromote) owns a build and a normal request joins
+// it after the build boundary. The joiner still earns the answer a
+// cache slot, and its timeline records the build it waited on.
+TEST_F(ResilienceServeTest, NormalJoinerOfASweepBuildEarnsTheCacheSlot) {
+  FaultGuard guard;
+  auto engine = MakeEngine();
+  const AddressId address = (*watched_)[4].address;
+  // Stalls the sweep's batch after its build, before its cache store.
+  util::FaultInjector::Instance().ArmLatency(
+      InferenceEngine::kFaultBatchAggregate, 0.2);
+  ClassifyOptions sweep;
+  sweep.cache_mode = serve::CacheMode::kNoPromote;
+  std::thread sweeper([&] {
+    const auto outcome = engine->Classify(address, sweep);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().message();
+  });
+  std::this_thread::sleep_for(Ms(80));
+  const auto joined = engine->Classify(address);
+  sweeper.join();
+  ASSERT_TRUE(joined.ok()) << joined.status().message();
+
+  const auto m = engine->Metrics();
+  EXPECT_EQ(m.misses, 1u);
+  EXPECT_EQ(m.coalesced, 1u);
+  EXPECT_EQ(engine->CacheSize(), 1u);
+  const serve::RequestTimeline& tl = joined.value().timeline;
+  EXPECT_GE(tl.lookup_ns, 0);
+  EXPECT_GE(tl.build_ns, tl.lookup_ns);
+  EXPECT_GE(tl.aggregate_ns, tl.build_ns);
 }
 
 TEST_F(ResilienceServeTest, RegistryExportsLoadAndAdmissionInstruments) {
