@@ -23,7 +23,7 @@
 // set's hit rate at >= 90% of its no-sweep value. Gates: sharded qps
 // >= 0.9 x single-engine qps (one engine's blocking callers already run
 // in parallel, so sharding must only not cost throughput; a 4-vCPU
-// host measures about 1.06x at N = 4), and the hit-rate ratio >= 0.9.
+// host measures 1.02-1.06x at N = 4), and the hit-rate ratio >= 0.9.
 // Writes BENCH_serve_sharded.json.
 
 #include <algorithm>

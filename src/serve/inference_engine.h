@@ -158,8 +158,10 @@ struct InferenceEngineOptions {
   util::RetryPolicy save_retry;
   /// Enables the AdmissionController: overloaded engines shed requests
   /// fast with ResourceExhausted instead of queueing without bound.
-  /// Off by default — an engine without an operator-chosen budget
-  /// accepts everything, as before.
+  /// Its backlog signal counts blocking requests until delivery, so it
+  /// also bounds how many blocking callers build at once. Off by
+  /// default — an engine without an operator-chosen budget accepts
+  /// everything, as before.
   bool enable_admission = false;
   /// Budget and watermarks (used only with enable_admission).
   AdmissionOptions admission;

@@ -24,9 +24,10 @@
 /// already parallelizes. Since blocking callers lead their own batches,
 /// one engine keeps every core busy on its own: measured on a 4-vCPU
 /// Xeon, `bench_serve_throughput --engines 4` (hot set, 8 blocking
-/// clients) gives 1.06x one engine (728k vs 686k qps; it was 1.62x,
-/// 418k vs 258k, when one engine served blocking callers through a
-/// single leader). The bench therefore gates only that sharding costs
+/// clients) gives 1.02-1.06x one engine (the committed
+/// BENCH_serve_sharded.json: 800k vs 767k qps; it was 1.62x, 418k vs
+/// 258k, when one engine served blocking callers through a single
+/// leader). The bench therefore gates only that sharding costs
 /// no material throughput (>= 0.9x one engine); what the tier still
 /// adds is per-shard caches and sweep detection, below.
 ///
