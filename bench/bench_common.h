@@ -1,5 +1,8 @@
 #pragma once
 
+#include <sched.h>
+
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -80,6 +83,18 @@ inline std::string CpuModelName() {
   return "unknown";
 }
 
+/// \brief Cores this process may run on (its CPU affinity set), or
+/// hardware_concurrency where the affinity mask is unavailable. A
+/// parallel speedup needs this many cores, not the machine's total.
+inline int AffinityCores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  }
+  return CPU_COUNT(&set);
+}
+
 /// \brief JSON object recording the provenance every BENCH_*.json
 /// needs to be comparable across machines and commits: which benchmark
 /// wrote it, git SHA, compiler + flags, the `--threads` setting, the
@@ -103,7 +118,7 @@ inline std::string BenchMetaJson(const CliFlags& flags,
   os << "\",\"threads_flag\":" << flags.GetInt("threads", 0)
      << ",\"shared_pool_threads\":" << util::SharedPoolThreads()
      << ",\"hardware_concurrency\":" << std::thread::hardware_concurrency()
-     << ",\"cpu_model\":\"";
+     << ",\"affinity_cores\":" << AffinityCores() << ",\"cpu_model\":\"";
   obs::AppendJsonEscaped(&os, CpuModelName());
   os << "\",\"gemm_variant\":\"" << tensor::internal::GemmVariantName()
      << "\",\"int8_gemm_variant\":\"" << tensor::internal::Int8GemmVariantName()

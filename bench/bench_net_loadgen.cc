@@ -38,9 +38,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -65,13 +68,33 @@ struct PhaseStats {
   uint64_t lost = 0;
 };
 
-double PercentileMs(std::vector<double>* lat, double p) {
-  if (lat->empty()) return 0.0;
-  std::sort(lat->begin(), lat->end());
-  const size_t idx = std::min(
-      lat->size() - 1,
-      static_cast<size_t>(p / 100.0 * static_cast<double>(lat->size())));
-  return (*lat)[idx] * 1e3;
+/// Samples that must lie beyond a reported percentile — bench_profile's
+/// rule: below it, the "p99" of a few hundred samples is just one of
+/// the largest values, which says nothing about a tail.
+constexpr size_t kMinBeyond = 10;
+
+/// Nearest-rank `p`-th percentile of `lat` (seconds) in milliseconds,
+/// or nullopt when fewer than kMinBeyond samples lie beyond its rank.
+std::optional<double> PercentileMs(std::vector<double>* lat, double p) {
+  const size_t n = lat->size();
+  const size_t rank = std::clamp<size_t>(
+      static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(n))), 1,
+      std::max<size_t>(n, 1));
+  if (n == 0 || n - rank < kMinBeyond) return std::nullopt;
+  std::nth_element(lat->begin(), lat->begin() + static_cast<long>(rank - 1),
+                   lat->end());
+  return (*lat)[rank - 1] * 1e3;
+}
+
+/// A percentile for the console: "n/a (N samples)" when unsupported.
+std::string ShowMs(const std::optional<double>& ms, size_t samples) {
+  if (!ms) return "n/a (" + std::to_string(samples) + " samples)";
+  return ba::TablePrinter::Num(*ms, 2) + "ms";
+}
+
+/// A percentile for the JSON: null when unsupported.
+std::string JsonMs(const std::optional<double>& ms) {
+  return ms ? std::to_string(*ms) : "null";
 }
 
 bool IsTransportFailure(const ba::Status& status) {
@@ -485,11 +508,11 @@ int main(int argc, char** argv) {
   PhaseStats net =
       RunNetFleet(data_port, connections, seconds, pool, address_max);
   {
-    const double p99 = PercentileMs(&net.latencies, 99.0);
     std::cout << "[net] " << ba::TablePrinter::Num(net.qps, 1)
               << " qps, " << net.ok << " ok / " << net.shed << " shed / "
               << net.lost << " lost, p99 "
-              << ba::TablePrinter::Num(p99, 2) << "ms";
+              << ShowMs(PercentileMs(&net.latencies, 99.0),
+                        net.latencies.size());
     if (inproc_qps > 0) {
       std::cout << " ("
                 << ba::TablePrinter::Num(100.0 * net.qps / inproc_qps, 1)
@@ -532,8 +555,8 @@ int main(int argc, char** argv) {
   // --- Phase: overload against a tight-admission server. ----------------
   OverloadResult overload;
   double overload_factor = 0.0;
-  double shed_p50_ms = 0.0;
-  double shed_p99_ms = 0.0;
+  std::optional<double> shed_p50_ms;
+  std::optional<double> shed_p99_ms;
   if (!external) {
     ba::serve::InferenceEngineOptions tight;
     tight.num_threads = 2;
@@ -571,8 +594,9 @@ int main(int argc, char** argv) {
               << overload.admitted << " admitted ("
               << ba::TablePrinter::Num(overload_factor, 1)
               << "x capacity), " << overload.shed << " shed, probe p50 "
-              << ba::TablePrinter::Num(shed_p50_ms, 2) << "ms / p99 "
-              << ba::TablePrinter::Num(shed_p99_ms, 2) << "ms, "
+              << ShowMs(shed_p50_ms, overload.shed_latencies.size())
+              << " / p99 "
+              << ShowMs(shed_p99_ms, overload.shed_latencies.size()) << ", "
               << overload.lost << " lost\n";
   }
 
@@ -588,7 +612,7 @@ int main(int argc, char** argv) {
   const bool gate_ratio = external || qps_ratio >= 0.8;
   const bool gate_shed =
       external || (overload.shed > 0 && overload_factor >= 4.0 &&
-                   shed_p99_ms < 5.0);
+                   shed_p99_ms && *shed_p99_ms < 5.0);
   const bool gate_lost =
       net.lost == 0 && churn_failures == 0 && overload.lost == 0;
   const bool gate_abuse = abuse_failures == 0;
@@ -600,16 +624,17 @@ int main(int argc, char** argv) {
       << ",\"seconds\":" << seconds << ",\"inproc_qps\":" << inproc_qps
       << ",\"net_qps\":" << net.qps << ",\"qps_ratio\":" << qps_ratio
       << ",\"net_ok\":" << net.ok << ",\"net_shed\":" << net.shed
-      << ",\"net_p50_ms\":" << PercentileMs(&net.latencies, 50.0)
-      << ",\"net_p99_ms\":" << PercentileMs(&net.latencies, 99.0)
+      << ",\"net_p50_ms\":" << JsonMs(PercentileMs(&net.latencies, 50.0))
+      << ",\"net_p99_ms\":" << JsonMs(PercentileMs(&net.latencies, 99.0))
       << ",\"churn_rounds\":" << churn_rounds
       << ",\"churn_failures\":" << churn_failures
       << ",\"overload_offered\":" << overload.offered
       << ",\"overload_admitted\":" << overload.admitted
       << ",\"overload_factor\":" << overload_factor
       << ",\"overload_shed\":" << overload.shed
-      << ",\"shed_p50_ms\":" << shed_p50_ms
-      << ",\"shed_p99_ms\":" << shed_p99_ms << ",\"lost_connections\":"
+      << ",\"shed_p50_ms\":" << JsonMs(shed_p50_ms)
+      << ",\"shed_p99_ms\":" << JsonMs(shed_p99_ms)
+      << ",\"lost_connections\":"
       << (net.lost + churn_failures + overload.lost)
       << ",\"abuse_failures\":" << abuse_failures
       << ",\"gates\":{\"qps_ratio_ok\":"

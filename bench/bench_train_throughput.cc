@@ -4,11 +4,14 @@
 // BENCH_train.json.
 //
 //   ./build/bench/bench_train_throughput [--blocks 400] [--addresses 700]
-//       [--epochs 3] [--threads 8] [--out BENCH_train.json]
+//       [--epochs 3] [--threads N] [--out BENCH_train.json]
 //
-// --threads sizes the shared pool AND the threaded run's lane count;
-// the serial run always uses one lane. Exits non-zero when the two
-// runs' per-epoch losses diverge (they must be bit-identical).
+// --threads sizes the shared pool AND the threaded run's lane count
+// (default: the cores this process may run on); the serial run always
+// uses one lane. A speedup is only measured when every lane has a core:
+// with more lanes than cores it is reported as unmeasured (JSON
+// "speedup": null). Exits non-zero when the two runs' per-epoch losses
+// diverge (they must be bit-identical).
 
 #include <fstream>
 #include <iostream>
@@ -49,7 +52,8 @@ double MeanEpochSeconds(const std::vector<ba::core::EpochStat>& history) {
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
-  const int threads = static_cast<int>(flags.GetInt("threads", 8));
+  const int cores = ba::bench::AffinityCores();
+  const int threads = static_cast<int>(flags.GetInt("threads", cores));
   const ba::bench::Experiment exp = ba::bench::BuildExperiment(flags);
 
   std::cout << "[train] serial run...\n";
@@ -70,25 +74,31 @@ int main(int argc, char** argv) {
 
   const double serial_epoch_s = MeanEpochSeconds(serial);
   const double threaded_epoch_s = MeanEpochSeconds(threaded);
-  const double speedup =
-      threaded_epoch_s > 0.0 ? serial_epoch_s / threaded_epoch_s : 0.0;
+  // Lanes beyond the cores time-slice one another: their ratio says
+  // nothing about data-parallel scaling.
+  const bool measured = threads <= cores && threaded_epoch_s > 0.0;
+  const double speedup = measured ? serial_epoch_s / threaded_epoch_s : 0.0;
+  const std::string shown =
+      measured ? ba::TablePrinter::Num(speedup, 2) + "x"
+               : "speedup unmeasured: " + std::to_string(threads) +
+                     " lanes > " + std::to_string(cores) + " cores";
   std::cout << "[train] serial " << ba::TablePrinter::Num(serial_epoch_s, 3)
             << " s/epoch, threaded "
             << ba::TablePrinter::Num(threaded_epoch_s, 3) << " s/epoch ("
-            << ba::TablePrinter::Num(speedup, 2) << "x), per-epoch losses "
+            << shown << "), per-epoch losses "
             << (loss_match ? "identical" : "DIVERGED") << "\n";
 
   const std::string out_path = flags.GetString("out", "BENCH_train.json");
   std::ofstream out(out_path, std::ios::trunc);
   out << "{\"serial_epoch_seconds\":" << serial_epoch_s
       << ",\"threaded_epoch_seconds\":" << threaded_epoch_s
-      << ",\"speedup\":" << speedup
+      << ",\"speedup\":" << (measured ? std::to_string(speedup) : "null")
       << ",\"loss_match\":" << (loss_match ? "true" : "false")
       << ",\"final_loss_serial\":" << serial.back().train_loss
       << ",\"final_loss_threaded\":" << threaded.back().train_loss
       << ",\"epochs\":" << serial.size()
       << ",\"train_examples\":" << exp.train.size()
-      << ",\"lanes\":" << threads
+      << ",\"lanes\":" << threads << ",\"cores\":" << cores
       << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "train_throughput") << "}\n";
   std::cout << "wrote " << out_path << "\n";
   return loss_match ? 0 : 1;

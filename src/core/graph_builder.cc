@@ -493,8 +493,9 @@ void GraphConstructor::CompressMultiTransactionAddresses(
 void GraphConstructor::AugmentStructure(AddressGraph* graph) const {
   const graph::AdjacencyList adj = graph->ToAdjacency();
   const std::vector<double> degree = graph::DegreeCentrality(adj);
-  const std::vector<double> closeness = graph::ClosenessCentrality(adj);
-  const std::vector<double> betweenness = graph::BetweennessCentrality(adj);
+  const graph::PathCentrality paths = graph::ShortestPathCentrality(adj);
+  const std::vector<double>& closeness = paths.closeness;
+  const std::vector<double>& betweenness = paths.betweenness;
   const std::vector<double> pagerank = graph::PageRank(adj);
   const double n = static_cast<double>(graph->num_nodes());
   const int base = kCentralityFeatureOffset;

@@ -7,7 +7,7 @@ namespace ba::core {
 
 namespace {
 
-double Percentile(std::vector<double> sorted, double p) {
+double Percentile(const std::vector<double>& sorted, double p) {
   // Linear interpolation between closest ranks (inclusive method).
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];

@@ -1,8 +1,8 @@
 #include "graph/centrality.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
-#include <deque>
-#include <queue>
 
 namespace ba::graph {
 
@@ -16,93 +16,103 @@ std::vector<double> DegreeCentrality(const AdjacencyList& g) {
   return out;
 }
 
-std::vector<double> ClosenessCentrality(const AdjacencyList& g) {
+PathCentrality ShortestPathCentrality(const AdjacencyList& g) {
   const int64_t n = g.num_nodes();
-  std::vector<double> out(static_cast<size_t>(n), 0.0);
-  if (n <= 1) return out;
-  std::vector<int64_t> dist(static_cast<size_t>(n));
-  std::deque<int64_t> queue;
-  for (int64_t s = 0; s < n; ++s) {
-    std::fill(dist.begin(), dist.end(), -1);
-    dist[static_cast<size_t>(s)] = 0;
-    queue.clear();
-    queue.push_back(s);
-    int64_t reachable = 0;  // excluding s
-    int64_t dist_sum = 0;
-    while (!queue.empty()) {
-      const int64_t u = queue.front();
-      queue.pop_front();
-      for (int64_t w : g.Neighbors(u)) {
-        if (dist[static_cast<size_t>(w)] < 0) {
-          dist[static_cast<size_t>(w)] = dist[static_cast<size_t>(u)] + 1;
-          dist_sum += dist[static_cast<size_t>(w)];
-          ++reachable;
-          queue.push_back(w);
-        }
-      }
-    }
-    if (reachable == 0 || dist_sum == 0) continue;
-    // Wasserman-Faust: (r / (n-1)) * (r / dist_sum), where r = reachable.
-    const double r = static_cast<double>(reachable);
-    out[static_cast<size_t>(s)] =
-        (r / static_cast<double>(n - 1)) * (r / static_cast<double>(dist_sum));
+  const size_t un = static_cast<size_t>(n);
+  PathCentrality out;
+  out.closeness.assign(un, 0.0);
+  out.betweenness.assign(un, 0.0);
+  // Flat CSR copy in the adjacency lists' neighbor order. That order
+  // fixes the BFS order, and with it every floating-point sum below.
+  std::vector<int32_t> offsets(un + 1, 0);
+  for (int64_t v = 0; v < n; ++v) {
+    const size_t degree = g.Neighbors(v).size();
+    BA_CHECK_LE(static_cast<int64_t>(offsets[static_cast<size_t>(v)]) +
+                    static_cast<int64_t>(degree),
+                static_cast<int64_t>(INT32_MAX));
+    offsets[static_cast<size_t>(v) + 1] =
+        offsets[static_cast<size_t>(v)] + static_cast<int32_t>(degree);
   }
-  return out;
-}
+  std::vector<int32_t> adj(static_cast<size_t>(offsets[un]));
+  for (int64_t v = 0; v < n; ++v) {
+    const std::vector<int64_t>& nbrs = g.Neighbors(v);
+    std::transform(nbrs.begin(), nbrs.end(),
+                   adj.begin() + offsets[static_cast<size_t>(v)],
+                   [](int64_t w) { return static_cast<int32_t>(w); });
+  }
 
-std::vector<double> BetweennessCentrality(const AdjacencyList& g) {
-  const int64_t n = g.num_nodes();
-  std::vector<double> bc(static_cast<size_t>(n), 0.0);
-  std::vector<int64_t> dist(static_cast<size_t>(n));
-  std::vector<double> sigma(static_cast<size_t>(n));
-  std::vector<double> delta(static_cast<size_t>(n));
-  std::vector<std::vector<int64_t>> preds(static_cast<size_t>(n));
-  std::vector<int64_t> order;
-  order.reserve(static_cast<size_t>(n));
-  std::deque<int64_t> queue;
-
-  for (int64_t s = 0; s < n; ++s) {
-    std::fill(dist.begin(), dist.end(), -1);
-    std::fill(sigma.begin(), sigma.end(), 0.0);
-    std::fill(delta.begin(), delta.end(), 0.0);
-    for (auto& p : preds) p.clear();
-    order.clear();
-    queue.clear();
-
+  std::vector<int32_t> dist(un, -1);
+  std::vector<double> sigma(un, 0.0);
+  std::vector<double> delta(un, 0.0);
+  // BFS visit order, doubling as the queue: [head, tail) is pending.
+  std::vector<int32_t> order(un);
+  for (int32_t s = 0; s < static_cast<int32_t>(n); ++s) {
     dist[static_cast<size_t>(s)] = 0;
     sigma[static_cast<size_t>(s)] = 1.0;
-    queue.push_back(s);
-    while (!queue.empty()) {
-      const int64_t u = queue.front();
-      queue.pop_front();
-      order.push_back(u);
-      for (int64_t w : g.Neighbors(u)) {
-        if (w == u) continue;
-        auto& dw = dist[static_cast<size_t>(w)];
+    order[0] = s;
+    size_t head = 0;
+    size_t tail = 1;
+    int64_t dist_sum = 0;
+    while (head < tail) {
+      const int32_t u = order[head++];
+      const int32_t du = dist[static_cast<size_t>(u)];
+      for (int32_t k = offsets[static_cast<size_t>(u)];
+           k < offsets[static_cast<size_t>(u) + 1]; ++k) {
+        const int32_t w = adj[static_cast<size_t>(k)];
+        if (w == u) continue;  // self-loops lie on no shortest path
+        int32_t& dw = dist[static_cast<size_t>(w)];
         if (dw < 0) {
-          dw = dist[static_cast<size_t>(u)] + 1;
-          queue.push_back(w);
+          dw = du + 1;
+          dist_sum += dw;
+          order[tail++] = w;
         }
-        if (dw == dist[static_cast<size_t>(u)] + 1) {
+        if (dw == du + 1) {
           sigma[static_cast<size_t>(w)] += sigma[static_cast<size_t>(u)];
-          preds[static_cast<size_t>(w)].push_back(u);
         }
       }
     }
-    // Dependency accumulation in reverse BFS order.
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const int64_t w = *it;
-      for (int64_t u : preds[static_cast<size_t>(w)]) {
-        delta[static_cast<size_t>(u)] +=
-            sigma[static_cast<size_t>(u)] / sigma[static_cast<size_t>(w)] *
-            (1.0 + delta[static_cast<size_t>(w)]);
+    // Closeness (Eq. 9) with the Wasserman-Faust correction:
+    // (r / (n-1)) * (r / dist_sum), where r = nodes reachable from s.
+    const int64_t reachable = static_cast<int64_t>(tail) - 1;
+    if (reachable > 0 && dist_sum > 0) {
+      const double r = static_cast<double>(reachable);
+      out.closeness[static_cast<size_t>(s)] =
+          (r / static_cast<double>(n - 1)) *
+          (r / static_cast<double>(dist_sum));
+    }
+    // Brandes' dependency accumulation in reverse BFS order. A node's
+    // predecessors are its neighbors one level closer to s, each
+    // counted once per parallel edge — exactly the entries the forward
+    // pass added to its sigma.
+    for (size_t i = tail; i-- > 1;) {
+      const int32_t w = order[i];
+      const size_t uw = static_cast<size_t>(w);
+      const int32_t closer = dist[uw] - 1;
+      for (int32_t k = offsets[uw]; k < offsets[uw + 1]; ++k) {
+        const size_t u = static_cast<size_t>(adj[static_cast<size_t>(k)]);
+        if (dist[u] != closer) continue;
+        delta[u] += sigma[u] / sigma[uw] * (1.0 + delta[uw]);
       }
-      if (w != s) bc[static_cast<size_t>(w)] += delta[static_cast<size_t>(w)];
+      out.betweenness[uw] += delta[uw];
+    }
+    for (size_t i = 0; i < tail; ++i) {
+      const size_t v = static_cast<size_t>(order[i]);
+      dist[v] = -1;
+      sigma[v] = 0.0;
+      delta[v] = 0.0;
     }
   }
   // Undirected graphs count each pair twice.
-  for (auto& v : bc) v *= 0.5;
-  return bc;
+  for (double& v : out.betweenness) v *= 0.5;
+  return out;
+}
+
+std::vector<double> ClosenessCentrality(const AdjacencyList& g) {
+  return ShortestPathCentrality(g).closeness;
+}
+
+std::vector<double> BetweennessCentrality(const AdjacencyList& g) {
+  return ShortestPathCentrality(g).betweenness;
 }
 
 std::vector<double> PageRank(const AdjacencyList& g, double alpha,

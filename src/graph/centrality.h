@@ -52,16 +52,28 @@ class AdjacencyList {
 /// Degree centrality (Eq. 8): C_D(v) = degree(v).
 std::vector<double> DegreeCentrality(const AdjacencyList& g);
 
-/// \brief Closeness centrality (Eq. 9), computed with a BFS per node.
+/// \brief Closeness (Eq. 9) and betweenness (Eq. 10) of every node.
+struct PathCentrality {
+  std::vector<double> closeness;
+  std::vector<double> betweenness;
+};
+
+/// \brief Both shortest-path measures from one pass: a BFS per source
+/// over a flat int32 CSR copy of `g`, whose distances give closeness
+/// and whose path counts feed Brandes' dependency accumulation on the
+/// way back. O(V·E) for unweighted graphs.
 ///
-/// Disconnected graphs use the Wasserman-Faust correction: centrality
-/// is scaled by the fraction of nodes reachable from v. Isolated nodes
-/// get 0.
+/// Closeness uses the Wasserman-Faust correction for disconnected
+/// graphs: centrality is scaled by the fraction of nodes reachable from
+/// v; isolated nodes get 0. Betweenness does not count endpoint pairs
+/// and is halved for undirected graphs per convention.
+PathCentrality ShortestPathCentrality(const AdjacencyList& g);
+
+/// \brief Closeness centrality (Eq. 9); see ShortestPathCentrality.
 std::vector<double> ClosenessCentrality(const AdjacencyList& g);
 
-/// \brief Betweenness centrality (Eq. 10) via Brandes' algorithm,
-/// O(V·E) for unweighted graphs. Endpoint pairs are not counted; values
-/// are halved for undirected graphs per convention.
+/// \brief Betweenness centrality (Eq. 10) via Brandes' algorithm; see
+/// ShortestPathCentrality.
 std::vector<double> BetweennessCentrality(const AdjacencyList& g);
 
 /// \brief PageRank (Eq. 11) with damping `alpha`, power iteration until

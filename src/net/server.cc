@@ -309,10 +309,12 @@ void Server::DispatchClassify(Connection* conn,
       [this, conn, conn_id, request_id, start_ns, wire_version](
           Result<serve::ClassifyResult> outcome,
           const serve::RequestTimeline& tl) {
-        // Runs on an engine worker thread — or synchronously right
-        // here on the loop thread for fast-path rejections (admission
-        // sheds, invalid addresses), which is the backpressure story:
-        // a shed answers within microseconds of the decision.
+        // Runs synchronously right here on the loop thread for
+        // everything the engine decides at submit — cache hits (most
+        // of a polling fleet's traffic), admission sheds, expired
+        // deadlines, invalid addresses — so a hit or a shed answers
+        // within microseconds of the decision. Only a miss completes
+        // later, on an engine worker thread.
         std::string frame_bytes = serve::EncodeFrame(
             serve::MessageType::kClassifyResponse,
             serve::ClassifyResponse::From(request_id, outcome, tl)
@@ -333,8 +335,9 @@ void Server::DispatchClassify(Connection* conn,
           // Synchronous: we are still inside DispatchClassify, so
           // `conn` is alive and the caller's event entry point owns
           // the FinishEvent. Answering directly skips an eventfd wake
-          // plus a task-queue round — under a shed flood that round
-          // trip dominates the client-observed rejection latency.
+          // plus a task-queue round — which would cost a hit more than
+          // its lookup, and under a shed flood dominates the
+          // client-observed rejection latency.
           CompleteClassifyInline(conn, std::move(frame_bytes));
         } else {
           loop_->Post([this, conn_id, frame_bytes]() mutable {

@@ -25,13 +25,16 @@
 /// reassembling frames from arbitrary chunks) and a write state
 /// machine (immediate write, overflow buffered, EPOLLOUT armed only
 /// while bytes are pending). A decoded ClassifyRequest dispatches into
-/// `serve::Engine::ClassifyAsync`; the completion callback — running
-/// on an engine worker thread — encodes the response frame and posts
-/// it back to the loop, which writes it out. Because dispatch is
-/// non-blocking, *backpressure is the engine's admission controller*:
-/// when it sheds, the callback fires synchronously and the connection
-/// answers ResourceExhausted in well under a millisecond instead of
-/// queueing bytes behind a saturated pipeline.
+/// `serve::Engine::ClassifyAsync`, whose completion callback encodes
+/// the response frame. Whatever the engine decides at submit — a cache
+/// hit, an admission shed, an expired deadline, an unknown address —
+/// fires the callback synchronously on the loop thread, which writes
+/// the answer out directly; only a miss completes later on an engine
+/// worker thread, which posts the frame back to the loop. Because
+/// dispatch is non-blocking, *backpressure is the engine's admission
+/// controller*: when it sheds, the connection answers
+/// ResourceExhausted in well under a millisecond instead of queueing
+/// bytes behind a saturated pipeline.
 ///
 /// A protocol violation (bad magic, wrong version, oversized length,
 /// CRC mismatch) answers one kError frame naming the violation, then
@@ -205,9 +208,9 @@ class Server {
   void CompleteClassify(uint64_t conn_id, std::string frame_bytes);
   /// Response bookkeeping + send, without the close check — used
   /// directly when the engine answered synchronously on the loop
-  /// thread (admission sheds, invalid addresses), where `conn` is
-  /// still held live by the calling handler and FinishEvent belongs
-  /// to the event entry point.
+  /// thread (cache hits, admission sheds, expired deadlines, invalid
+  /// addresses), where `conn` is still held live by the calling
+  /// handler and FinishEvent belongs to the event entry point.
   void CompleteClassifyInline(Connection* conn, std::string frame_bytes);
   void SweepIdle();
 
@@ -225,8 +228,9 @@ class Server {
 
   std::thread loop_thread_;
   /// Lets engine callbacks detect they fired synchronously on the loop
-  /// thread (shed / reject fast paths) and answer without the eventfd
-  /// round trip — under overload that round trip is most of the shed
+  /// thread (cache hits and the shed / reject fast paths) and answer
+  /// without the eventfd round trip — for a hit that round trip costs
+  /// more than the lookup, and under overload it is most of the shed
   /// latency.
   std::atomic<std::thread::id> loop_thread_id_{};
   /// Serializes the join between Wait() and Stop().

@@ -81,6 +81,13 @@ RequestOutcome OutcomeOfStatus(const Status& status) {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// Why an expired request may not start a build, by the stage that
+/// found it expired.
+const Status kExpiredAtLookup =
+    Status::DeadlineExceeded("InferenceEngine: deadline expired at cache lookup");
+const Status kExpiredBeforeConstruction = Status::DeadlineExceeded(
+    "InferenceEngine: deadline expired before graph construction");
+
 }  // namespace
 
 const char* PrecisionName(Precision p) {
@@ -217,53 +224,84 @@ uint64_t InferenceEngine::TxCountOf(const chain::LedgerSnapshot& snapshot,
   return static_cast<uint64_t>(std::min(total, cap));
 }
 
-Result<ClassifyResult> InferenceEngine::TryDegradedAnswer(
-    chain::AddressId address, const Status& why, CacheMode cache_mode) {
-  const chain::LedgerSnapshot snapshot = ledger_->Snapshot();
-  const uint64_t n = TxCountOf(snapshot, address);
+InferenceEngine::Lookup InferenceEngine::LookupLocked(Request* req,
+                                                      uint64_t n,
+                                                      const Status* why) {
+  ClassifyResult& r = req->result;
   if (n == 0) {
-    // The empty-history answer is free and exact — no need to degrade.
-    ClassifyResult r;
+    // Free and exact regardless of deadline or overload.
     r.predicted = 0;
     r.tx_count = 0;
     stats_.empty_history.Increment();
-    return r;
+    return {LookupOutcome::kSettled};
   }
-  {
-    std::unique_lock<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(address);
-    if (it != cache_.end() && it->second.tx_count <= n) {
-      if (cache_mode != CacheMode::kNoPromote) {
-        it->second.last_used = ++lru_tick_;
-      }
-      ClassifyResult r;
-      r.predicted = it->second.predicted;
-      r.cache_hit = true;
-      r.tx_count = it->second.tx_count;
-      r.slices_reused =
-          static_cast<int>(it->second.slice_embeddings.size());
-      r.epoch_lag = n - it->second.tx_count;
-      r.degraded = r.epoch_lag > 0;
-      if (r.degraded) {
-        stats_.degraded_stale.Increment();
-        DegradedStaleCounter()->Increment();
-      } else {
-        stats_.full_hits.Increment();
-      }
-      return r;
+  if (why != nullptr && !req->allow_degraded) {
+    req->status = *why;
+    return {LookupOutcome::kSettled};
+  }
+  // An entry *ahead* of the live ledger can only mean the ledger was
+  // swapped out from under the cache; it is treated as absent.
+  auto it = cache_.find(req->address);
+  CacheEntry* entry =
+      it != cache_.end() && it->second.tx_count <= n ? &it->second : nullptr;
+  if (entry != nullptr && (entry->tx_count == n || why != nullptr)) {
+    if (req->cache_mode != CacheMode::kNoPromote) {
+      entry->last_used = ++lru_tick_;
     }
+    r.predicted = entry->predicted;
+    r.cache_hit = true;
+    r.tx_count = entry->tx_count;
+    r.slices_reused = static_cast<int>(entry->slice_embeddings.size());
+    if (entry->tx_count == n) {
+      stats_.full_hits.Increment();
+      stats_.slices_reused.Increment(entry->slice_embeddings.size());
+    } else {
+      // Stale: the last answer the cache holds, labeled with its lag.
+      r.degraded = true;
+      r.epoch_lag = n - entry->tx_count;
+      stats_.degraded_stale.Increment();
+      DegradedStaleCounter()->Increment();
+    }
+    return {LookupOutcome::kSettled};
   }
-  if (options_.degraded_fallback) {
-    ClassifyResult r;
-    r.predicted = options_.degraded_fallback(address);
+  if (why != nullptr) {
+    if (!options_.degraded_fallback) {
+      req->status = *why;
+      return {LookupOutcome::kSettled};
+    }
     r.tx_count = n;
-    r.degraded = true;
-    r.epoch_lag = 0;
-    stats_.degraded_fallback.Increment();
-    DegradedFallbackCounter()->Increment();
-    return r;
+    return {LookupOutcome::kFallback};
   }
-  return why;
+  auto flight = flights_.find(req->address);
+  if (flight != flights_.end() && flight->second.tx_count == n) {
+    return {LookupOutcome::kJoin, &flight->second};
+  }
+  return {LookupOutcome::kMiss, nullptr, entry};
+}
+
+void InferenceEngine::AnswerFromFallback(Request* req) {
+  req->result.predicted = options_.degraded_fallback(req->address);
+  req->result.degraded = true;
+  req->result.epoch_lag = 0;
+  stats_.degraded_fallback.Increment();
+  DegradedFallbackCounter()->Increment();
+}
+
+Result<ClassifyResult> InferenceEngine::TryDegradedAnswer(
+    chain::AddressId address, const Status& why, CacheMode cache_mode) {
+  Request probe;
+  probe.address = address;
+  probe.allow_degraded = true;
+  probe.cache_mode = cache_mode;
+  const uint64_t n = TxCountOf(ledger_->Snapshot(), address);
+  Lookup decided;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    decided = LookupLocked(&probe, n, &why);
+  }
+  if (decided.outcome == LookupOutcome::kFallback) AnswerFromFallback(&probe);
+  if (!probe.status.ok()) return probe.status;
+  return probe.result;
 }
 
 InferenceEngine::Request* InferenceEngine::MakeRequest(
@@ -304,13 +342,12 @@ InferenceEngine::Request* InferenceEngine::MakeRequest(
     stats_.requests.Increment();
     const Status expired = Status::DeadlineExceeded(
         "InferenceEngine: deadline expired at submit");
-    Result<ClassifyResult> r =
-        options.allow_degraded
-            ? TryDegradedAnswer(address, expired, options.cache_mode)
-            : Result<ClassifyResult>(expired);
-    if (!r.ok()) stats_.deadline_exceeded.Increment();
     if (admitted) admission_->Release();
-    DeliverEarly(address, submit, options, std::move(r), done);
+    DeliverEarly(address, submit, options,
+                 options.allow_degraded
+                     ? TryDegradedAnswer(address, expired, options.cache_mode)
+                     : Result<ClassifyResult>(expired),
+                 done);
     return nullptr;
   }
 
@@ -348,6 +385,9 @@ void InferenceEngine::DeliverEarly(
 
 void InferenceEngine::RecordDelivery(chain::AddressId address,
                                      const RequestTimeline& tl) {
+  if (tl.outcome == RequestOutcome::kDeadline) {
+    stats_.deadline_exceeded.Increment();
+  }
   if (recorder_ != nullptr) recorder_->Record(address, tl);
   if (slow_recorder_ != nullptr && tl.deliver_ns >= slow_threshold_ns_) {
     slow_recorder_->Record(address, tl);
@@ -452,7 +492,49 @@ void InferenceEngine::ClassifyAsync(chain::AddressId address,
   Request* req = MakeRequest(address, options, std::move(done));
   if (req == nullptr) return;
   req->async = true;
-  Enqueue(req);
+  // The lookup runs here, on the submitting thread. What it settles is
+  // delivered before this returns; a request whose answer is being
+  // built joins that build, and only a miss queues — so nothing is ever
+  // built here. Its fault point reports a verdict but never sleeps: the
+  // submitting thread may be an event loop.
+  if (util::FaultInjector::Instance().ShouldFail(kFaultBatchLookup,
+                                                 /*inject_latency=*/false)) {
+    req->status = Status::Internal(std::string("injected fault at ") +
+                                   kFaultBatchLookup);
+    FinishRequest(req);
+    return;
+  }
+  const uint64_t n = TxCountOf(ledger_->Snapshot(), address);
+  Lookup decided;
+  {
+    BA_TRACE_SPAN("serve.batch.lookup");
+    const auto now = SteadyClock::now();
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    decided =
+        LookupLocked(req, n, req->expired(now) ? &kExpiredAtLookup : nullptr);
+    // A miss is stamped by the batch that decides it again.
+    if (decided.outcome != LookupOutcome::kMiss) {
+      req->tl.lookup_ns = req->SinceSubmitNs(now);
+    }
+    if (decided.outcome == LookupOutcome::kJoin) {
+      // Counted in flight before it is parked: the flight's owner may
+      // deliver it the moment cache_mu_ drops. (Lock order: cache_mu_,
+      // then queue_mu_ — nothing takes them the other way round.)
+      {
+        std::lock_guard<std::mutex> queue_lock(queue_mu_);
+        ++inflight_requests_;
+      }
+      decided.flight->joiners.push_back(req);
+      stats_.coalesced.Increment();
+      return;
+    }
+  }
+  if (decided.outcome == LookupOutcome::kMiss) {
+    Enqueue(req);
+    return;
+  }
+  if (decided.outcome == LookupOutcome::kFallback) AnswerFromFallback(req);
+  FinishRequest(req);
 }
 
 Result<ClassifyResult> InferenceEngine::Classify(
@@ -570,30 +652,6 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
   // ApplyTransaction racing the batch.
   const chain::LedgerSnapshot snapshot = ledger_->Snapshot();
 
-  // Answers `req` from a stale prediction computed at `stale_tx_count`
-  // over `stale_slices` cached slice embeddings, labeled degraded with
-  // its epoch lag against `now_tx_count`. Sets exactly the fields the
-  // degraded-answer contract (protocol.h, ClassifyResult) promises for
-  // a stale answer — matching TryDegradedAnswer's stale path, which
-  // serves the same answer from the submit fast paths.
-  auto answer_stale = [this](Request* req, int predicted,
-                             uint64_t stale_tx_count, uint64_t now_tx_count,
-                             int stale_slices) {
-    req->result.predicted = predicted;
-    req->result.cache_hit = true;
-    req->result.tx_count = stale_tx_count;
-    req->result.degraded = true;
-    req->result.epoch_lag = now_tx_count - stale_tx_count;
-    req->result.slices_reused = stale_slices;
-    stats_.degraded_stale.Increment();
-    DegradedStaleCounter()->Increment();
-  };
-  auto reject_deadline = [this](Request* req, const char* where) {
-    req->status = Status::DeadlineExceeded(
-        std::string("InferenceEngine: deadline expired ") + where);
-    stats_.deadline_exceeded.Increment();
-  };
-
   // A lookup-stage fault decides the whole batch: every request gets an
   // explicit injected error — never a hang, never a wrong answer.
   if (faults.ShouldFail(kFaultBatchLookup)) {
@@ -606,13 +664,12 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
     return;
   }
 
-  // Stage 1 — cache lookup (serial, one short critical section).
-  // Duplicate addresses within the batch coalesce onto one Work unit,
-  // and a miss another batch is already building joins that build —
+  // Stage 1 — cache lookup (serial, one short critical section): the
+  // lookup decision per request. What it settles (hits, empty
+  // histories, expired requests) is delivered with the batch; a miss
+  // another batch is already building joins that build, and a
+  // duplicate of a miss in this batch joins this batch's build of it —
   // N monitoring clients polling the same address cost one computation.
-  // Requests already past deadline are decided here, before any graph
-  // construction: stale cached answer (allow_degraded), fallback
-  // (queued for after the lock), or DeadlineExceeded.
   struct Work {
     std::vector<Request*> reqs;
     chain::AddressId address = chain::kInvalidAddress;
@@ -622,17 +679,12 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
     /// Reused complete-slice embeddings; workers append the rebuilt
     /// tail behind them.
     std::vector<std::vector<float>> rows;
-    /// Stale prediction stashed at lookup, answering any member whose
-    /// deadline expires at a later stage boundary.
-    bool has_stale = false;
-    int stale_predicted = 0;
-    uint64_t stale_tx_count = 0;
-    int stale_slices = 0;
     /// True only while every requester is router-flagged sweep
     /// traffic; one normal requester earns the result a cache slot.
     bool no_promote = true;
     /// True while this unit holds `flights_[address]`, where requests
-    /// from other batches park to be delivered by this one.
+    /// (duplicates in this batch, or from other batches and submits)
+    /// park to be delivered by this one.
     bool owns_flight = false;
   };
   std::vector<Work> work;
@@ -641,80 +693,41 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
   std::vector<Request*> fallback_pending;
   {
     BA_TRACE_SPAN("serve.batch.lookup");
+    const auto now = SteadyClock::now();
     std::unique_lock<std::mutex> lock(cache_mu_);
     for (Request*& slot : batch) {
       Request* req = slot;
       const uint64_t n = TxCountOf(snapshot, req->address);
-      if (n == 0) {
-        // Free and exact regardless of deadline or overload.
-        req->result.predicted = 0;
-        req->result.tx_count = 0;
-        stats_.empty_history.Increment();
-        continue;
-      }
-      if (req->expired(SteadyClock::now())) {
-        if (!req->allow_degraded) {
-          reject_deadline(req, "at cache lookup");
+      // Requests already past deadline are decided here, before any
+      // graph construction.
+      const Lookup decided = LookupLocked(
+          req, n, req->expired(now) ? &kExpiredAtLookup : nullptr);
+      switch (decided.outcome) {
+        case LookupOutcome::kSettled:
           continue;
-        }
-        auto it = cache_.find(req->address);
-        if (it != cache_.end() && it->second.tx_count <= n) {
-          if (req->cache_mode != CacheMode::kNoPromote) {
-            it->second.last_used = ++lru_tick_;
-          }
-          if (it->second.tx_count == n) {
-            // Exact at this epoch: a full hit, not a degraded answer.
-            req->result.predicted = it->second.predicted;
-            req->result.cache_hit = true;
-            req->result.tx_count = n;
-            req->result.slices_reused =
-                static_cast<int>(it->second.slice_embeddings.size());
-            stats_.full_hits.Increment();
-            stats_.slices_reused.Increment(
-                it->second.slice_embeddings.size());
-          } else {
-            answer_stale(req, it->second.predicted, it->second.tx_count, n,
-                         static_cast<int>(it->second.slice_embeddings.size()));
-          }
-        } else {
-          // Fallback hook runs outside the cache lock.
-          req->result.tx_count = n;
-          fallback_pending.push_back(req);
-        }
-        continue;
+        case LookupOutcome::kFallback:
+          fallback_pending.push_back(req);  // the hook runs unlocked
+          continue;
+        case LookupOutcome::kJoin:
+          // The flight's owner delivers the request, so this batch lets
+          // go of it here and must not touch it once the lock drops.
+          req->tl.lookup_ns = req->SinceSubmitNs(now);
+          decided.flight->joiners.push_back(req);
+          stats_.coalesced.Increment();
+          slot = nullptr;
+          continue;
+        case LookupOutcome::kMiss:
+          break;
       }
       auto dup = work_index.find(req->address);
       if (dup != work_index.end()) {
+        // A duplicate whose unit could not take the address's flight
+        // (a build at another epoch of it holds it).
         Work& shared = work[dup->second];
         shared.reqs.push_back(req);
         shared.no_promote =
             shared.no_promote && req->cache_mode == CacheMode::kNoPromote;
         stats_.coalesced.Increment();
-        continue;
-      }
-      auto it = cache_.find(req->address);
-      if (it != cache_.end() && it->second.tx_count == n) {
-        if (req->cache_mode != CacheMode::kNoPromote) {
-          it->second.last_used = ++lru_tick_;
-        }
-        req->result.predicted = it->second.predicted;
-        req->result.cache_hit = true;
-        req->result.tx_count = n;
-        req->result.slices_reused =
-            static_cast<int>(it->second.slice_embeddings.size());
-        stats_.full_hits.Increment();
-        stats_.slices_reused.Increment(it->second.slice_embeddings.size());
-        continue;
-      }
-      auto flight = flights_.find(req->address);
-      if (flight != flights_.end() && flight->second.tx_count == n) {
-        // Another batch is building exactly this answer: join it. That
-        // batch delivers the request, so this one lets go of it here
-        // and must not touch it once the lock drops.
-        req->tl.lookup_ns = req->SinceSubmitNs(SteadyClock::now());
-        flight->second.joiners.push_back(req);
-        stats_.coalesced.Increment();
-        slot = nullptr;
         continue;
       }
       Work w;
@@ -726,26 +739,17 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
       // it already does.
       w.owns_flight =
           flights_.try_emplace(req->address, Flight{n, {}}).second;
-      // An entry computed at a shorter history can donate its complete
-      // slices — they are immutable on the append-only ledger. (An
-      // entry *ahead* of the live ledger can only mean the ledger was
-      // swapped out from under the cache; treat it as a plain miss.)
+      // An entry computed at a shorter history donates its complete
+      // slices — they are immutable on the append-only ledger.
       const int complete =
-          it == cache_.end() || it->second.tx_count > n
+          decided.entry == nullptr
               ? 0
-              : static_cast<int>(it->second.tx_count /
+              : static_cast<int>(decided.entry->tx_count /
                                  static_cast<uint64_t>(slice_size_));
-      if (it != cache_.end() && it->second.tx_count <= n) {
-        w.has_stale = true;
-        w.stale_predicted = it->second.predicted;
-        w.stale_tx_count = it->second.tx_count;
-        w.stale_slices =
-            static_cast<int>(it->second.slice_embeddings.size());
-      }
       if (complete > 0) {
         w.reuse_slices = complete;
-        w.rows.assign(it->second.slice_embeddings.begin(),
-                      it->second.slice_embeddings.begin() + complete);
+        w.rows.assign(decided.entry->slice_embeddings.begin(),
+                      decided.entry->slice_embeddings.begin() + complete);
         stats_.partial_hits.Increment();
       } else {
         stats_.misses.Increment();
@@ -763,10 +767,10 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
     for (Request* req : batch) req->tl.lookup_ns = req->SinceSubmitNs(now);
   }
 
-  // Moves `joiners` (requests other batches parked on `w`'s flight)
-  // into `w.reqs` — this batch delivers them from here on. Once the
-  // build is done a joiner's build stage is done too: at the build's
-  // end, or at its own lookup when it joined after that.
+  // Moves `joiners` (requests parked on `w`'s flight) into `w.reqs` —
+  // this batch delivers them from here on. Once the build is done a
+  // joiner's build stage is done too: at the build's end, or at its own
+  // lookup when it joined after that.
   std::vector<Request*> adopted;
   std::chrono::steady_clock::time_point built{};
   auto take = [&adopted, &built](Work& w, std::vector<Request*>& joiners) {
@@ -794,68 +798,39 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
       w.owns_flight = false;
     }
   };
-  for (Request* req : fallback_pending) {
-    if (options_.degraded_fallback) {
-      req->result.predicted = options_.degraded_fallback(req->address);
-      req->result.degraded = true;
-      req->result.epoch_lag = 0;
-      stats_.degraded_fallback.Increment();
-      DegradedFallbackCounter()->Increment();
-    } else {
-      reject_deadline(req, "at cache lookup");
-    }
-  }
 
   // Stage boundary lookup -> build: the injected build fault (and any
-  // armed latency) lands here, then deadlines are re-checked so a
-  // request that expired while queued behind the lookup never pays for
-  // graph construction. Requests that joined this batch's builds so
-  // far cross the boundary with it; a build fault retires every
-  // flight, so its joiners fail with the batch.
+  // armed latency) lands here. Requests that joined this batch's builds
+  // so far cross the boundary with it, and a build fault retires every
+  // flight, so its joiners fail with the batch. Then every request is
+  // decided again if its deadline expired meanwhile — one that expired
+  // while queued behind the lookup never pays for graph construction —
+  // and units left with no requester are dropped whole: no speculative
+  // graph work on behalf of nobody.
   const bool build_fault = faults.ShouldFail(kFaultBatchBuild);
   if (!work.empty()) {
-    std::unique_lock<std::mutex> lock(cache_mu_);
-    for (Work& w : work) adopt(w, /*close=*/build_fault);
-  }
-  {
     const auto now = SteadyClock::now();
     std::vector<Request*> keep;
+    std::unique_lock<std::mutex> lock(cache_mu_);
     for (Work& w : work) {
+      adopt(w, /*close=*/build_fault);
       keep.clear();
       for (Request* req : w.reqs) {
         if (!req->expired(now)) {
           keep.push_back(req);
-          continue;
-        }
-        if (req->allow_degraded && w.has_stale) {
-          answer_stale(req, w.stale_predicted, w.stale_tx_count, w.tx_count,
-                       w.stale_slices);
-        } else if (req->allow_degraded && options_.degraded_fallback) {
-          req->result.predicted = options_.degraded_fallback(req->address);
-          req->result.tx_count = w.tx_count;
-          req->result.degraded = true;
-          req->result.epoch_lag = 0;
-          stats_.degraded_fallback.Increment();
-          DegradedFallbackCounter()->Increment();
-        } else {
-          reject_deadline(req, "before graph construction");
+        } else if (LookupLocked(req, w.tx_count,
+                                &kExpiredBeforeConstruction)
+                       .outcome == LookupOutcome::kFallback) {
+          fallback_pending.push_back(req);
         }
       }
       w.reqs.swap(keep);
+      if (w.reqs.empty()) adopt(w, /*close=*/true);
     }
-    // Units whose every requester was decided are dropped whole — no
-    // speculative graph work on behalf of nobody. Retiring such a
-    // unit's flight adopts any request that joined since, which keeps
-    // the unit alive for it.
     const auto idle = [](const Work& w) { return w.reqs.empty(); };
-    if (std::any_of(work.begin(), work.end(), idle)) {
-      std::unique_lock<std::mutex> lock(cache_mu_);
-      for (Work& w : work) {
-        if (idle(w)) adopt(w, /*close=*/true);
-      }
-    }
     work.erase(std::remove_if(work.begin(), work.end(), idle), work.end());
   }
+  for (Request* req : fallback_pending) AnswerFromFallback(req);
   if (build_fault) {
     const Status st = Status::Internal(std::string("injected fault at ") +
                                        kFaultBatchBuild);
@@ -971,7 +946,8 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
       const auto now = SteadyClock::now();
       for (Request* req : w.reqs) {
         if (req->expired(now) && !req->allow_degraded) {
-          reject_deadline(req, "during embedding");
+          req->status = Status::DeadlineExceeded(
+              "InferenceEngine: deadline expired during embedding");
           continue;
         }
         req->result.predicted = predicted;

@@ -37,7 +37,8 @@
 ///    construction + encoder forward passes out over a
 ///    `util::ThreadPool` whose ParallelFor also works on the calling
 ///    thread — so concurrent callers build their misses in parallel.
-///    ClassifyAsync requests queue instead and are drained by up to
+///    ClassifyAsync looks its request up on the submitting thread and
+///    answers a hit there; only misses queue, drained by up to
 ///    `max_batch_leaders` leaders started on the pool. Duplicate
 ///    addresses within a batch coalesce onto one computation, and a
 ///    miss that another batch is already building joins that build
@@ -119,8 +120,9 @@ struct InferenceEngineOptions {
   /// Requests per micro-batch: a blocking caller's requests run in
   /// batches of this size, and an async leader drains up to this many.
   int max_batch_size = 32;
-  /// Concurrent leaders draining the ClassifyAsync queue, each started
-  /// on the pool. Blocking callers never take a slot: each leads its
+  /// Concurrent leaders draining the ClassifyAsync queue (which holds
+  /// only misses: hits are answered at submit), each started on the
+  /// pool. Blocking callers never take a slot: each leads its
   /// own batch. With 1 (the default) a slow async batch serializes the
   /// async arrivals behind it; with more, a leader that takes a batch
   /// while queued work remains hands off mid-drain — it spawns a fresh
@@ -191,19 +193,24 @@ struct InferenceEngineOptions {
 // unchanged.
 
 /// \brief Completion hook of `ClassifyAsync`. Invoked exactly once per
-/// submitted request — either synchronously on the submitting thread
-/// (fast-path rejections: unknown address, shed, deadline expired at
-/// submit) or later on the thread running the batch that delivers it:
-/// an async leader on the pool, or a blocking caller whose build the
-/// request joined. The second argument is
-/// the request's timeline — identical to `result.timeline` on ok
-/// outcomes, and the only way to observe the timeline of an error
-/// outcome (a Status cannot carry one); its `outcome` field always
-/// matches the delivered result. The callback must not block and must
+/// submitted request — either synchronously on the submitting thread,
+/// before ClassifyAsync returns, for every outcome decided at submit
+/// (unknown address, shed, deadline expired at submit, and whatever the
+/// submit-side cache lookup settles: a full hit, an empty history, an
+/// expired request's stale / fallback / DeadlineExceeded answer, or an
+/// injected lookup fault) — or later on the thread running the batch
+/// that delivers it: an async leader on the pool, or the thread of any
+/// batch (blocking caller or leader) whose build the request joined.
+/// The second argument is the request's timeline — identical to
+/// `result.timeline` on ok outcomes, and the only way to observe the
+/// timeline of an error outcome (a Status cannot carry one); its
+/// `outcome` field always matches the delivered result. Because it may
+/// run on the submitting thread, the callback must not take a lock the
+/// submitter holds around ClassifyAsync. It must not block and must
 /// not call the engine's *blocking* methods (Classify / ClassifyBatch
-/// / ~InferenceEngine) — it runs on a thread that is delivering a
-/// batch, so blocking there stalls every request that batch still
-/// owes an answer (and ~InferenceEngine there deadlocks).
+/// / ~InferenceEngine) — it may run on a thread that is delivering a
+/// batch, so blocking there stalls every request that batch still owes
+/// an answer (and ~InferenceEngine there deadlocks).
 using ClassifyCallback =
     std::function<void(Result<ClassifyResult>, const RequestTimeline&)>;
 
@@ -317,7 +324,9 @@ class InferenceEngine : public Engine {
   /// undecided in the batch with an explicit injected Internal error
   /// (never a hang or a wrong answer); ArmLatency on one stalls the
   /// stage, which is how chaos tests force deadlines to expire between
-  /// stages.
+  /// stages. The lookup point is also consulted once per ClassifyAsync,
+  /// at its submit-side lookup, where it fails that request the same
+  /// way but never sleeps: the submitter may be an event loop.
   static constexpr const char* kFaultBatchLookup = "serve.batch.lookup";
   static constexpr const char* kFaultBatchBuild = "serve.batch.build";
   static constexpr const char* kFaultBatchAggregate =
@@ -344,9 +353,14 @@ class InferenceEngine : public Engine {
   /// (see ClassifyCallback for the invocation contract). This is the
   /// primitive the network server drives — one epoll thread keeps
   /// thousands of requests in flight without burning a thread per
-  /// request — and the blocking Classify/ClassifyBatch are thin
-  /// wrappers over it. Micro-batching, caching, deadlines, admission
-  /// and degraded answers behave exactly as documented on Classify.
+  /// request. The cache lookup runs on the submitting thread: a request
+  /// it settles (a cache hit above all) is delivered before this
+  /// returns, a request whose answer another batch is building joins
+  /// that build, and only a miss queues for an async leader — nothing
+  /// is ever built on the submitting thread. The blocking
+  /// Classify/ClassifyBatch do not go through here: each caller runs
+  /// its own batches. Caching, deadlines, admission and degraded
+  /// answers behave exactly as documented on Classify.
   void ClassifyAsync(chain::AddressId address, const ClassifyOptions& options,
                      ClassifyCallback done) override;
 
@@ -436,7 +450,8 @@ class InferenceEngine : public Engine {
     ClassifyCallback done;
     /// True when this request holds an admission slot to release.
     bool admitted = false;
-    /// Submitted through ClassifyAsync: counted in inflight_requests_.
+    /// Submitted through ClassifyAsync: counted in inflight_requests_
+    /// once it queues or joins a build at submit.
     bool async = false;
     /// Submit time, for the request-latency histogram, trace span and
     /// the timeline's stamp origin.
@@ -458,8 +473,48 @@ class InferenceEngine : public Engine {
     }
   };
 
+  /// A miss some batch is building right now (see `flights_`).
+  struct Flight {
+    uint64_t tx_count = 0;  ///< the capped history length being built
+    /// Requests waiting for this build — duplicates in its batch, or
+    /// from other batches and async submits; the batch that owns it
+    /// delivers them.
+    std::vector<Request*> joiners;
+  };
+
+  /// What the lookup decided for one request.
+  enum class LookupOutcome {
+    kSettled,   ///< answered or failed: `result` / `status` are final
+    kFallback,  ///< answered by the fallback hook, outside cache_mu_
+    kJoin,      ///< the same answer is being built: park on `flight`
+    kMiss,      ///< must be built; `entry` may donate complete slices
+  };
+  struct Lookup {
+    LookupOutcome outcome = LookupOutcome::kMiss;
+    Flight* flight = nullptr;           ///< kJoin: the build to join
+    const CacheEntry* entry = nullptr;  ///< kMiss: an older entry, or null
+  };
+
   InferenceEngine(const core::BaClassifier* classifier,
                   const chain::Ledger* ledger, Options options);
+
+  /// The one lookup decision, made for `req` at capped history length
+  /// `n` by every path that reads the cache: a batch's lookup stage and
+  /// its build-boundary deadline re-check, the async submit, and
+  /// TryDegradedAnswer. An empty history answers class 0. With `why`
+  /// set the request may not start a build (deadline passed, or shed):
+  /// it is answered from the cache when `allow_degraded` permits — an
+  /// exact entry as a full hit, an older one as a stale answer —
+  /// handed to the fallback hook, or failed with `*why`. Otherwise an
+  /// exact entry is a full hit, a build of the same answer in flight is
+  /// joined, and anything else is a miss. Counts the outcomes it
+  /// settles (hits, empty histories, stale answers), never a miss or a
+  /// join. Caller holds cache_mu_.
+  Lookup LookupLocked(Request* req, uint64_t n, const Status* why);
+
+  /// Answers `req` from the fallback hook, labeled degraded; the lookup
+  /// already set its tx_count. Caller must not hold cache_mu_.
+  void AnswerFromFallback(Request* req);
 
   /// Submit-side fast paths (validation, admission, expired-at-submit).
   /// Returns a heap request ready to enqueue, or nullptr after
@@ -524,9 +579,10 @@ class InferenceEngine : public Engine {
   Status SaveCacheOnce() const;
 
   /// Best labeled answer for a request that cannot run the nominal
-  /// path (shed, or past deadline before any work): a stale cached
-  /// prediction, the fallback hook, or — when neither exists — `why`
-  /// verbatim. An exact-epoch cache hit comes back non-degraded.
+  /// path (shed, or past deadline before any work): the lookup decision
+  /// with `why` — a stale cached prediction, the fallback hook, or,
+  /// when neither exists, `why` verbatim. An exact-epoch cache hit
+  /// comes back non-degraded.
   Result<ClassifyResult> TryDegradedAnswer(chain::AddressId address,
                                            const Status& why,
                                            CacheMode cache_mode);
@@ -566,14 +622,6 @@ class InferenceEngine : public Engine {
   /// The pool work actually runs on: injected, shared, or owned_pool_.
   ThreadPool* pool_;
 
-  /// A miss some batch is building right now (see `flights_`).
-  struct Flight {
-    uint64_t tx_count = 0;  ///< the capped history length being built
-    /// Requests from other batches waiting for this build; the batch
-    /// that owns it delivers them.
-    std::vector<Request*> joiners;
-  };
-
   mutable std::mutex cache_mu_;
   std::unordered_map<chain::AddressId, CacheEntry> cache_;
   /// Single flight, guarded by cache_mu_: at most one build per
@@ -585,6 +633,8 @@ class InferenceEngine : public Engine {
   std::unordered_map<chain::AddressId, Flight> flights_;
   uint64_t lru_tick_ = 0;
 
+  /// Taken inside cache_mu_ by an async submit that joins a build,
+  /// never the other way round.
   std::mutex queue_mu_;
   /// Signals the destructor: queue drained, leaders gone, async
   /// requests delivered.
@@ -593,9 +643,10 @@ class InferenceEngine : public Engine {
   std::deque<Request*> queue_;
   /// Async leaders currently draining (<= options_.max_batch_leaders).
   int active_leaders_ = 0;
-  /// Async requests submitted but not yet delivered (callback not
-  /// returned) — the destructor drains this to zero before tearing
-  /// down.
+  /// Async requests queued or parked on a flight and not yet
+  /// delivered (callback not returned) — the destructor drains this to
+  /// zero before tearing down. Requests the submit-side lookup settles
+  /// are delivered before ClassifyAsync returns and never count.
   int64_t inflight_requests_ = 0;
   /// Mirrors queue_.size() without the lock — the admission backlog
   /// signal must be readable in nanoseconds from any thread.

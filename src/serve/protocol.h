@@ -132,7 +132,9 @@ enum class CacheMode : uint8_t {
 ///
 /// Stamps are nanosecond offsets from submit (the admit decision); -1
 /// means the stage was never reached (a shed request has only
-/// `deliver_ns`, a full cache hit never builds or aggregates). Present
+/// `deliver_ns`, a full cache hit never builds or aggregates, and an
+/// async request the submit-side lookup settles never queues or joins
+/// a batch). Present
 /// stamps are monotone non-decreasing in stage order. The engine
 /// records every finished timeline into its flight recorder and
 /// returns it on `ClassifyResult`; v2 responses carry it back over the

@@ -98,14 +98,15 @@ void FaultInjector::DisarmAll() {
   points_.clear();
 }
 
-bool FaultInjector::ShouldFail(const std::string& point) {
+bool FaultInjector::ShouldFail(const std::string& point,
+                               bool inject_latency) {
   bool fail = false;
   double latency = 0.0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     PointState& state = points_[point];
     ++state.hits;
-    latency = state.latency_seconds;
+    if (inject_latency) latency = state.latency_seconds;
     switch (state.mode) {
       case PointState::Mode::kNone:
         break;

@@ -99,8 +99,11 @@ class FaultInjector {
   void DisarmAll();
 
   /// True when this hit of `point` must fail; a one-shot fault is
-  /// consumed, probabilistic and every-nth faults keep firing.
-  bool ShouldFail(const std::string& point);
+  /// consumed, probabilistic and every-nth faults keep firing. With
+  /// `inject_latency` false an armed latency is not slept: fault points
+  /// on a thread that must never block (one submitting work from an
+  /// event loop) still count the hit and report the verdict.
+  bool ShouldFail(const std::string& point, bool inject_latency = true);
 
   /// Number of times `point` was hit since the last Disarm/DisarmAll.
   int HitCount(const std::string& point) const;

@@ -1,10 +1,13 @@
 // Tests for the async Classify contract that the network front end
 // depends on: the callback fires exactly once per submission — fast
-// rejections (expired deadline, admission shed) synchronously on the
-// submitting thread, real answers on a worker; concurrent async and
-// blocking callers get identical answers (verified against a serial
-// re-run of the inference path); and destroying the engine with
-// callbacks in flight blocks until every one has fired.
+// rejections (expired deadline, admission shed) and everything the
+// submit-side cache lookup settles synchronously on the submitting
+// thread, built answers on a worker; a miss never builds on the
+// submitting thread, and one whose answer is already being built joins
+// that build at submit; concurrent async and blocking callers get
+// identical answers (verified against a serial re-run of the inference
+// path); and destroying the engine with callbacks in flight blocks
+// until every one has fired.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@
 #include "core/graph_builder.h"
 #include "datagen/dataset.h"
 #include "datagen/simulator.h"
+#include "obs/metrics.h"
 #include "serve/inference_engine.h"
 #include "util/fs.h"
 #include "util/rng.h"
@@ -299,6 +303,183 @@ TEST_F(AsyncClassifyTest, DestructionDrainsCallbacksInFlight) {
     // ~InferenceEngine blocks until every callback has fired.
   }
   EXPECT_EQ(fired.load(), kInflight);
+}
+
+TEST_F(AsyncClassifyTest, CacheHitIsDeliveredInlineWithoutPoolWork) {
+  auto engine = MakeEngine();
+  const AddressId address = (*watched_)[0].address;
+  const auto warm = engine->Classify(address);
+  ASSERT_TRUE(warm.ok()) << warm.status().message();
+  const obs::Counter* tasks =
+      obs::MetricsRegistry::Instance().GetCounter("util.thread_pool.tasks");
+  const uint64_t tasks_before = tasks->value();
+
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::atomic<int> fired{0};
+  engine->ClassifyAsync(
+      address, {},
+      [&](Result<ClassifyResult> outcome, const serve::RequestTimeline& tl) {
+        EXPECT_EQ(std::this_thread::get_id(), submitter);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+        EXPECT_TRUE(outcome.value().cache_hit);
+        EXPECT_EQ(outcome.value().predicted, warm.value().predicted);
+        EXPECT_EQ(tl.outcome, serve::RequestOutcome::kOk);
+        EXPECT_TRUE(tl.Monotone()) << tl.ToJson();
+        EXPECT_LT(tl.enqueue_ns, 0) << "a hit never queues";
+        fired.fetch_add(1);
+      });
+  EXPECT_EQ(fired.load(), 1) << "hit was not delivered before return";
+  EXPECT_EQ(tasks->value(), tasks_before);
+  const auto m = engine->Metrics();
+  EXPECT_EQ(m.full_hits, 1u);
+  EXPECT_EQ(m.batches, 1u) << "only the warming call ran a batch";
+}
+
+TEST_F(AsyncClassifyTest, MissNeverBuildsOnTheSubmittingThread) {
+  FaultGuard guard;
+  auto engine = MakeEngine();
+  util::FaultInjector::Instance().ArmLatency(
+      InferenceEngine::kFaultBatchBuild, 0.15);
+  const AddressId address = (*watched_)[1].address;
+
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread::id delivered_on;
+  Result<ClassifyResult> result(Status::Internal("not yet delivered"));
+  const auto start = std::chrono::steady_clock::now();
+  engine->ClassifyAsync(
+      address, {},
+      [&](Result<ClassifyResult> outcome, const serve::RequestTimeline&) {
+        std::lock_guard<std::mutex> lock(mu);
+        delivered_on = std::this_thread::get_id();
+        result = std::move(outcome);
+        done = true;
+        cv.notify_all();
+      });
+  const double submit_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_LT(submit_s, 0.02) << "the submitting thread waited on a build";
+
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60), [&] { return done; }));
+  EXPECT_NE(delivered_on, submitter);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_FALSE(result.value().cache_hit);
+  EXPECT_EQ(result.value().predicted,
+            PredictAtEpoch(address, result.value().tx_count));
+}
+
+TEST_F(AsyncClassifyTest, SubmitJoinsABlockingCallersBuild) {
+  FaultGuard guard;
+  auto engine = MakeEngine();
+  util::FaultInjector::Instance().ArmLatency(
+      InferenceEngine::kFaultBatchBuild, 0.15);
+  const AddressId address = (*watched_)[2].address;
+
+  Result<ClassifyResult> blocking(Status::Internal("not yet delivered"));
+  std::thread caller([&] { blocking = engine->Classify(address); });
+  // The miss is counted at the caller's lookup; its build then stalls
+  // at the build boundary with the address's flight held.
+  while (engine->Metrics().misses == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread::id delivered_on;
+  Result<ClassifyResult> joined(Status::Internal("not yet delivered"));
+  engine->ClassifyAsync(
+      address, {},
+      [&](Result<ClassifyResult> outcome, const serve::RequestTimeline& tl) {
+        EXPECT_TRUE(tl.Monotone()) << tl.ToJson();
+        std::lock_guard<std::mutex> lock(mu);
+        delivered_on = std::this_thread::get_id();
+        joined = std::move(outcome);
+        done = true;
+        cv.notify_all();
+      });
+  EXPECT_EQ(engine->Metrics().coalesced, 1u) << "did not join at submit";
+  caller.join();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(
+        cv.wait_for(lock, std::chrono::seconds(60), [&] { return done; }));
+  }
+  EXPECT_NE(delivered_on, submitter);
+  ASSERT_TRUE(blocking.ok()) << blocking.status().message();
+  ASSERT_TRUE(joined.ok()) << joined.status().message();
+  EXPECT_EQ(joined.value().predicted, blocking.value().predicted);
+  EXPECT_EQ(joined.value().tx_count, blocking.value().tx_count);
+  const auto m = engine->Metrics();
+  EXPECT_EQ(m.misses, 1u);
+  EXPECT_EQ(m.coalesced, 1u);
+  EXPECT_EQ(m.batches, 1u) << "the joined request ran a batch of its own";
+}
+
+TEST_F(AsyncClassifyTest, DestructionWaitsForARequestThatJoinedAtSubmit) {
+  FaultGuard guard;
+  std::atomic<int> fired{0};
+  std::atomic<int> ok{0};
+  const auto count = [&](Result<ClassifyResult> outcome,
+                         const serve::RequestTimeline&) {
+    if (outcome.ok()) ok.fetch_add(1);
+    fired.fetch_add(1);
+  };
+  {
+    auto engine = MakeEngine();
+    util::FaultInjector::Instance().ArmLatency(
+        InferenceEngine::kFaultBatchBuild, 0.1);
+    const AddressId address = (*watched_)[3].address;
+    engine->ClassifyAsync(address, {}, count);  // queues; a leader builds
+    while (engine->Metrics().misses == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    engine->ClassifyAsync(address, {}, count);  // joins that build
+    EXPECT_EQ(engine->Metrics().coalesced, 1u);
+    EXPECT_EQ(fired.load(), 0);
+    // ~InferenceEngine blocks until both callbacks have fired.
+  }
+  EXPECT_EQ(fired.load(), 2);
+  EXPECT_EQ(ok.load(), 2);
+}
+
+TEST_F(AsyncClassifyTest, LookupFaultFailsAnInlineHitExplicitly) {
+  FaultGuard guard;
+  auto engine = MakeEngine();
+  const AddressId address = (*watched_)[0].address;
+  ASSERT_TRUE(engine->Classify(address).ok());
+  util::FaultInjector::Instance().Arm(InferenceEngine::kFaultBatchLookup);
+
+  std::atomic<int> fired{0};
+  engine->ClassifyAsync(
+      address, {},
+      [&](Result<ClassifyResult> outcome, const serve::RequestTimeline& tl) {
+        ASSERT_FALSE(outcome.ok()) << "a faulted lookup must not answer";
+        EXPECT_EQ(outcome.status().code(), StatusCode::kInternal);
+        EXPECT_NE(outcome.status().message().find(
+                      InferenceEngine::kFaultBatchLookup),
+                  std::string::npos)
+            << outcome.status().ToString();
+        EXPECT_EQ(tl.outcome, serve::RequestOutcome::kError);
+        EXPECT_TRUE(tl.Monotone()) << tl.ToJson();
+        fired.fetch_add(1);
+      });
+  EXPECT_EQ(fired.load(), 1) << "faulted hit was not delivered before return";
+  EXPECT_EQ(engine->Metrics().full_hits, 0u);
+
+  // The one-shot fault is spent: the next submit is a plain inline hit.
+  engine->ClassifyAsync(
+      address, {},
+      [&](Result<ClassifyResult> outcome, const serve::RequestTimeline&) {
+        EXPECT_TRUE(outcome.ok()) << outcome.status().message();
+        fired.fetch_add(1);
+      });
+  EXPECT_EQ(fired.load(), 2);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <deque>
 
 #include "graph/centrality.h"
 #include "graph/sparse_matrix.h"
@@ -165,6 +167,118 @@ TEST(CentralityTest, BetweennessCountsMultipleShortestPaths) {
   g.AddEdge(3, 0);
   const auto b = BetweennessCentrality(g);
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(b[i], 0.5);
+}
+
+// Textbook references for the fused shortest-path pass: a plain BFS
+// per source for closeness, and Brandes with explicit predecessor lists
+// for betweenness, both over the adjacency lists themselves.
+std::vector<double> ReferenceCloseness(const AdjacencyList& g) {
+  const int64_t n = g.num_nodes();
+  std::vector<double> out(static_cast<size_t>(n), 0.0);
+  if (n <= 1) return out;
+  std::vector<int64_t> dist(static_cast<size_t>(n));
+  std::deque<int64_t> queue;
+  for (int64_t s = 0; s < n; ++s) {
+    std::fill(dist.begin(), dist.end(), -1);
+    dist[static_cast<size_t>(s)] = 0;
+    queue.assign(1, s);
+    int64_t reachable = 0;
+    int64_t dist_sum = 0;
+    while (!queue.empty()) {
+      const int64_t u = queue.front();
+      queue.pop_front();
+      for (int64_t w : g.Neighbors(u)) {
+        if (dist[static_cast<size_t>(w)] < 0) {
+          dist[static_cast<size_t>(w)] = dist[static_cast<size_t>(u)] + 1;
+          dist_sum += dist[static_cast<size_t>(w)];
+          ++reachable;
+          queue.push_back(w);
+        }
+      }
+    }
+    if (reachable == 0 || dist_sum == 0) continue;
+    const double r = static_cast<double>(reachable);
+    out[static_cast<size_t>(s)] =
+        (r / static_cast<double>(n - 1)) * (r / static_cast<double>(dist_sum));
+  }
+  return out;
+}
+
+std::vector<double> ReferenceBetweenness(const AdjacencyList& g) {
+  const size_t n = static_cast<size_t>(g.num_nodes());
+  std::vector<double> bc(n, 0.0);
+  for (size_t s = 0; s < n; ++s) {
+    std::vector<int64_t> dist(n, -1);
+    std::vector<double> sigma(n, 0.0);
+    std::vector<double> delta(n, 0.0);
+    std::vector<std::vector<int64_t>> preds(n);
+    std::vector<int64_t> order;
+    std::deque<int64_t> queue(1, static_cast<int64_t>(s));
+    dist[s] = 0;
+    sigma[s] = 1.0;
+    while (!queue.empty()) {
+      const int64_t u = queue.front();
+      queue.pop_front();
+      order.push_back(u);
+      for (int64_t w : g.Neighbors(u)) {
+        if (w == u) continue;
+        auto& dw = dist[static_cast<size_t>(w)];
+        if (dw < 0) {
+          dw = dist[static_cast<size_t>(u)] + 1;
+          queue.push_back(w);
+        }
+        if (dw == dist[static_cast<size_t>(u)] + 1) {
+          sigma[static_cast<size_t>(w)] += sigma[static_cast<size_t>(u)];
+          preds[static_cast<size_t>(w)].push_back(u);
+        }
+      }
+    }
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const size_t w = static_cast<size_t>(*it);
+      for (int64_t u : preds[w]) {
+        delta[static_cast<size_t>(u)] += sigma[static_cast<size_t>(u)] /
+                                         sigma[w] * (1.0 + delta[w]);
+      }
+      if (w != s) bc[w] += delta[w];
+    }
+  }
+  for (auto& v : bc) v *= 0.5;
+  return bc;
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The fused pass must reproduce the references bit for bit — the
+// centralities feed node features, so any drift would move embeddings —
+// on multigraphs with parallel edges, self-loops and several components.
+TEST(CentralityTest, FusedPassMatchesTextbookReferencesBitwise) {
+  Rng rng(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int64_t n = 1 + static_cast<int64_t>(rng.UniformInt(30));
+    AdjacencyList g(n);
+    const uint64_t edges = rng.UniformInt(static_cast<uint64_t>(3 * n) + 1);
+    for (uint64_t e = 0; e < edges; ++e) {
+      const int64_t u =
+          static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
+      // Every fourth edge repeats an endpoint pair or loops on itself.
+      const int64_t v =
+          e % 4 == 3 ? u
+                     : static_cast<int64_t>(
+                           rng.UniformInt(static_cast<uint64_t>(n)));
+      g.AddEdge(u, v);
+      if (e % 5 == 0) g.AddEdge(u, v);  // parallel edge
+    }
+    const PathCentrality fused = ShortestPathCentrality(g);
+    EXPECT_TRUE(BitwiseEqual(fused.closeness, ReferenceCloseness(g)))
+        << "closeness, trial " << trial;
+    EXPECT_TRUE(BitwiseEqual(fused.betweenness, ReferenceBetweenness(g)))
+        << "betweenness, trial " << trial;
+    EXPECT_TRUE(BitwiseEqual(ClosenessCentrality(g), fused.closeness));
+    EXPECT_TRUE(BitwiseEqual(BetweennessCentrality(g), fused.betweenness));
+  }
 }
 
 TEST(CentralityTest, PageRankSumsToOne) {
