@@ -15,7 +15,10 @@
 //   overload  a second engine with tight admission watermarks behind
 //             its own server, flooded by pipelined loader connections
 //             to >= 4x its admitted capacity (verified by measurement)
-//             while the batch pipeline is artificially slowed — probe
+//             while the batch pipeline is artificially slowed; its
+//             one-entry cache keeps every request a miss, since cache
+//             hits are answered at submit and never reach that
+//             pipeline — probe
 //             threads check shed answers come back fast (p99 < 5ms),
 //             which is the whole point of admission control reaching
 //             the socket layer
@@ -564,6 +567,9 @@ int main(int argc, char** argv) {
     tight.admission.max_inflight = 64;
     tight.admission.high_watermark = 3;
     tight.admission.low_watermark = 1;
+    // Only misses reach the slowed pipeline; with one entry the cache
+    // holds none of the pool's addresses when they come round again.
+    tight.cache_capacity = 1;
     auto made = ba::serve::InferenceEngine::Create(
         classifier.get(), &simulator->ledger(), tight);
     BA_CHECK_OK(made.status());
