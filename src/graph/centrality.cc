@@ -1,8 +1,8 @@
 #include "graph/centrality.h"
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
+#include <limits>
 
 namespace ba::graph {
 
@@ -29,7 +29,7 @@ PathCentrality ShortestPathCentrality(const AdjacencyList& g) {
     const size_t degree = g.Neighbors(v).size();
     BA_CHECK_LE(static_cast<int64_t>(offsets[static_cast<size_t>(v)]) +
                     static_cast<int64_t>(degree),
-                static_cast<int64_t>(INT32_MAX));
+                static_cast<int64_t>(std::numeric_limits<int32_t>::max()));
     offsets[static_cast<size_t>(v) + 1] =
         offsets[static_cast<size_t>(v)] + static_cast<int32_t>(degree);
   }

@@ -523,7 +523,7 @@ class InferenceEngine : public Engine {
                        const ClassifyOptions& options,
                        ClassifyCallback done);
 
-  /// Async submit: pushes the request onto the queue and ensures a
+  /// Async miss: pushes the request onto the queue and ensures a
   /// leader is draining it — at most `max_batch_leaders`, each started
   /// on the worker pool so the submitting thread (e.g. an epoll loop)
   /// never blocks on inference.
