@@ -4,17 +4,27 @@
 // BENCH_train.json.
 //
 //   ./build/bench/bench_train_throughput [--blocks 400] [--addresses 700]
-//       [--epochs 3] [--threads N] [--out BENCH_train.json]
+//       [--epochs 10] [--repeats 5] [--batch 16] [--threads N]
+//       [--out BENCH_train.json]
 //
-// --threads sizes the shared pool AND the threaded run's lane count
-// (default: the cores this process may run on); the serial run always
-// uses one lane. A speedup is only measured when every lane has a core:
+// One unmeasured warm-up run (idle vCPUs take a while to reach full
+// speed) precedes `--repeats` alternating serial and threaded runs of
+// `--epochs` epochs each; the side that goes first alternates too. Each
+// run yields its mean epoch seconds, and the JSON reports the median
+// per side with its min and max. The speedup is the ratio of medians.
+//
+// --threads sizes the shared pool AND the threaded runs' lane count
+// (default: the cores this process may run on); serial runs always use
+// one lane. A speedup is only measured when every lane has a core:
 // with more lanes than cores it is reported as unmeasured (JSON
-// "speedup": null). Exits non-zero when the two runs' per-epoch losses
-// diverge (they must be bit-identical).
+// "speedup": null). Exits non-zero when any run's per-epoch losses
+// differ from the first serial run's (they must be bit-identical).
 
+#include <algorithm>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,11 +36,11 @@ namespace {
 /// Trains a fresh model and returns its per-epoch stats.
 std::vector<ba::core::EpochStat> RunTraining(
     const ba::bench::Experiment& exp, const ba::CliFlags& flags,
-    int num_threads) {
+    int num_threads, int epochs) {
   ba::core::GraphModelOptions options;
   options.encoder = ba::core::GraphEncoderKind::kGfn;
   options.k_hops = static_cast<int>(flags.GetInt("khops", 2));
-  options.epochs = static_cast<int>(flags.GetInt("epochs", 3));
+  options.epochs = epochs;
   options.batch_size = static_cast<int>(flags.GetInt("batch", 16));
   options.seed = 11;
   options.num_threads = num_threads;
@@ -48,58 +58,100 @@ double MeanEpochSeconds(const std::vector<ba::core::EpochStat>& history) {
                                static_cast<double>(history.size());
 }
 
+/// Median, min and max of one side's per-run mean epoch seconds.
+struct Spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  const size_t n = runs.size();
+  const double median =
+      n % 2 == 1 ? runs[n / 2] : 0.5 * (runs[n / 2 - 1] + runs[n / 2]);
+  return {median, runs.front(), runs.back()};
+}
+
+std::string SpreadJson(const char* side, const Spread& s) {
+  std::ostringstream os;
+  os << "\"" << side << "_epoch_seconds\":" << s.median << ",\"" << side
+     << "_epoch_seconds_min\":" << s.min << ",\"" << side
+     << "_epoch_seconds_max\":" << s.max;
+  return os.str();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
   const int cores = ba::bench::AffinityCores();
   const int threads = static_cast<int>(flags.GetInt("threads", cores));
+  const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
+  const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
+  BA_CHECK_GE(repeats, 1);
   const ba::bench::Experiment exp = ba::bench::BuildExperiment(flags);
 
-  std::cout << "[train] serial run...\n";
-  const auto serial = RunTraining(exp, flags, /*num_threads=*/1);
-  std::cout << "[train] threaded run (" << threads << " lanes)...\n";
-  const auto threaded = RunTraining(exp, flags, threads);
+  std::cout << "[train] warm-up run (" << threads << " lanes)...\n";
+  RunTraining(exp, flags, threads, epochs);
 
-  BA_CHECK_EQ(serial.size(), threaded.size());
+  // Alternating repeats; the first serial run is the loss reference.
+  std::vector<double> reference;
+  std::vector<double> serial_runs, threaded_runs;
   bool loss_match = true;
-  for (size_t e = 0; e < serial.size(); ++e) {
-    if (serial[e].train_loss != threaded[e].train_loss) {
-      loss_match = false;
-      std::cout << "[train] LOSS MISMATCH epoch " << (e + 1) << ": serial "
-                << serial[e].train_loss << " threaded "
-                << threaded[e].train_loss << "\n";
+  for (int r = 0; r < repeats; ++r) {
+    for (const int side : r % 2 == 0 ? std::vector<int>{0, 1}
+                                     : std::vector<int>{1, 0}) {
+      const int lanes = side == 0 ? 1 : threads;
+      const auto history = RunTraining(exp, flags, lanes, epochs);
+      std::vector<double> losses;
+      for (const auto& stat : history) losses.push_back(stat.train_loss);
+      if (reference.empty()) reference = losses;
+      if (losses != reference) {
+        loss_match = false;
+        std::cout << "[train] LOSS MISMATCH in repeat " << (r + 1) << " ("
+                  << lanes << " lanes)\n";
+      }
+      const double seconds = MeanEpochSeconds(history);
+      (side == 0 ? serial_runs : threaded_runs).push_back(seconds);
+      std::cout << "[train] repeat " << (r + 1) << "/" << repeats << " "
+                << (side == 0 ? "serial  " : "threaded") << " "
+                << ba::TablePrinter::Num(seconds, 4) << " s/epoch\n";
     }
   }
+  std::cout << "[train] per-epoch losses:" << std::setprecision(17);
+  for (const double loss : reference) std::cout << " " << loss;
+  std::cout << std::setprecision(6) << "\n";
 
-  const double serial_epoch_s = MeanEpochSeconds(serial);
-  const double threaded_epoch_s = MeanEpochSeconds(threaded);
+  const Spread serial = SpreadOf(serial_runs);
+  const Spread threaded = SpreadOf(threaded_runs);
   // Lanes beyond the cores time-slice one another: their ratio says
   // nothing about data-parallel scaling.
-  const bool measured = threads <= cores && threaded_epoch_s > 0.0;
-  const double speedup = measured ? serial_epoch_s / threaded_epoch_s : 0.0;
+  const bool measured = threads <= cores && threaded.median > 0.0;
+  const double speedup = measured ? serial.median / threaded.median : 0.0;
   const std::string shown =
       measured ? ba::TablePrinter::Num(speedup, 2) + "x"
                : "speedup unmeasured: " + std::to_string(threads) +
                      " lanes > " + std::to_string(cores) + " cores";
-  std::cout << "[train] serial " << ba::TablePrinter::Num(serial_epoch_s, 3)
+  std::cout << "[train] median serial "
+            << ba::TablePrinter::Num(serial.median, 4)
             << " s/epoch, threaded "
-            << ba::TablePrinter::Num(threaded_epoch_s, 3) << " s/epoch ("
+            << ba::TablePrinter::Num(threaded.median, 4) << " s/epoch ("
             << shown << "), per-epoch losses "
             << (loss_match ? "identical" : "DIVERGED") << "\n";
 
   const std::string out_path = flags.GetString("out", "BENCH_train.json");
   std::ofstream out(out_path, std::ios::trunc);
-  out << "{\"serial_epoch_seconds\":" << serial_epoch_s
-      << ",\"threaded_epoch_seconds\":" << threaded_epoch_s
+  out << "{" << SpreadJson("serial", serial) << ","
+      << SpreadJson("threaded", threaded)
       << ",\"speedup\":" << (measured ? std::to_string(speedup) : "null")
       << ",\"loss_match\":" << (loss_match ? "true" : "false")
-      << ",\"final_loss_serial\":" << serial.back().train_loss
-      << ",\"final_loss_threaded\":" << threaded.back().train_loss
-      << ",\"epochs\":" << serial.size()
+      << std::setprecision(17) << ",\"final_loss\":" << reference.back()
+      << std::setprecision(6) << ",\"epochs\":" << epochs
+      << ",\"repeats\":" << repeats
+      << ",\"batch\":" << flags.GetInt("batch", 16)
       << ",\"train_examples\":" << exp.train.size()
       << ",\"lanes\":" << threads << ",\"cores\":" << cores
-      << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "train_throughput") << "}\n";
+      << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "train_throughput")
+      << "}\n";
   std::cout << "wrote " << out_path << "\n";
   return loss_match ? 0 : 1;
 }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 
+#include "core/data_parallel.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace ba::core {
 
@@ -101,32 +101,18 @@ AggregatorModel::AggregatorModel(const AggregatorOptions& options)
                            static_cast<int64_t>(options_.num_classes)},
       &rng_);
 
-  std::vector<tensor::Var> params = head_->Parameters();
-  auto append = [&params](const nn::Module* m) {
-    if (m == nullptr) return;
-    auto p = m->Parameters();
-    params.insert(params.end(), p.begin(), p.end());
-  };
-  append(lstm_.get());
-  append(bilstm_.get());
-  append(attention_.get());
-  append(self_attention_.get());
-  optimizer_ =
-      std::make_unique<tensor::Adam>(std::move(params),
-                                     options_.learning_rate);
+  optimizer_ = std::make_unique<tensor::Adam>(Parameters(),
+                                              options_.learning_rate);
 }
 
 std::vector<tensor::Var> AggregatorModel::Parameters() const {
   std::vector<tensor::Var> params = head_->Parameters();
-  auto append = [&params](const nn::Module* m) {
-    if (m == nullptr) return;
-    auto p = m->Parameters();
-    params.insert(params.end(), p.begin(), p.end());
-  };
-  append(lstm_.get());
-  append(bilstm_.get());
-  append(attention_.get());
-  append(self_attention_.get());
+  const nn::Module* encoders[] = {lstm_.get(), bilstm_.get(),
+                                  attention_.get(), self_attention_.get()};
+  for (const nn::Module* m : encoders) {
+    if (m == nullptr) continue;
+    for (const tensor::Var& p : m->Parameters()) params.push_back(p);
+  }
   return params;
 }
 
@@ -178,111 +164,35 @@ void AggregatorModel::Train(const std::vector<EmbeddingSequence>& train,
   std::vector<size_t> order(train.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  // Lane setup mirroring GraphModel::Train: lane 0 is this model,
-  // lanes 1..T-1 are replicas whose weights are re-synced from the
-  // master each batch. No aggregator forward consumes randomness, so
-  // no per-example seeds are needed and the RNG stream (shuffles only)
-  // is identical at every lane count.
-  size_t lanes = options_.num_threads == 0
-                     ? util::SharedPoolThreads()
-                     : static_cast<size_t>(options_.num_threads);
-  lanes = std::max<size_t>(1, std::min(lanes, static_cast<size_t>(
-                                                  options_.batch_size)));
+  // Lanes as in GraphModel::Train. No aggregator forward consumes
+  // randomness, so the RNG stream (shuffles only) is lane-independent.
   std::vector<std::unique_ptr<AggregatorModel>> replicas;
-  std::vector<AggregatorModel*> lane_models{this};
-  if (lanes > 1) {
-    AggregatorOptions replica_options = options_;
-    replica_options.num_threads = 1;
-    for (size_t l = 1; l < lanes; ++l) {
-      replicas.push_back(std::make_unique<AggregatorModel>(replica_options));
-      lane_models.push_back(replicas.back().get());
-    }
-  }
-  std::vector<std::vector<tensor::Var>> lane_params;
-  lane_params.reserve(lanes);
-  for (AggregatorModel* m : lane_models) {
-    lane_params.push_back(m->Parameters());
-  }
-  const std::vector<tensor::Var>& master_params = lane_params[0];
-  const size_t num_params = master_params.size();
+  DataParallelTrainer trainer(
+      optimizer_.get(), options_.num_threads, options_.batch_size,
+      [&] {
+        replicas.push_back(std::make_unique<AggregatorModel>(options_));
+        return replicas.back()->Parameters();
+      },
+      {"core.aggregate.batch", "core.aggregate.batch.examples",
+       "core.aggregate.batch.update"});
 
   obs::ScopedSpan train_span("core.aggregate.train");
   train_span.AddArg("epochs", static_cast<double>(options_.epochs));
   train_span.AddArg("examples", static_cast<double>(train.size()));
-  train_span.AddArg("lanes", static_cast<double>(lanes));
+  train_span.AddArg("lanes", static_cast<double>(trainer.lanes()));
   Stopwatch watch;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     obs::ScopedSpan epoch_span("core.aggregate.epoch");
     watch.Start();
     rng_.Shuffle(&order);
-    double epoch_loss = 0.0;
-    size_t i = 0;
-    while (i < order.size()) {
-      const size_t batch_end = std::min(
-          order.size(), i + static_cast<size_t>(options_.batch_size));
-      const size_t bs = batch_end - i;
-      obs::ScopedSpan batch_span("core.aggregate.batch");
-      batch_span.AddArg("size", static_cast<double>(bs));
-      batch_span.AddArg("lanes", static_cast<double>(lanes));
-
-      for (size_t l = 1; l < lanes; ++l) {
-        for (size_t pi = 0; pi < num_params; ++pi) {
-          lane_params[l][pi]->value = master_params[pi]->value;
-        }
-      }
-      std::vector<std::vector<tensor::Tensor>> grad_slots(bs);
-      std::vector<std::vector<char>> grad_present(bs);
-      std::vector<double> loss_slots(bs, 0.0);
-      for (size_t e = 0; e < bs; ++e) {
-        grad_slots[e].resize(num_params);
-        grad_present[e].assign(num_params, 0);
-      }
-      const auto run_example = [&](size_t lane, size_t e) {
-        AggregatorModel* m = lane_models[lane];
-        const std::vector<tensor::Var>& params = lane_params[lane];
-        m->optimizer_->ZeroGrad();
-        const EmbeddingSequence& ex = train[order[i + e]];
-        const tensor::Var loss = tensor::SoftmaxCrossEntropy(
-            m->Logits(ex.embeddings), std::vector<int>{ex.label});
-        tensor::Backward(loss);
-        loss_slots[e] = static_cast<double>(loss->value.item());
-        for (size_t pi = 0; pi < num_params; ++pi) {
-          if (!params[pi]->grad_ready) continue;
-          grad_slots[e][pi] = params[pi]->grad;
-          grad_present[e][pi] = 1;
-        }
-      };
-      if (lanes == 1) {
-        for (size_t e = 0; e < bs; ++e) run_example(0, e);
-      } else {
-        util::SharedPool().ParallelFor(lanes, [&](size_t lane) {
-          for (size_t e = lane; e < bs; e += lanes) run_example(lane, e);
+    const double epoch_loss =
+        trainer.RunEpoch(train.size(), [&](size_t lane, size_t k) {
+          const EmbeddingSequence& ex = train[order[k]];
+          return tensor::SoftmaxCrossEntropy(
+              (lane == 0 ? this : replicas[lane - 1].get())
+                  ->Logits(ex.embeddings),
+              std::vector<int>{ex.label});
         });
-      }
-
-      // Fixed-order reduction (ascending example index, then 1/batch
-      // scale): bit-identical at any lane count. See DESIGN.md §7.
-      for (size_t pi = 0; pi < num_params; ++pi) {
-        const tensor::Var& p = master_params[pi];
-        tensor::Tensor sum(p->value.shape());
-        bool any = false;
-        for (size_t e = 0; e < bs; ++e) {
-          if (!grad_present[e][pi]) continue;
-          sum.AddInPlace(grad_slots[e][pi]);
-          any = true;
-        }
-        if (any) {
-          sum.ScaleInPlace(1.0f / static_cast<float>(bs));
-          p->grad = std::move(sum);
-          p->grad_ready = true;
-        } else {
-          p->grad_ready = false;
-        }
-      }
-      optimizer_->Step();
-      for (size_t e = 0; e < bs; ++e) epoch_loss += loss_slots[e];
-      i = batch_end;
-    }
     watch.Stop();
 
     const double mean_loss = epoch_loss / static_cast<double>(train.size());
@@ -295,14 +205,9 @@ void AggregatorModel::Train(const std::vector<EmbeddingSequence>& train,
     }
 
     if (history != nullptr) {
-      EpochStat stat;
-      stat.epoch = epoch + 1;
-      stat.seconds = watch.ElapsedSeconds();
-      stat.train_loss = epoch_loss / static_cast<double>(train.size());
-      if (eval != nullptr) {
-        stat.eval_f1 = Evaluate(*eval).WeightedAverage().f1;
-      }
-      history->push_back(stat);
+      history->push_back(
+          {epoch + 1, watch.ElapsedSeconds(), mean_loss,
+           eval != nullptr ? Evaluate(*eval).WeightedAverage().f1 : -1.0});
     }
   }
 }

@@ -4,11 +4,11 @@
 #include <cmath>
 
 #include "core/checkpoint.h"
+#include "core/data_parallel.h"
 #include "obs/trace.h"
 #include "util/fs.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace ba::core {
 
@@ -93,9 +93,6 @@ GraphModel::GraphModel(const GraphModelOptions& options)
       o.num_classes = options_.num_classes;
       o.dropout = options_.dropout;
       gfn_ = std::make_unique<nn::GfnEncoder>(o, &rng_);
-      optimizer_ = std::make_unique<tensor::Adam>(
-          gfn_->Parameters(), options_.learning_rate, 0.9f, 0.999f, 1e-8f,
-          options_.weight_decay);
       break;
     }
     case GraphEncoderKind::kGcn: {
@@ -105,9 +102,6 @@ GraphModel::GraphModel(const GraphModelOptions& options)
       o.embed_dim = options_.embed_dim;
       o.num_classes = options_.num_classes;
       gcn_ = std::make_unique<nn::GcnEncoder>(o, &rng_);
-      optimizer_ = std::make_unique<tensor::Adam>(
-          gcn_->Parameters(), options_.learning_rate, 0.9f, 0.999f, 1e-8f,
-          options_.weight_decay);
       break;
     }
     case GraphEncoderKind::kDiffPool: {
@@ -118,9 +112,6 @@ GraphModel::GraphModel(const GraphModelOptions& options)
       o.num_classes = options_.num_classes;
       o.num_clusters = options_.diffpool_clusters;
       diffpool_ = std::make_unique<nn::DiffPoolEncoder>(o, &rng_);
-      optimizer_ = std::make_unique<tensor::Adam>(
-          diffpool_->Parameters(), options_.learning_rate, 0.9f, 0.999f,
-          1e-8f, options_.weight_decay);
       break;
     }
     case GraphEncoderKind::kGat: {
@@ -130,12 +121,12 @@ GraphModel::GraphModel(const GraphModelOptions& options)
       o.embed_dim = options_.embed_dim;
       o.num_classes = options_.num_classes;
       gat_ = std::make_unique<nn::GatEncoder>(o, &rng_);
-      optimizer_ = std::make_unique<tensor::Adam>(
-          gat_->Parameters(), options_.learning_rate, 0.9f, 0.999f, 1e-8f,
-          options_.weight_decay);
       break;
     }
   }
+  optimizer_ = std::make_unique<tensor::Adam>(
+      Parameters(), options_.learning_rate, 0.9f, 0.999f, 1e-8f,
+      options_.weight_decay);
 }
 
 int64_t GraphModel::NumParameters() const {
@@ -261,32 +252,17 @@ Status GraphModel::Train(const std::vector<AddressSample>& train,
                                                &start_epoch));
   }
 
-  // Lane setup for data-parallel batches. Lane 0 is this model; lanes
-  // 1..T-1 are private replicas (their own tapes and Param nodes, so
-  // concurrent Backward calls never touch shared autograd state).
-  // Replica parameter values are re-synced from the master at every
-  // batch start, so replicas carry no state of their own.
-  size_t lanes = options_.num_threads == 0
-                     ? util::SharedPoolThreads()
-                     : static_cast<size_t>(options_.num_threads);
-  lanes = std::max<size_t>(1, std::min(lanes, static_cast<size_t>(
-                                                  options_.batch_size)));
+  // Lanes 1..T-1 train replicas made for this call only: their own tapes
+  // and Param nodes, so concurrent Backward calls share no state.
   std::vector<std::unique_ptr<GraphModel>> replicas;
-  std::vector<GraphModel*> lane_models{this};
-  if (lanes > 1) {
-    GraphModelOptions replica_options = options_;
-    replica_options.checkpoint_dir.clear();
-    replica_options.num_threads = 1;
-    for (size_t l = 1; l < lanes; ++l) {
-      replicas.push_back(std::make_unique<GraphModel>(replica_options));
-      lane_models.push_back(replicas.back().get());
-    }
-  }
-  std::vector<std::vector<tensor::Var>> lane_params;
-  lane_params.reserve(lanes);
-  for (GraphModel* m : lane_models) lane_params.push_back(m->Parameters());
-  const std::vector<tensor::Var>& master_params = lane_params[0];
-  const size_t num_params = master_params.size();
+  DataParallelTrainer trainer(
+      optimizer_.get(), options_.num_threads, options_.batch_size,
+      [&] {
+        replicas.push_back(std::make_unique<GraphModel>(options_));
+        return replicas.back()->Parameters();
+      },
+      {"core.train.batch", "core.train.batch.examples",
+       "core.train.batch.update"});
   // Only GFN consumes randomness in its training forward (dropout);
   // drawing seeds only when needed keeps the other encoders' RNG
   // streams — and therefore their existing checkpoints — unchanged.
@@ -296,105 +272,33 @@ Status GraphModel::Train(const std::vector<AddressSample>& train,
   // the RNG, so the visit order is a function of the RNG position at
   // the epoch boundary alone — the property that makes kill/resume
   // reproduce an uninterrupted run bit-exactly. Per-example dropout
-  // seeds are likewise drawn from the trainer RNG *in visit order*
-  // before each batch fans out, which keeps the RNG stream independent
-  // of the lane count.
+  // seeds follow, in visit order, before anything fans out: the RNG
+  // stream is independent of the lane count.
   std::vector<size_t> order(examples.size());
+  std::vector<uint64_t> seeds(examples.size(), 0);
   obs::ScopedSpan train_span("core.train");
   train_span.AddArg("epochs", static_cast<double>(options_.epochs));
   train_span.AddArg("examples", static_cast<double>(examples.size()));
-  train_span.AddArg("lanes", static_cast<double>(lanes));
+  train_span.AddArg("lanes", static_cast<double>(trainer.lanes()));
   Stopwatch train_watch;
   for (int epoch = start_epoch; epoch < options_.epochs; ++epoch) {
     obs::ScopedSpan epoch_span("core.train.epoch");
     train_watch.Start();
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     rng_.Shuffle(&order);
-    double epoch_loss = 0.0;
-    size_t i = 0;
-    while (i < examples.size()) {
-      const size_t batch_end = std::min(
-          examples.size(), i + static_cast<size_t>(options_.batch_size));
-      const size_t bs = batch_end - i;
-      obs::ScopedSpan batch_span("core.train.batch");
-      batch_span.AddArg("size", static_cast<double>(bs));
-      batch_span.AddArg("lanes", static_cast<double>(lanes));
-
-      std::vector<uint64_t> seeds(bs, 0);
-      if (uses_dropout_rng) {
-        for (size_t e = 0; e < bs; ++e) seeds[e] = rng_.Next();
-      }
-      // Sync replica weights to the master's current values.
-      for (size_t l = 1; l < lanes; ++l) {
-        for (size_t pi = 0; pi < num_params; ++pi) {
-          lane_params[l][pi]->value = master_params[pi]->value;
-        }
-      }
-
-      // Per-example result slots, written by exactly one lane each:
-      // gradient snapshots (per param), per-param presence flags, and
-      // the example's loss.
-      std::vector<std::vector<tensor::Tensor>> grad_slots(bs);
-      std::vector<std::vector<char>> grad_present(bs);
-      std::vector<double> loss_slots(bs, 0.0);
-      for (size_t e = 0; e < bs; ++e) {
-        grad_slots[e].resize(num_params);
-        grad_present[e].assign(num_params, 0);
-      }
-
-      const auto run_example = [&](size_t lane, size_t e) {
-        GraphModel* m = lane_models[lane];
-        const std::vector<tensor::Var>& params = lane_params[lane];
-        m->optimizer_->ZeroGrad();
-        Rng example_rng(seeds[e]);
-        const Example& ex = examples[order[i + e]];
-        const tensor::Var logits =
-            m->LogitsImpl(*ex.tensors, /*training=*/true,
-                          uses_dropout_rng ? &example_rng : nullptr);
-        const tensor::Var loss =
-            tensor::SoftmaxCrossEntropy(logits, std::vector<int>{ex.label});
-        tensor::Backward(loss);
-        loss_slots[e] = static_cast<double>(loss->value.item());
-        for (size_t pi = 0; pi < num_params; ++pi) {
-          if (!params[pi]->grad_ready) continue;
-          grad_slots[e][pi] = params[pi]->grad;
-          grad_present[e][pi] = 1;
-        }
-      };
-      if (lanes == 1) {
-        for (size_t e = 0; e < bs; ++e) run_example(0, e);
-      } else {
-        util::SharedPool().ParallelFor(lanes, [&](size_t lane) {
-          for (size_t e = lane; e < bs; e += lanes) run_example(lane, e);
-        });
-      }
-
-      // Fixed-order reduction: per parameter, example gradients are
-      // summed in ascending example index — never in completion order —
-      // then scaled by 1/batch. This is the determinism contract: the
-      // result is a pure function of the batch, independent of lane
-      // count and scheduling (DESIGN.md §7).
-      for (size_t pi = 0; pi < num_params; ++pi) {
-        const tensor::Var& p = master_params[pi];
-        tensor::Tensor sum(p->value.shape());
-        bool any = false;
-        for (size_t e = 0; e < bs; ++e) {
-          if (!grad_present[e][pi]) continue;
-          sum.AddInPlace(grad_slots[e][pi]);
-          any = true;
-        }
-        if (any) {
-          sum.ScaleInPlace(1.0f / static_cast<float>(bs));
-          p->grad = std::move(sum);
-          p->grad_ready = true;
-        } else {
-          p->grad_ready = false;
-        }
-      }
-      optimizer_->Step();
-      for (size_t e = 0; e < bs; ++e) epoch_loss += loss_slots[e];
-      i = batch_end;
+    if (uses_dropout_rng) {
+      for (uint64_t& seed : seeds) seed = rng_.Next();
     }
+    const double epoch_loss =
+        trainer.RunEpoch(examples.size(), [&](size_t lane, size_t k) {
+          Rng example_rng(seeds[k]);
+          const Example& ex = examples[order[k]];
+          return tensor::SoftmaxCrossEntropy(
+              (lane == 0 ? this : replicas[lane - 1].get())
+                  ->LogitsImpl(*ex.tensors, /*training=*/true,
+                               uses_dropout_rng ? &example_rng : nullptr),
+              std::vector<int>{ex.label});
+        });
     train_watch.Stop();
 
     const double epoch_seconds = train_watch.ElapsedSeconds();
@@ -426,12 +330,9 @@ Status GraphModel::Train(const std::vector<AddressSample>& train,
     }
 
     if (history != nullptr) {
-      EpochStat stat;
-      stat.epoch = epoch + 1;
-      stat.seconds = train_watch.ElapsedSeconds();
-      stat.train_loss = epoch_loss / static_cast<double>(examples.size());
-      if (eval != nullptr) stat.eval_f1 = GraphLevelWeightedF1(*this, *eval);
-      history->push_back(stat);
+      history->push_back(
+          {epoch + 1, epoch_seconds, mean_loss,
+           eval != nullptr ? GraphLevelWeightedF1(*this, *eval) : -1.0});
     }
 
     if (checkpointing) {

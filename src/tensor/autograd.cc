@@ -10,7 +10,8 @@ void Node::AccumulateGrad(const Tensor& g) {
   if (!requires_grad) return;
   BA_CHECK(g.SameShape(value));
   if (!grad_ready) {
-    grad = Tensor(value.shape());
+    if (!grad.SameShape(value)) grad = Tensor(value.shape());
+    grad.Fill(0.0f);
     grad_ready = true;
   }
   grad.AddInPlace(g);
@@ -81,10 +82,7 @@ void Backward(const Var& root) {
 }
 
 void ZeroGrad(const std::vector<Var>& params) {
-  for (const auto& p : params) {
-    p->grad_ready = false;
-    p->grad = Tensor();
-  }
+  for (const auto& p : params) p->grad_ready = false;
 }
 
 Var MatMul(const Var& a, const Var& b) {

@@ -28,14 +28,15 @@ using Var = std::shared_ptr<Node>;
 class Node {
  public:
   Tensor value;
-  Tensor grad;                 ///< valid when grad_ready
+  Tensor grad;  ///< valid when grad_ready; else storage kept for reuse
   bool requires_grad = false;  ///< gradient flows into this node
-  bool grad_ready = false;     ///< grad tensor allocated & initialized
+  bool grad_ready = false;     ///< grad holds this pass's gradient
   std::vector<Var> parents;
   /// Propagates this node's grad into its parents' grads.
   std::function<void(Node&)> backward;
 
-  /// Adds `g` into this node's grad buffer (allocating on first use).
+  /// Adds `g` into this node's grad buffer. The first add after
+  /// ZeroGrad zero-fills a kept same-shape buffer (or allocates one).
   /// No-op when the node does not require gradients.
   void AccumulateGrad(const Tensor& g);
 };
@@ -51,7 +52,8 @@ Var Param(Tensor value);
 /// accumulate across calls until ZeroGrad.
 void Backward(const Var& root);
 
-/// Clears gradients of the given nodes.
+/// Marks the given nodes' gradients cleared. Their grad storage is
+/// kept, so the next Backward reuses it instead of allocating.
 void ZeroGrad(const std::vector<Var>& params);
 
 // ---------------------------------------------------------------------------

@@ -65,9 +65,6 @@ class Sgd : public Optimizer {
     }
   }
 
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-
  private:
   float lr_;
   float momentum_;
@@ -88,32 +85,42 @@ class Adam : public Optimizer {
         weight_decay_(weight_decay) {}
 
   void Step() override {
-    ++t_;
-    const double bc1 = 1.0 - std::pow(beta1_, t_);
-    const double bc2 = 1.0 - std::pow(beta2_, t_);
+    BeginStep();
     for (size_t pi = 0; pi < params_.size(); ++pi) {
-      Var& p = params_[pi];
-      if (!p->grad_ready) continue;
-      Tensor& w = p->value;
-      const Tensor& g = p->grad;
-      auto [mit, m_inserted] = m_.try_emplace(pi, Tensor(w.shape()));
-      auto [vit, v_inserted] = v_.try_emplace(pi, Tensor(w.shape()));
-      Tensor& m = mit->second;
-      Tensor& v = vit->second;
-      for (int64_t i = 0; i < w.numel(); ++i) {
-        const float grad = g.data()[i] + weight_decay_ * w.data()[i];
-        m.data()[i] = beta1_ * m.data()[i] + (1.0f - beta1_) * grad;
-        v.data()[i] = beta2_ * v.data()[i] + (1.0f - beta2_) * grad * grad;
-        const double m_hat = m.data()[i] / bc1;
-        const double v_hat = v.data()[i] / bc2;
-        w.data()[i] -= static_cast<float>(lr_ * m_hat /
-                                          (std::sqrt(v_hat) + eps_));
-      }
+      if (!params_[pi]->grad_ready) continue;
+      UpdateRange(pi, 0, params_[pi]->value.numel());
     }
   }
 
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
+  /// Starts an update: advances the step counter and creates the
+  /// moments of every parameter with a gradient.
+  void BeginStep() {
+    ++t_;
+    bc1_ = 1.0 - std::pow(beta1_, t_);
+    bc2_ = 1.0 - std::pow(beta2_, t_);
+    for (size_t pi = 0; pi < params_.size(); ++pi) {
+      if (!params_[pi]->grad_ready) continue;
+      m_.try_emplace(pi, Tensor(params_[pi]->value.shape()));
+      v_.try_emplace(pi, Tensor(params_[pi]->value.shape()));
+    }
+  }
+
+  /// Applies the started update to elements [begin, end) of parameter
+  /// `pi`, which has a gradient. Disjoint ranges may run concurrently.
+  void UpdateRange(size_t pi, int64_t begin, int64_t end) {
+    float* w = params_[pi]->value.data();
+    const float* g = params_[pi]->grad.data();
+    float* m = m_.find(pi)->second.data();
+    float* v = v_.find(pi)->second.data();
+    for (int64_t i = begin; i < end; ++i) {
+      const float grad = g[i] + weight_decay_ * w[i];
+      m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad;
+      v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad * grad;
+      const double m_hat = m[i] / bc1_;
+      const double v_hat = v[i] / bc2_;
+      w[i] -= static_cast<float>(lr_ * m_hat / (std::sqrt(v_hat) + eps_));
+    }
+  }
 
   /// \name Checkpointing access
   /// The bias-correction step counter and first/second moment tensors
@@ -139,6 +146,7 @@ class Adam : public Optimizer {
   float eps_;
   float weight_decay_;
   int t_ = 0;
+  double bc1_ = 1.0, bc2_ = 1.0;  ///< bias corrections of step t_
   std::unordered_map<size_t, Tensor> m_;
   std::unordered_map<size_t, Tensor> v_;
 };

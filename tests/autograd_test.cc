@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "tensor/autograd.h"
@@ -67,6 +68,32 @@ TEST(AutogradTest, GradientsAccumulateAcrossBackwardCalls) {
   EXPECT_FLOAT_EQ(a->grad.item(), 6.0f);
   ZeroGrad({a});
   EXPECT_FALSE(a->grad_ready);
+}
+
+TEST(AutogradTest, BackwardAfterZeroGradReusesTheGradBuffer) {
+  Rng rng(5);
+  const Var x = Constant(Tensor::RandomNormal({3, 4}, &rng, 1.0f));
+  const auto loss = [&x](const Var& w) {
+    const Var h = MatMul(x, w);
+    return MeanAll(Mul(h, h));
+  };
+  Var w = Param(Tensor::RandomNormal({4, 2}, &rng, 1.0f));
+  Backward(loss(w));
+  const float* storage = w->grad.data();
+  ZeroGrad({w});
+  EXPECT_FALSE(w->grad_ready);
+  EXPECT_EQ(w->grad.data(), storage) << "ZeroGrad must keep the storage";
+  Backward(loss(w));
+  ASSERT_TRUE(w->grad_ready);
+  EXPECT_EQ(w->grad.data(), storage) << "Backward must reuse the buffer";
+
+  // A fresh node's first gradient is the reference, bit for bit.
+  Var fresh = Param(w->value);
+  Backward(loss(fresh));
+  ASSERT_TRUE(fresh->grad.SameShape(w->grad));
+  EXPECT_EQ(std::memcmp(fresh->grad.data(), w->grad.data(),
+                        sizeof(float) * static_cast<size_t>(w->grad.numel())),
+            0);
 }
 
 TEST(AutogradTest, ReusedNodeReceivesSummedGradient) {
@@ -268,6 +295,33 @@ TEST(OptimizerTest, AdamConvergesOnLogisticToy) {
     adam.Step();
   }
   EXPECT_LT(final_loss, 0.05f);
+}
+
+TEST(OptimizerTest, AdamRangeUpdatesMatchStepBitExactly) {
+  // Two steps, the second over split element ranges in reverse order,
+  // against whole-tensor Step() calls on an identical twin.
+  Rng rng(9);
+  const Tensor init = Tensor::RandomNormal({5, 7}, &rng, 1.0f);
+  const Tensor grad1 = Tensor::RandomNormal({5, 7}, &rng, 1.0f);
+  const Tensor grad2 = Tensor::RandomNormal({5, 7}, &rng, 1.0f);
+  Var whole = Param(init);
+  Var ranged = Param(init);
+  Adam a({whole}, 0.01f, 0.9f, 0.999f, 1e-8f, 0.1f);
+  Adam b({ranged}, 0.01f, 0.9f, 0.999f, 1e-8f, 0.1f);
+  for (const Tensor* g : {&grad1, &grad2}) {
+    whole->grad = *g;
+    whole->grad_ready = true;
+    ranged->grad = *g;
+    ranged->grad_ready = true;
+    a.Step();
+    b.BeginStep();
+    b.UpdateRange(0, 20, 35);
+    b.UpdateRange(0, 0, 20);
+  }
+  EXPECT_EQ(a.step(), b.step());
+  EXPECT_EQ(std::memcmp(whole->value.data(), ranged->value.data(),
+                        sizeof(float) * 35),
+            0);
 }
 
 TEST(OptimizerTest, StepSkipsParamsWithoutGradient) {

@@ -3,21 +3,31 @@
 // on: any lane count must reproduce the serial run bit-exactly —
 // per-epoch losses and final parameters — because gradients are
 // reduced in fixed example order regardless of which lane computed
-// them. Also covers ThreadPool::InWorkerThread, nested-ParallelFor
-// degradation, and the shared-pool accessor.
+// them. A slow reference — a textbook trainer written here on the
+// public nn/tensor API — pins what that order is: the same bits must
+// come out of it. Also covers ThreadPool::InWorkerThread,
+// nested-ParallelFor degradation, and the shared-pool accessor.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "core/aggregator.h"
+#include "core/gfn_features.h"
 #include "core/graph_dataset.h"
 #include "core/graph_model.h"
 #include "datagen/dataset.h"
 #include "datagen/simulator.h"
+#include "nn/gfn.h"
+#include "nn/linear.h"
+#include "nn/lstm.h"
+#include "tensor/optimizer.h"
 #include "tensor/tensor.h"
 #include "util/thread_pool.h"
 
@@ -37,6 +47,51 @@ void ExpectBitIdentical(const std::vector<float>& a,
   ASSERT_EQ(a.size(), b.size()) << what;
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
       << what << ": parameters differ between lane counts";
+}
+
+std::vector<double> Losses(const std::vector<EpochStat>& history) {
+  std::vector<double> out;
+  for (const EpochStat& s : history) out.push_back(s.train_loss);
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// The slow reference: one minibatch the textbook way. Per example:
+// ZeroGrad, forward, Backward, copy the gradients. Then per parameter:
+// sum the copies from zero in ascending example order, scale by
+// 1/batch, Step. `*loss_sum` gains the example losses in that order.
+// ---------------------------------------------------------------------------
+
+void ReferenceStep(const std::vector<tensor::Var>& params, tensor::Adam* adam,
+                   size_t bs, const std::function<tensor::Var(size_t)>& loss,
+                   double* loss_sum) {
+  std::vector<std::vector<tensor::Tensor>> grads(bs);
+  std::vector<std::vector<bool>> present(bs);
+  std::vector<double> losses(bs);
+  for (size_t e = 0; e < bs; ++e) {
+    adam->ZeroGrad();
+    const tensor::Var l = loss(e);
+    tensor::Backward(l);
+    losses[e] = static_cast<double>(l->value.item());
+    for (const tensor::Var& p : params) {
+      present[e].push_back(p->grad_ready);
+      grads[e].push_back(p->grad_ready ? p->grad : tensor::Tensor());
+    }
+  }
+  for (size_t pi = 0; pi < params.size(); ++pi) {
+    tensor::Tensor sum(params[pi]->value.shape());
+    bool any = false;
+    for (size_t e = 0; e < bs; ++e) {
+      if (!present[e][pi]) continue;
+      sum.AddInPlace(grads[e][pi]);
+      any = true;
+    }
+    sum.ScaleInPlace(1.0f / static_cast<float>(bs));
+    params[pi]->grad = sum;
+    params[pi]->grad_ready = any;
+  }
+  adam->Step();
+  for (size_t e = 0; e < bs; ++e) *loss_sum += losses[e];
 }
 
 // ---------------------------------------------------------------------------
@@ -153,6 +208,82 @@ TEST(ParallelAggregatorTest, AnyLaneCountReproducesSerialBitExactly) {
   }
 }
 
+/// AggregatorModel (LSTM kind) rebuilt from nn modules: the same RNG
+/// draws at construction, parameter order and per-call shuffle protocol.
+class ReferenceAggregator {
+ public:
+  explicit ReferenceAggregator(const AggregatorOptions& o)
+      : options_(o),
+        rng_(o.seed),
+        lstm_(o.embed_dim, o.hidden_dim, &rng_),
+        head_({o.hidden_dim, o.mlp_hidden, o.num_classes}, &rng_),
+        params_(Params()),
+        adam_(params_, o.learning_rate) {}
+
+  std::vector<double> Train(const std::vector<EmbeddingSequence>& train) {
+    std::vector<size_t> order(train.size());
+    std::iota(order.begin(), order.end(), 0);
+    const size_t batch = static_cast<size_t>(options_.batch_size);
+    std::vector<double> losses;
+    for (int epoch = 0; epoch < options_.epochs; ++epoch) {
+      rng_.Shuffle(&order);
+      double total = 0.0;
+      for (size_t i = 0; i < order.size(); i += batch) {
+        ReferenceStep(params_, &adam_, std::min(batch, order.size() - i),
+                      [&](size_t e) {
+                        const EmbeddingSequence& ex = train[order[i + e]];
+                        return tensor::SoftmaxCrossEntropy(
+                            head_.Forward(lstm_.ForwardLast(
+                                tensor::Constant(ex.embeddings))),
+                            std::vector<int>{ex.label});
+                      },
+                      &total);
+      }
+      losses.push_back(total / static_cast<double>(train.size()));
+    }
+    return losses;
+  }
+
+  const std::vector<tensor::Var>& params() const { return params_; }
+
+ private:
+  std::vector<tensor::Var> Params() const {
+    std::vector<tensor::Var> p = head_.Parameters();
+    for (const tensor::Var& v : lstm_.Parameters()) p.push_back(v);
+    return p;
+  }
+
+  AggregatorOptions options_;
+  Rng rng_;
+  nn::Lstm lstm_;
+  nn::Mlp head_;
+  std::vector<tensor::Var> params_;
+  tensor::Adam adam_;
+};
+
+TEST(ParallelAggregatorTest, MatchesTheSlowReferenceBitExactly) {
+  const auto sequences = SyntheticSequences(23, 8, 4);
+  for (int batch : {5, 2}) {  // 23 % 5: ragged last batch; 2 < lanes
+    AggregatorOptions o = SmallAggregatorOptions(1);
+    o.batch_size = batch;
+    ReferenceAggregator reference(o);
+    const std::vector<double> first = reference.Train(sequences);
+    const std::vector<double> second = reference.Train(sequences);
+    for (int lanes : {1, 2, 3, 0}) {
+      o.num_threads = lanes;
+      AggregatorModel model(o);
+      for (const std::vector<double>* want : {&first, &second}) {
+        std::vector<EpochStat> history;
+        model.Train(sequences, nullptr, &history);
+        EXPECT_EQ(Losses(history), *want)
+            << "batch " << batch << " lanes " << lanes;
+      }
+      ExpectBitIdentical(Flatten(reference.params()),
+                         Flatten(model.Parameters()), "aggregator");
+    }
+  }
+}
+
 TEST(ParallelAggregatorTest, ValidateRejectsNegativeThreads) {
   AggregatorOptions o = SmallAggregatorOptions(-1);
   EXPECT_FALSE(o.Validate().ok());
@@ -226,6 +357,96 @@ TEST_F(ParallelGraphModelTest, AnyLaneCountReproducesSerialBitExactly) {
     }
     ExpectBitIdentical(serial_params, Flatten(threaded.Parameters()),
                        "graph model");
+  }
+}
+
+/// GraphModel (GFN) rebuilt from nn::GfnEncoder: the same RNG draws at
+/// construction, per-epoch shuffle and per-example dropout seeds.
+class ReferenceGfn {
+ public:
+  explicit ReferenceGfn(const GraphModelOptions& o)
+      : options_(o),
+        rng_(o.seed),
+        encoder_(EncoderOptions(o), &rng_),
+        adam_(encoder_.Parameters(), o.learning_rate, 0.9f, 0.999f, 1e-8f,
+              o.weight_decay) {}
+
+  std::vector<double> Train(const std::vector<AddressSample>& train) {
+    std::vector<std::pair<const GraphTensors*, int>> examples;
+    for (const AddressSample& s : train) {
+      for (const GraphTensors& gt : s.tensors) examples.emplace_back(&gt, s.label);
+    }
+    const size_t batch = static_cast<size_t>(options_.batch_size);
+    std::vector<size_t> order(examples.size());
+    std::vector<double> losses;
+    for (int epoch = 0; epoch < options_.epochs; ++epoch) {
+      std::iota(order.begin(), order.end(), 0);
+      rng_.Shuffle(&order);
+      double total = 0.0;
+      for (size_t i = 0; i < examples.size(); i += batch) {
+        const size_t bs = std::min(batch, examples.size() - i);
+        std::vector<uint64_t> seeds(bs);
+        for (uint64_t& seed : seeds) seed = rng_.Next();
+        ReferenceStep(adam_.params(), &adam_, bs,
+                      [&](size_t e) {
+                        Rng dropout_rng(seeds[e]);
+                        const auto& [gt, label] = examples[order[i + e]];
+                        return tensor::SoftmaxCrossEntropy(
+                            encoder_.Forward(tensor::Constant(gt->augmented),
+                                             &dropout_rng, /*training=*/true),
+                            std::vector<int>{label});
+                      },
+                      &total);
+      }
+      losses.push_back(total / static_cast<double>(examples.size()));
+    }
+    return losses;
+  }
+
+  std::vector<tensor::Var> params() const { return encoder_.Parameters(); }
+
+ private:
+  static nn::GfnEncoder::Options EncoderOptions(const GraphModelOptions& o) {
+    nn::GfnEncoder::Options e;
+    e.input_dim = AugmentedDim(o.k_hops);
+    e.hidden_dim = o.hidden_dim;
+    e.embed_dim = o.embed_dim;
+    e.num_classes = o.num_classes;
+    e.dropout = o.dropout;
+    return e;
+  }
+
+  GraphModelOptions options_;
+  Rng rng_;
+  nn::GfnEncoder encoder_;
+  tensor::Adam adam_;
+};
+
+TEST_F(ParallelGraphModelTest, MatchesTheSlowReferenceBitExactly) {
+  size_t graphs = 0;
+  for (const AddressSample& s : *samples_) graphs += s.tensors.size();
+  // A batch size that leaves a ragged last batch, then one below the
+  // lane counts.
+  int ragged = 5;
+  while (graphs % static_cast<size_t>(ragged) == 0) ++ragged;
+  for (int batch : {ragged, 2}) {
+    GraphModelOptions o = BaseOptions(1);
+    o.batch_size = batch;
+    ReferenceGfn reference(o);
+    const std::vector<double> first = reference.Train(*samples_);
+    const std::vector<double> second = reference.Train(*samples_);
+    for (int lanes : {1, 2, 3, 0}) {
+      o.num_threads = lanes;
+      GraphModel model(o);
+      for (const std::vector<double>* want : {&first, &second}) {
+        std::vector<EpochStat> history;
+        ASSERT_TRUE(model.Train(*samples_, nullptr, &history).ok());
+        EXPECT_EQ(Losses(history), *want)
+            << "batch " << batch << " lanes " << lanes;
+      }
+      ExpectBitIdentical(Flatten(reference.params()),
+                         Flatten(model.Parameters()), "graph model");
+    }
   }
 }
 
