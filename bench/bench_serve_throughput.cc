@@ -3,9 +3,17 @@
 // (every client polls every watched address each round — the BitScope
 // cadence). Reports queries/sec, latency percentiles and cache
 // effectiveness, and writes a machine-readable BENCH_serve.json.
+// Gates: engine qps >= 3x serial, and the sweep defence below.
+//
+// Sweep defence: a mixer_hunt-style cold sweep runs concurrently with
+// a hot polling client against one engine whose cache holds twice the
+// watched set. The engine's sweep detector (sweep_miss_streak 8) must
+// flag the sweeper and stamp its requests no-promote, keeping the hot
+// set's hit rate at >= 90% of its no-sweep value.
 //
 //   ./build/bench/bench_serve_throughput [--blocks 150] [--addresses 200]
 //       [--rounds 5] [--clients 4] [--threads 2] [--out BENCH_serve.json]
+//       [--poll-rounds 25] [--poll-interval-ms 20]
 //
 // With --precision int8 the bench instead compares an fp32 engine
 // against an int8 (quantized embed path) engine on a cold-cache,
@@ -14,18 +22,6 @@
 // construction + encoder forward. Gates: int8 qps >= 1.3x fp32, and
 // the two engines' label accuracy may differ by at most 0.5 points.
 //
-// With --engines N (> 0) the bench instead measures the sharded tier
-// (serve::ShardedEngine, N consistent-hash shards) against one
-// InferenceEngine on the repeat-query workload, plus the
-// eviction-aware-admission story: a mixer_hunt-style cold sweep runs
-// concurrently with the hot polling clients against small per-shard
-// caches, and the sweep detector's no-promote mode must keep the hot
-// set's hit rate at >= 90% of its no-sweep value. Gates: sharded qps
-// >= 0.9 x single-engine qps (one engine's blocking callers already run
-// in parallel, so sharding must only not cost throughput; a 4-vCPU
-// host measures 1.02-1.06x at N = 4), and the hit-rate ratio >= 0.9.
-// Writes BENCH_serve_sharded.json.
-
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -38,7 +34,6 @@
 #include "bench/bench_common.h"
 #include "core/classifier.h"
 #include "serve/inference_engine.h"
-#include "serve/sharded_engine.h"
 
 namespace {
 
@@ -105,50 +100,17 @@ double EngineAccuracy(ba::serve::InferenceEngine* engine,
          static_cast<double>(watched.size());
 }
 
-/// Repeat-query polling qps against any serving surface: `clients`
-/// threads each issue blocking single-address queries over the watched
-/// set — the network server's shape (one request in flight per
-/// connection). On the single engine every client contends on one
-/// queue, one leader pipeline and one cache lock; the sharded tier
-/// spreads them over N of each, which is where the near-linear scaling
-/// comes from when cores are available. Caches warmed by one initial
-/// batch.
-double HotQps(ba::serve::Engine* engine,
-              const std::vector<ba::chain::AddressId>& watched, int rounds,
-              int clients) {
-  for (const auto& r : engine->ClassifyBatch(watched)) {
-    BA_CHECK_OK(r.status());
-  }
-  ba::Stopwatch watch;
-  watch.Start();
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      for (int r = c; r < rounds; r += clients) {
-        for (const auto& address : watched) {
-          BA_CHECK_OK(engine->Classify(address).status());
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  watch.Stop();
-  return static_cast<double>(watched.size()) * rounds /
-         watch.ElapsedSeconds();
-}
-
 /// Hot-set hit rate while (optionally) a cold sweep hammers the same
-/// small per-shard caches from a separate connection identity. The hot
-/// clients poll `watched` at a real monitoring cadence — one batch per
+/// small cache from a separate connection identity. The hot client
+/// polls `watched` at a real monitoring cadence — one batch per
 /// `poll_interval_ms` — which is exactly when an unprotected full-speed
 /// sweep is lethal: dozens of cold insertions land between two polls,
 /// pushing the idle hot entries to the LRU floor. The sweeper walks
 /// `sweep` (classifiable addresses *outside* the hot set) continuously
-/// until the pollers finish. Hits are counted from the hot clients' own
-/// results — exact, not a ratio of global counters the sweeper also
+/// until the poller finishes. Hits are counted from the hot client's
+/// own results — exact, not a ratio of global counters the sweeper also
 /// moves.
-double HotHitRate(ba::serve::ShardedEngine* engine,
+double HotHitRate(ba::serve::InferenceEngine* engine,
                   const std::vector<ba::chain::AddressId>& watched,
                   const std::vector<ba::chain::AddressId>& sweep,
                   int rounds, int poll_interval_ms, bool with_sweep) {
@@ -235,132 +197,6 @@ int main(int argc, char** argv) {
             << " clients (trained in "
             << ba::TablePrinter::Num(train_watch.ElapsedSeconds(), 1)
             << "s)\n";
-
-  const int engines = static_cast<int>(flags.GetInt("engines", 0));
-  if (engines > 0) {
-    // --- Sharded tier vs one engine, repeat-query + sweep. ------------
-    // Both sides draw workers from the process-wide shared pool so the
-    // comparison measures sharding (N queues, N caches, N leader
-    // pipelines), not a larger thread budget.
-    ba::serve::InferenceEngineOptions base_options;
-    base_options.num_threads = 0;
-    const int hot_clients = static_cast<int>(
-        flags.GetInt("clients", std::max(8, 2 * engines)));
-    const int attempts = static_cast<int>(flags.GetInt("attempts", 3));
-    // Enough hot polls that a measurement lasts long past thread spawn
-    // and scheduler noise (cache hits are microseconds each).
-    const int hot_rounds =
-        static_cast<int>(flags.GetInt("hot-rounds", 400));
-    std::vector<ba::chain::AddressId> hot_list;
-    hot_list.reserve(watched.size());
-    for (const auto& a : watched) hot_list.push_back(a.address);
-
-    auto single = ba::serve::InferenceEngine::Create(
-        classifier.get(), &simulator.ledger(), base_options);
-    BA_CHECK_OK(single.status());
-    ba::serve::ShardedEngineOptions sharded_options;
-    sharded_options.num_engines = engines;
-    sharded_options.engine = base_options;
-    auto sharded = ba::serve::ShardedEngine::Create(
-        classifier.get(), &simulator.ledger(), sharded_options);
-    BA_CHECK_OK(sharded.status());
-
-    // Interleaved best-of-N (same rationale as the int8 mode).
-    double single_qps = 0.0, sharded_qps = 0.0;
-    for (int a = 0; a < attempts; ++a) {
-      single_qps = std::max(
-          single_qps,
-          HotQps(single.value().get(), hot_list, hot_rounds, hot_clients));
-      sharded_qps = std::max(
-          sharded_qps,
-          HotQps(sharded.value().get(), hot_list, hot_rounds, hot_clients));
-    }
-    const double scaling = sharded_qps / single_qps;
-    // One engine's blocking callers already run in parallel on every
-    // core, so N shards have no cores left to add on the hot set. The
-    // gate is that the router and N engines cost no material
-    // throughput.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const int usable_cores =
-        static_cast<int>(std::max(1u, hw == 0 ? 1u : hw));
-    const double scaling_gate = 0.9;
-    const bool qps_ok = scaling >= scaling_gate;
-    std::cout << "[single ] " << ba::TablePrinter::Num(single_qps, 1)
-              << " queries/sec (hot set)\n"
-              << "[sharded] " << ba::TablePrinter::Num(sharded_qps, 1)
-              << " queries/sec with " << engines << " engines ("
-              << ba::TablePrinter::Num(scaling, 2) << "x single)  gate>="
-              << ba::TablePrinter::Num(scaling_gate, 2) << " "
-              << (qps_ok ? "PASS" : "FAIL") << "\n";
-
-    // --- Eviction-aware admission: hot set vs cold sweep. -------------
-    // Tiny per-shard caches that just fit the hot set, and a sweep over
-    // every other classifiable address — without the no-promote mode
-    // the sweep would evict the hot set continuously.
-    std::unordered_set<ba::chain::AddressId> hot_ids(hot_list.begin(),
-                                                     hot_list.end());
-    std::vector<ba::chain::AddressId> sweep;
-    for (const auto& a : simulator.CollectLabeledAddresses(/*min_txs=*/2)) {
-      if (hot_ids.find(a.address) == hot_ids.end()) {
-        sweep.push_back(a.address);
-      }
-    }
-    BA_CHECK(!sweep.empty());
-    ba::serve::ShardedEngineOptions small_options = sharded_options;
-    small_options.engine.cache_capacity = static_cast<size_t>(std::max<int>(
-        8, static_cast<int>(flags.GetInt(
-               "shard-cache", static_cast<int64_t>(watched.size() * 2 /
-                                                   std::max(engines, 1))))));
-    small_options.sweep_miss_streak = 8;
-    const int poll_rounds =
-        static_cast<int>(flags.GetInt("poll-rounds", 25));
-    const int poll_interval_ms =
-        static_cast<int>(flags.GetInt("poll-interval-ms", 20));
-    // Fresh engine per measurement: no detector or cache carry-over.
-    auto quiet = ba::serve::ShardedEngine::Create(
-        classifier.get(), &simulator.ledger(), small_options);
-    BA_CHECK_OK(quiet.status());
-    const double hit_rate_quiet =
-        HotHitRate(quiet.value().get(), hot_list, sweep, poll_rounds,
-                   poll_interval_ms, /*with_sweep=*/false);
-    auto swept = ba::serve::ShardedEngine::Create(
-        classifier.get(), &simulator.ledger(), small_options);
-    BA_CHECK_OK(swept.status());
-    const double hit_rate_swept =
-        HotHitRate(swept.value().get(), hot_list, sweep, poll_rounds,
-                   poll_interval_ms, /*with_sweep=*/true);
-    const double hit_ratio =
-        hit_rate_quiet > 0.0 ? hit_rate_swept / hit_rate_quiet : 0.0;
-    const bool sweep_ok = hit_ratio >= 0.9;
-    std::cout << "[hot hit rate] quiet "
-              << ba::TablePrinter::Num(hit_rate_quiet, 4) << "  under sweep "
-              << ba::TablePrinter::Num(hit_rate_swept, 4) << " (ratio "
-              << ba::TablePrinter::Num(hit_ratio, 3) << ", "
-              << swept.value()->sweeping_clients()
-              << " clients flagged sweeping)  gate>=0.9 "
-              << (sweep_ok ? "PASS" : "FAIL") << "\n";
-
-    const std::string out_path =
-        flags.GetString("out", "BENCH_serve_sharded.json");
-    std::ofstream out(out_path, std::ios::trunc);
-    out << "{\"engines\":" << engines << ",\"single_qps\":" << single_qps
-        << ",\"sharded_qps\":" << sharded_qps << ",\"scaling\":" << scaling
-        << ",\"scaling_gate\":" << scaling_gate
-        << ",\"cores\":" << usable_cores
-        << ",\"hot_hit_rate_quiet\":" << hit_rate_quiet
-        << ",\"hot_hit_rate_swept\":" << hit_rate_swept
-        << ",\"hit_rate_ratio\":" << hit_ratio
-        << ",\"sweeping_clients\":" << swept.value()->sweeping_clients()
-        << ",\"sweep_addresses\":" << sweep.size()
-        << ",\"rounds\":" << rounds << ",\"clients\":" << hot_clients
-        << ",\"watched_addresses\":" << watched.size()
-        << ",\"train_seconds\":" << train_watch.ElapsedSeconds()
-        << ",\"sharded\":" << sharded.value()->Metrics().ToJson()
-        << ",\"meta\":"
-        << ba::bench::BenchMetaJson(flags, "serve_throughput") << "}\n";
-    std::cout << "\nwrote " << out_path << "\n";
-    return (qps_ok && sweep_ok) ? 0 : 1;
-  }
 
   if (precision == "int8") {
     // --- fp32 engine vs int8 engine, cold-cache (embed-bound). --------
@@ -469,6 +305,50 @@ int main(int argc, char** argv) {
             << "x serial)\n\n"
             << m.ToString();
 
+  // --- Sweep defence: hot set vs cold sweep on one engine. ------------
+  // A cache that holds twice the hot set, and a sweep over every other
+  // classifiable address — without the no-promote mode the sweep would
+  // evict the hot set continuously.
+  std::vector<ba::chain::AddressId> hot_list;
+  hot_list.reserve(watched.size());
+  for (const auto& a : watched) hot_list.push_back(a.address);
+  std::unordered_set<ba::chain::AddressId> hot_ids(hot_list.begin(),
+                                                   hot_list.end());
+  std::vector<ba::chain::AddressId> sweep;
+  for (const auto& a : simulator.CollectLabeledAddresses(/*min_txs=*/2)) {
+    if (hot_ids.find(a.address) == hot_ids.end()) sweep.push_back(a.address);
+  }
+  BA_CHECK(!sweep.empty());
+  ba::serve::InferenceEngineOptions small_options = engine_options;
+  small_options.cache_capacity = 2 * watched.size();
+  small_options.sweep_miss_streak = 8;
+  const int poll_rounds = static_cast<int>(flags.GetInt("poll-rounds", 25));
+  const int poll_interval_ms =
+      static_cast<int>(flags.GetInt("poll-interval-ms", 20));
+  // Fresh engine per measurement: no detector or cache carry-over.
+  auto quiet = ba::serve::InferenceEngine::Create(
+      classifier.get(), &simulator.ledger(), small_options);
+  BA_CHECK_OK(quiet.status());
+  const double hit_rate_quiet =
+      HotHitRate(quiet.value().get(), hot_list, sweep, poll_rounds,
+                 poll_interval_ms, /*with_sweep=*/false);
+  auto swept = ba::serve::InferenceEngine::Create(
+      classifier.get(), &simulator.ledger(), small_options);
+  BA_CHECK_OK(swept.status());
+  const double hit_rate_swept =
+      HotHitRate(swept.value().get(), hot_list, sweep, poll_rounds,
+                 poll_interval_ms, /*with_sweep=*/true);
+  const double hit_ratio =
+      hit_rate_quiet > 0.0 ? hit_rate_swept / hit_rate_quiet : 0.0;
+  const bool sweep_ok = hit_ratio >= 0.9;
+  std::cout << "\n[hot hit rate] quiet "
+            << ba::TablePrinter::Num(hit_rate_quiet, 4) << "  under sweep "
+            << ba::TablePrinter::Num(hit_rate_swept, 4) << " (ratio "
+            << ba::TablePrinter::Num(hit_ratio, 3) << ", "
+            << swept.value()->sweeping_clients()
+            << " clients flagged sweeping)  gate>=0.9 "
+            << (sweep_ok ? "PASS" : "FAIL") << "\n";
+
   const std::string out_path =
       flags.GetString("out", "BENCH_serve.json");
   std::ofstream out(out_path, std::ios::trunc);
@@ -478,7 +358,15 @@ int main(int argc, char** argv) {
       << ",\"watched_addresses\":" << watched.size()
       << ",\"train_seconds\":" << train_watch.ElapsedSeconds()
       << ",\"engine\":" << m.ToJson()
-      << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "serve_throughput") << "}\n";
+      << ",\"hot_hit_rate_quiet\":" << hit_rate_quiet
+      << ",\"hot_hit_rate_swept\":" << hit_rate_swept
+      << ",\"hit_rate_ratio\":" << hit_ratio
+      << ",\"sweeping_clients\":" << swept.value()->sweeping_clients()
+      << ",\"sweep_addresses\":" << sweep.size()
+      << ",\"sweep_cache_capacity\":" << small_options.cache_capacity
+      << ",\"sweep_miss_streak\":" << small_options.sweep_miss_streak
+      << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "serve_throughput")
+      << "}\n";
   std::cout << "\nwrote " << out_path << "\n";
-  return speedup >= 3.0 ? 0 : 1;
+  return (speedup >= 3.0 && sweep_ok) ? 0 : 1;
 }

@@ -17,14 +17,13 @@
 // Build & run:  ./build/examples/ba_serve [--port 0] [--admin-port 0]
 //     [--port-file /tmp/ba_serve.port] [--blocks 60] [--duration 0]
 //     [--seal-every-ms 0] [--cache ''] [--admission 1]
-//     [--flight-recorder 1024] [--slow-ms 0] [--engines 1]
+//     [--flight-recorder 1024] [--slow-ms 0]
 //
-// --engines N > 1 stands up the sharded tier (serve::ShardedEngine):
-// N inference engines behind a consistent-hash router, each owning the
-// cache/queue/admission for its slice of the address space. The wire
-// protocol and admin commands are identical; `metrics` reports the
-// aggregated snapshot plus per-shard serve.engine.<k> providers, and
-// --cache persists one file per shard plus a shard-count manifest.
+// One InferenceEngine answers every connection. Its sweep detector
+// keys on the connection id: a connection whose answers keep missing
+// the cache (a mixer_hunt-style scan) is served no-promote after 32
+// consecutive misses, so it cannot evict the polling fleet's hot set
+// (`serve.sweep.requests` in `metrics` counts those requests).
 //
 // --flight-recorder N keeps the last N request timelines queryable
 // over the admin port (`slowlog`, `timeline <trace_id>`); --slow-ms T
@@ -47,7 +46,6 @@
 #include "datagen/simulator.h"
 #include "net/server.h"
 #include "serve/inference_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/cli.h"
 
 namespace {
@@ -106,30 +104,10 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("flight-recorder", 1024));
   engine_options.slow_request_threshold =
       static_cast<double>(flags.GetInt("slow-ms", 0)) / 1000.0;
-  // One owning slot either way; `serving` is what the server and the
-  // shutdown path talk to.
-  const int num_engines = static_cast<int>(flags.GetInt("engines", 1));
-  std::unique_ptr<ba::serve::InferenceEngine> single_engine;
-  std::unique_ptr<ba::serve::ShardedEngine> sharded_engine;
-  ba::serve::Engine* serving = nullptr;
-  if (num_engines > 1) {
-    ba::serve::ShardedEngineOptions sharded_options;
-    sharded_options.num_engines = num_engines;
-    sharded_options.engine = engine_options;
-    auto created_sharded = ba::serve::ShardedEngine::Create(
-        classifier.get(), &simulator.ledger(), sharded_options);
-    BA_CHECK_OK(created_sharded.status());
-    sharded_engine = std::move(created_sharded).value();
-    serving = sharded_engine.get();
-    std::cout << "sharded tier: " << num_engines
-              << " engines behind the consistent-hash router\n";
-  } else {
-    auto created_single = ba::serve::InferenceEngine::Create(
-        classifier.get(), &simulator.ledger(), engine_options);
-    BA_CHECK_OK(created_single.status());
-    single_engine = std::move(created_single).value();
-    serving = single_engine.get();
-  }
+  auto created_engine = ba::serve::InferenceEngine::Create(
+      classifier.get(), &simulator.ledger(), engine_options);
+  BA_CHECK_OK(created_engine.status());
+  const auto engine = std::move(created_engine).value();
 
   // --- Server. --------------------------------------------------------
   ba::net::ServerOptions server_options;
@@ -140,7 +118,7 @@ int main(int argc, char** argv) {
   server_options.idle_timeout_sec =
       static_cast<int>(flags.GetInt("idle-timeout", 0));
   auto server = ba::net::Server::Create(
-      serving, &simulator.ledger(), server_options);
+      engine.get(), &simulator.ledger(), server_options);
   BA_CHECK_OK(server.status());
   BA_CHECK_OK(server.value()->Start());
   std::cout << "serving on 127.0.0.1:" << server.value()->port()
@@ -224,9 +202,9 @@ int main(int argc, char** argv) {
   server.value()->Stop();  // drain in-flight classifies
 
   if (!engine_options.cache_path.empty()) {
-    BA_CHECK_OK(serving->SaveCache());
+    BA_CHECK_OK(engine->SaveCache());
   }
-  const auto m = serving->Metrics();
+  const auto m = engine->Metrics();
   std::cout << "served " << m.requests << " requests (" << m.shed
             << " shed, " << m.deadline_exceeded << " deadline-exceeded, "
             << m.slow_requests << " slow), hit rate "

@@ -6,9 +6,8 @@
 //    monitoring clients re-classify every watched address. Repeat
 //    queries hit the cache; addresses that gained transactions rebuild
 //    only their tail slices.
-// 4. Persist the cache after every block (crash-safe), print the
-//    engine's metrics snapshot as the stream progresses, and stream the
-//    process-wide MetricsRegistry JSON every --metrics-every blocks.
+// 4. Persist the cache after every block (crash-safe) and print the
+//    engine's metrics snapshot as the stream progresses.
 // 5. On exit, write a Perfetto-loadable trace of the whole run
 //    (--trace-out, default /tmp/ba_serve_monitor_trace.json) — open it
 //    at https://ui.perfetto.dev to see training epochs, serve batches
@@ -34,9 +33,6 @@
 // recent timelines, or (with --trace-id) the recorded timeline of one
 // request.
 //
-// The old --metrics-every N flag (inline registry JSON every N blocks)
-// still works but is deprecated in favor of the admin port.
-//
 // Resilience knobs: --deadline-ms gives every monitoring query a
 // deadline (answers past it come back stale-but-labeled, since the
 // monitor prefers a lagged answer over none); --overload N multiplies
@@ -54,7 +50,6 @@
 #include "datagen/simulator.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inference_engine.h"
 #include "util/cli.h"
@@ -177,13 +172,6 @@ int main(int argc, char** argv) {
               << admin_server->admin_port() << "\n";
   }
 
-  const int metrics_every =
-      static_cast<int>(flags.GetInt("metrics-every", 0));
-  if (flags.Has("metrics-every")) {
-    std::cerr << "warning: --metrics-every is deprecated; run with "
-                 "--admin <port> and scrape it from another shell "
-                 "(serve_monitor scrape --admin <port>)\n";
-  }
   std::cout << "\n";
 
   // --- 3. Stream blocks, poll watched addresses each block. -----------
@@ -263,14 +251,6 @@ int main(int argc, char** argv) {
               << static_cast<int>(m.hit_rate * 100.0 + 0.5) << "%, p99 "
               << ba::serve::FormatSeconds(m.request_latency.p99_seconds)
               << "\n";
-
-    // Deprecated inline registry scrape (--metrics-every): the admin
-    // port serves the same JSON on demand without polluting stdout.
-    if (metrics_every > 0 && (b + 1) % metrics_every == 0) {
-      std::cout << "registry: "
-                << ba::obs::MetricsRegistry::Instance().JsonExposition()
-                << "\n";
-    }
   }
 
   // --- 4. Final metrics snapshot. -------------------------------------

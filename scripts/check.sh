@@ -31,17 +31,11 @@
 #                      in external mode (fleet, churn and the protocol
 #                      abuse suite — no lost or hung connections
 #                      tolerated), scrapes health/metrics through the
-#                      admin port via serve_monitor's scrape subcommand,
-#                      then shuts the daemon down with an admin quit and
-#                      requires a clean exit.
-#   shard              Release-build sharded-serving smoke: starts the
-#                      ba_serve daemon with --engines 4 (four inference
-#                      engines behind the consistent-hash router),
-#                      drives it with bench_net_loadgen over real
-#                      sockets, scrapes the admin port for the
-#                      aggregated metrics plus the serve.router.* and
-#                      per-shard serve.engine.<k> instruments, then
-#                      requires a clean admin-quit exit.
+#                      admin port via serve_monitor's scrape subcommand
+#                      (the metrics scrape must carry the engine's
+#                      serve.sweep.requests counter), then shuts the
+#                      daemon down with an admin quit and requires a
+#                      clean exit.
 #   perf               Release-build perf smoke: bench_gemm (fp32 +
 #                      int8 kernel parity, single-thread speedup), the
 #                      training throughput bench at 1 and N lanes, and
@@ -59,7 +53,7 @@
 #                      BaClassifier::Predict. Runs the benchmark only;
 #                      nothing under bench_profile/ is modified.
 #
-# Usage: scripts/check.sh [address|thread|trace|chaos|net|shard|perf|profile] [build-dir]
+# Usage: scripts/check.sh [address|thread|trace|chaos|net|perf|profile] [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -106,7 +100,7 @@ case "$MODE" in
       -DBA_SANITIZE=thread \
       -DBA_BUILD_BENCHMARKS=OFF \
       -DBA_BUILD_EXAMPLES=OFF
-    TSAN_TESTS="serve_test sharded_serve_test snapshot_test util_test obs_test parallel_train_test resilience_test chaos_test protocol_test net_test async_classify_test"
+    TSAN_TESTS="serve_test snapshot_test util_test obs_test parallel_train_test resilience_test chaos_test protocol_test net_test async_classify_test"
     # shellcheck disable=SC2086
     cmake --build "$BUILD_DIR" -j "$(nproc)" \
       --target $TSAN_TESTS
@@ -182,13 +176,14 @@ EOF
     PORT_FILE="$(mktemp -u /tmp/ba_net_smoke_port_XXXXXX)"
     LOADGEN_OUT="$(mktemp -u /tmp/ba_net_smoke_bench_XXXXXX.json)"
     DAEMON_LOG="$(mktemp /tmp/ba_net_smoke_daemon_XXXXXX.log)"
+    METRICS_OUT="$(mktemp /tmp/ba_net_smoke_metrics_XXXXXX.json)"
     DAEMON_PID=""
     cleanup_net() {
       if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
         kill "$DAEMON_PID" 2>/dev/null || true
         wait "$DAEMON_PID" 2>/dev/null || true
       fi
-      rm -f "$PORT_FILE" "$LOADGEN_OUT" "$DAEMON_LOG"
+      rm -f "$PORT_FILE" "$LOADGEN_OUT" "$DAEMON_LOG" "$METRICS_OUT"
     }
     trap cleanup_net EXIT
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
@@ -232,10 +227,15 @@ EOF
     "$BUILD_DIR"/bench/bench_net_loadgen --connect "$DATA_PORT" \
       --address-max 50 --connections 8 --seconds 1 --churn-rounds 20 \
       --out "$LOADGEN_OUT"
-    # The daemon served real traffic: the registry scrape must show it.
+    # The daemon served real traffic: the registry scrape must show it,
+    # and the engine's sweep detector must publish its counter.
     "$BUILD_DIR"/examples/serve_monitor scrape --admin "$ADMIN_PORT" \
-      --cmd metrics | grep -q 'net.requests' \
+      --cmd metrics > "$METRICS_OUT" \
       || { echo "check.sh: metrics scrape failed" >&2; exit 1; }
+    grep -q 'net.requests' "$METRICS_OUT" \
+      || { echo "check.sh: no net.requests in scrape" >&2; exit 1; }
+    grep -q 'serve.sweep.requests' "$METRICS_OUT" \
+      || { echo "check.sh: no serve.sweep.requests in scrape" >&2; exit 1; }
     # Admin quit: the daemon must exit 0 on its own, no signal needed.
     "$BUILD_DIR"/examples/serve_monitor scrape --admin "$ADMIN_PORT" \
       --cmd quit | grep -q 'bye' \
@@ -247,79 +247,6 @@ EOF
     fi
     DAEMON_PID=""
     echo "net smoke OK (data $DATA_PORT, admin $ADMIN_PORT)"
-    ;;
-  shard)
-    BUILD_DIR="${2:-build}"
-    PORT_FILE="$(mktemp -u /tmp/ba_shard_smoke_port_XXXXXX)"
-    LOADGEN_OUT="$(mktemp -u /tmp/ba_shard_smoke_bench_XXXXXX.json)"
-    DAEMON_LOG="$(mktemp /tmp/ba_shard_smoke_daemon_XXXXXX.log)"
-    METRICS_OUT="$(mktemp /tmp/ba_shard_smoke_metrics_XXXXXX.json)"
-    DAEMON_PID=""
-    cleanup_shard() {
-      if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-        kill "$DAEMON_PID" 2>/dev/null || true
-        wait "$DAEMON_PID" 2>/dev/null || true
-      fi
-      rm -f "$PORT_FILE" "$LOADGEN_OUT" "$DAEMON_LOG" "$METRICS_OUT"
-    }
-    trap cleanup_shard EXIT
-    cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$BUILD_DIR" -j "$(nproc)" \
-      --target ba_serve_daemon bench_net_loadgen serve_monitor
-    # The sharded tier behind the same wire protocol: four engines,
-    # ephemeral ports, port-file handshake.
-    "$BUILD_DIR"/examples/ba_serve --port 0 --admin-port 0 \
-      --port-file "$PORT_FILE" --blocks 60 --engines 4 \
-      > "$DAEMON_LOG" 2>&1 &
-    DAEMON_PID="$!"
-    for _ in $(seq 1 300); do
-      [ -s "$PORT_FILE" ] && break
-      if ! kill -0 "$DAEMON_PID" 2>/dev/null; then
-        echo "check.sh: ba_serve --engines 4 died during startup:" >&2
-        cat "$DAEMON_LOG" >&2
-        exit 1
-      fi
-      sleep 0.2
-    done
-    if [ ! -s "$PORT_FILE" ]; then
-      echo "check.sh: ba_serve never wrote $PORT_FILE" >&2
-      cat "$DAEMON_LOG" >&2
-      exit 1
-    fi
-    read -r DATA_PORT ADMIN_PORT < "$PORT_FILE"
-    echo "check.sh: sharded ba_serve up (data $DATA_PORT, admin $ADMIN_PORT)"
-    "$BUILD_DIR"/examples/serve_monitor scrape --admin "$ADMIN_PORT" \
-      --cmd health | grep -q '"status":"ok"' \
-      || { echo "check.sh: health scrape failed" >&2; exit 1; }
-    # Real socket traffic through the router (wire stability: the
-    # loadgen neither knows nor cares that the engine is sharded).
-    "$BUILD_DIR"/bench/bench_net_loadgen --connect "$DATA_PORT" \
-      --address-max 50 --connections 8 --seconds 1 --churn-rounds 10 \
-      --out "$LOADGEN_OUT"
-    # The admin scrape must expose the router instruments, the router
-    # provider (4 shards) and every per-shard engine provider.
-    "$BUILD_DIR"/examples/serve_monitor scrape --admin "$ADMIN_PORT" \
-      --cmd metrics > "$METRICS_OUT" \
-      || { echo "check.sh: metrics scrape failed" >&2; exit 1; }
-    grep -q 'serve.router.requests' "$METRICS_OUT" \
-      || { echo "check.sh: no serve.router.requests in scrape" >&2; exit 1; }
-    grep -q '"shards":4' "$METRICS_OUT" \
-      || { echo "check.sh: router provider missing/shard count wrong" >&2; exit 1; }
-    SHARD_PROVIDERS="$(grep -o '"serve\.engine\.[0-9]*":{' "$METRICS_OUT" | sort -u | wc -l)"
-    if [ "$SHARD_PROVIDERS" -lt 4 ]; then
-      echo "check.sh: expected 4 per-shard providers, saw $SHARD_PROVIDERS" >&2
-      exit 1
-    fi
-    "$BUILD_DIR"/examples/serve_monitor scrape --admin "$ADMIN_PORT" \
-      --cmd quit | grep -q 'bye' \
-      || { echo "check.sh: quit scrape failed" >&2; exit 1; }
-    if ! wait "$DAEMON_PID"; then
-      echo "check.sh: sharded ba_serve exited non-zero after quit:" >&2
-      cat "$DAEMON_LOG" >&2
-      exit 1
-    fi
-    DAEMON_PID=""
-    echo "shard smoke OK (4 engines, $SHARD_PROVIDERS shard providers)"
     ;;
   perf)
     BUILD_DIR="${2:-build}"
@@ -361,7 +288,7 @@ EOF
     echo "profile smoke OK"
     ;;
   *)
-    echo "usage: scripts/check.sh [address|thread|trace|chaos|net|shard|perf|profile] [build-dir]" >&2
+    echo "usage: scripts/check.sh [address|thread|trace|chaos|net|perf|profile] [build-dir]" >&2
     exit 2
     ;;
 esac

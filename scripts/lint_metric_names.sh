@@ -52,12 +52,10 @@ fi
 # these literals, so a rename must fail here instead of silently
 # breaking them. (tensor.gemm covers the fp32 dispatch path,
 # tensor.gemm.int8 the quantized kernels, core.quant.calibrate the
-# post-training calibration pass; the serve.router.* family is the
-# sharded tier's dispatch span and counters, scraped by the shard
-# smoke mode of check.sh.)
+# post-training calibration pass; serve.sweep.requests is the engine's
+# sweep-detector counter, scraped by the net smoke mode of check.sh.)
 for required in core.quant.calibrate tensor.gemm tensor.gemm.int8 \
-                serve.router.dispatch serve.router.requests \
-                serve.router.sweep_requests; do
+                serve.sweep.requests; do
   if ! grep -rqF "\"$required\"" src/; then
     echo "lint_metric_names: REQUIRED SPAN \"$required\" missing from src/" >&2
     exit 1

@@ -55,8 +55,8 @@ Status ServerOptions::Validate() const {
   return Status::OK();
 }
 
-Server::Server(serve::Engine* engine, const chain::Ledger* ledger,
-               ServerOptions options)
+Server::Server(serve::InferenceEngine* engine,
+               const chain::Ledger* ledger, ServerOptions options)
     : engine_(engine), ledger_(ledger), options_(options) {
   auto& reg = obs::MetricsRegistry::Instance();
   net_.connections_accepted = reg.GetCounter("net.connections_accepted");
@@ -71,7 +71,7 @@ Server::Server(serve::Engine* engine, const chain::Ledger* ledger,
 }
 
 Result<std::unique_ptr<Server>> Server::Create(
-    serve::Engine* engine, const chain::Ledger* ledger,
+    serve::InferenceEngine* engine, const chain::Ledger* ledger,
     ServerOptions options) {
   if (engine == nullptr) {
     return Status::InvalidArgument("Server: engine must not be null");
@@ -288,8 +288,7 @@ void Server::DispatchClassify(Connection* conn,
   }
   net_.requests->Increment();
   // Stamp the connection id as the in-process client identity: the
-  // sharded router's sweep detector keys its per-client miss streaks
-  // on it. Never decoded from the wire — a client cannot claim another
+  // engine's sweep detector keys its per-client miss streaks on it. Never decoded from the wire — a client cannot claim another
   // connection's identity.
   req.options.client_id = conn->id;
   {
@@ -402,8 +401,8 @@ void Server::HandleAdminLine(Connection* conn, const std::string& line) {
   } else if (cmd == "slowlog") {
     size_t max_entries = 32;
     if (size_t n = 0; is >> n) max_entries = std::max<size_t>(n, 1);
-    // The engine composes the payload (and, sharded, merges every
-    // shard's rings) — the server no longer reaches into recorders.
+    // The engine composes the payload — the server never reaches into
+    // its recorders.
     SendBytes(conn, engine_->SlowlogJson(max_entries) + "\n");
   } else if (cmd == "timeline") {
     std::string arg;
@@ -531,7 +530,7 @@ void Server::CloseConnection(uint64_t conn_id) {
   loop_->Remove(it->second->sock.fd());
   conns_.erase(it);
   net_.connections_active->Add(-1);
-  // Drop any sweep-detector state keyed on this connection id.
+  // Drop the engine's sweep-detector state keyed on this connection id.
   engine_->ForgetClient(conn_id);
 }
 

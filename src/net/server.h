@@ -25,8 +25,8 @@
 /// reassembling frames from arbitrary chunks) and a write state
 /// machine (immediate write, overflow buffered, EPOLLOUT armed only
 /// while bytes are pending). A decoded ClassifyRequest dispatches into
-/// `serve::Engine::ClassifyAsync`, whose completion callback encodes
-/// the response frame. Whatever the engine decides at submit — a cache
+/// `serve::InferenceEngine::ClassifyAsync`, whose completion callback
+/// encodes the response frame. Whatever the engine decides at submit — a cache
 /// hit, an admission shed, an expired deadline, an unknown address —
 /// fires the callback synchronously on the loop thread, which writes
 /// the answer out directly; only a miss completes later on an engine
@@ -94,15 +94,14 @@ struct ServerOptions {
   Status Validate() const;
 };
 
-/// \brief TCP front end over one serve::Engine — a single
-/// InferenceEngine or the sharded router, interchangeably. Create →
+/// \brief TCP front end over one serve::InferenceEngine. Create →
 /// Start → (serve) → Stop. `engine` and `ledger` must outlive the
-/// server;
-/// `ledger` may be null (health then omits the epoch watermark).
+/// server; `ledger` may be null (health then omits the epoch
+/// watermark).
 class Server {
  public:
   static Result<std::unique_ptr<Server>> Create(
-      serve::Engine* engine, const chain::Ledger* ledger,
+      serve::InferenceEngine* engine, const chain::Ledger* ledger,
       ServerOptions options);
 
   /// Stops and drains (idempotent with Stop()).
@@ -178,8 +177,8 @@ class Server {
     std::chrono::steady_clock::time_point last_active{};
   };
 
-  Server(serve::Engine* engine, const chain::Ledger* ledger,
-         ServerOptions options);
+  Server(serve::InferenceEngine* engine,
+         const chain::Ledger* ledger, ServerOptions options);
 
   void OnAcceptable(Socket* listener, bool admin);
   void OnConnectionEvent(uint64_t conn_id, uint32_t events);
@@ -216,7 +215,7 @@ class Server {
 
   std::string HealthJson() const;
 
-  serve::Engine* engine_;
+  serve::InferenceEngine* engine_;
   const chain::Ledger* ledger_;
   ServerOptions options_;
 

@@ -175,7 +175,8 @@ InferenceEngine::InferenceEngine(const core::BaClassifier* classifier,
                       : nullptr),
       pool_(options_.pool != nullptr  ? options_.pool
             : owned_pool_ != nullptr ? owned_pool_.get()
-                                     : &util::SharedPool()) {
+                                     : &util::SharedPool()),
+      sweep_(options_.sweep_miss_streak) {
   // Unique per process so several engines (tests, A/B deployments) can
   // coexist in one registry scrape.
   static std::atomic<uint64_t> next_engine_id{0};
@@ -187,6 +188,8 @@ InferenceEngine::InferenceEngine(const core::BaClassifier* classifier,
       registry_provider_name_ + ".pool_backlog");
   queue_depth_gauge_ = obs::MetricsRegistry::Instance().GetGauge(
       registry_provider_name_ + ".queue_depth");
+  sweep_requests_ =
+      obs::MetricsRegistry::Instance().GetCounter("serve.sweep.requests");
   if (options_.enable_admission) {
     admission_ = std::make_unique<AdmissionController>(options_.admission);
   }
@@ -317,6 +320,14 @@ InferenceEngine::Request* InferenceEngine::MakeRequest(
     return nullptr;
   }
 
+  // A client the sweep detector flagged reads the cache but never
+  // promotes into it; a caller's own kNoPromote stands either way.
+  CacheMode cache_mode = options.cache_mode;
+  if (sweep_.ModeFor(options.client_id) == CacheMode::kNoPromote) {
+    cache_mode = CacheMode::kNoPromote;
+    sweep_requests_->Increment();
+  }
+
   // Admission: an overloaded engine answers in well under a
   // millisecond — a labeled degraded answer when permitted, otherwise
   // an explicit ResourceExhausted — instead of queueing unboundedly.
@@ -328,7 +339,7 @@ InferenceEngine::Request* InferenceEngine::MakeRequest(
       stats_.requests.Increment();
       DeliverEarly(address, submit, options,
                    options.allow_degraded
-                       ? TryDegradedAnswer(address, st, options.cache_mode)
+                       ? TryDegradedAnswer(address, st, cache_mode)
                        : Result<ClassifyResult>(st),
                    done);
       return nullptr;
@@ -345,7 +356,7 @@ InferenceEngine::Request* InferenceEngine::MakeRequest(
     if (admitted) admission_->Release();
     DeliverEarly(address, submit, options,
                  options.allow_degraded
-                     ? TryDegradedAnswer(address, expired, options.cache_mode)
+                     ? TryDegradedAnswer(address, expired, cache_mode)
                      : Result<ClassifyResult>(expired),
                  done);
     return nullptr;
@@ -355,7 +366,8 @@ InferenceEngine::Request* InferenceEngine::MakeRequest(
   req->address = address;
   req->deadline = options.deadline;
   req->allow_degraded = options.allow_degraded;
-  req->cache_mode = options.cache_mode;
+  req->cache_mode = cache_mode;
+  req->client_id = options.client_id;
   req->done = std::move(done);
   req->admitted = admitted;
   req->submitted = submit;
@@ -379,12 +391,20 @@ void InferenceEngine::DeliverEarly(
                                                : RequestOutcome::kOk)
                    : OutcomeOfStatus(outcome.status());
   if (outcome.ok()) outcome.value().timeline = tl;
-  RecordDelivery(address, tl);
+  RecordDelivery(address, options.client_id, outcome, tl);
   done(std::move(outcome), tl);
 }
 
 void InferenceEngine::RecordDelivery(chain::AddressId address,
+                                     uint64_t client_id,
+                                     const Result<ClassifyResult>& outcome,
                                      const RequestTimeline& tl) {
+  // Observed before the callback fires, so a client's next request
+  // already sees the updated mode.
+  if (outcome.ok() && outcome->tx_count > 0) {
+    sweep_.Observe(client_id,
+                   outcome->cache_hit || outcome->slices_reused > 0);
+  }
   if (tl.outcome == RequestOutcome::kDeadline) {
     stats_.deadline_exceeded.Increment();
   }
@@ -476,12 +496,12 @@ void InferenceEngine::FinishRequest(Request* req) {
                                                 : RequestOutcome::kOk)
                         : OutcomeOfStatus(req->status);
   req->result.timeline = req->tl;
-  RecordDelivery(req->address, req->tl);
   ClassifyCallback done = std::move(req->done);
   const RequestTimeline tl = req->tl;
   Result<ClassifyResult> outcome =
       req->status.ok() ? Result<ClassifyResult>(req->result)
                        : Result<ClassifyResult>(req->status);
+  RecordDelivery(req->address, req->client_id, outcome, tl);
   delete req;
   done(std::move(outcome), tl);
 }
@@ -679,7 +699,7 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
     /// Reused complete-slice embeddings; workers append the rebuilt
     /// tail behind them.
     std::vector<std::vector<float>> rows;
-    /// True only while every requester is router-flagged sweep
+    /// True only while every requester is no-promote sweep
     /// traffic; one normal requester earns the result a cache slot.
     bool no_promote = true;
     /// True while this unit holds `flights_[address]`, where requests

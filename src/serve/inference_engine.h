@@ -18,6 +18,7 @@
 #include "serve/flight_recorder.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
+#include "serve/sweep_detector.h"
 #include "util/retry.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -64,6 +65,13 @@
 ///    the batch lifecycle emits trace spans (`serve.request`,
 ///    `serve.batch` + per-stage children) when tracing is enabled — see
 ///    DESIGN.md §6.
+///
+///  * **Sweep defence.** A `SweepDetector` keyed on
+///    `ClassifyOptions::client_id` (the net server stamps its
+///    connection id) marks a client whose answers keep computing from
+///    scratch as sweeping; its later requests are stamped
+///    `CacheMode::kNoPromote`, so a mixer_hunt-style scan over the whole
+///    address space reads the cache but cannot evict the hot set.
 ///
 /// Thread-safety contract (snapshot model):
 /// Classify/ClassifyBatch/ClassifyAsync/Metrics/SaveCache may be called
@@ -127,8 +135,7 @@ struct InferenceEngineOptions {
   /// async arrivals behind it; with more, a leader that takes a batch
   /// while queued work remains hands off mid-drain — it spawns a fresh
   /// leader on the pool before processing, so arrivals keep draining
-  /// while the slow batch runs. The sharded tier defaults each shard
-  /// to 2.
+  /// while the slow batch runs.
   int max_batch_leaders = 1;
   /// Embed-stage precision. kInt8 runs the quantized encoder path;
   /// Create() fails when the classifier has not been quantized. Cached
@@ -181,6 +188,11 @@ struct InferenceEngineOptions {
   /// `BA_LOG(Warn, serve.slowlog)` line. 0 disables slow-request
   /// capture (the main recorder still records everything).
   double slow_request_threshold = 0.0;
+  /// Consecutive computed-from-scratch answers before a client
+  /// (`ClassifyOptions::client_id` != 0) is classified as sweeping and
+  /// its requests stop promoting into the cache (see SweepDetector);
+  /// < 1 disables sweep detection.
+  int sweep_miss_streak = 32;
 
   /// \brief Returns OK when every field is usable, or a descriptive
   /// InvalidArgument naming the offending field and value.
@@ -256,61 +268,8 @@ struct InferenceMetricsSnapshot {
   std::string ToJson() const;
 };
 
-/// \brief Abstract serving surface shared by the single
-/// `InferenceEngine` and the sharded tier (`serve::ShardedEngine`).
-/// `net::Server`, the daemon and the monitoring tools program against
-/// this interface, so swapping one engine for N behind a router
-/// changes none of them — the wire protocol, admin commands and
-/// metrics JSON all keep their shapes.
-class Engine {
- public:
-  virtual ~Engine() = default;
-
-  /// See InferenceEngine::ClassifyAsync for the full contract.
-  virtual void ClassifyAsync(chain::AddressId address,
-                             const ClassifyOptions& options,
-                             ClassifyCallback done) = 0;
-
-  /// Blocking single-address classification.
-  virtual Result<ClassifyResult> Classify(
-      chain::AddressId address, const ClassifyOptions& options = {}) = 0;
-
-  /// Blocking multi-address classification; results align with input.
-  virtual std::vector<Result<ClassifyResult>> ClassifyBatch(
-      const std::vector<chain::AddressId>& addresses,
-      const ClassifyOptions& options = {}) = 0;
-
-  /// Persists the embedding cache (no-op OK when disabled).
-  virtual Status SaveCache() const = 0;
-
-  /// Entries currently cached (summed across shards).
-  virtual size_t CacheSize() const = 0;
-
-  /// Drops every cached entry (metrics keep counting).
-  virtual void ClearCache() = 0;
-
-  /// Point-in-time metrics (aggregated across shards).
-  virtual InferenceMetricsSnapshot Metrics() const = 0;
-
-  /// The admin `slowlog` payload: one JSON object
-  /// {"threshold_seconds":…,"slow":[…],"recent":[…]} with up to
-  /// `max_entries` timelines per ring (merged across shards).
-  virtual std::string SlowlogJson(size_t max_entries) const = 0;
-
-  /// The most recent recorded timeline carrying `trace_id`, searching
-  /// the flight and slow rings (of every shard), or nullopt.
-  virtual std::optional<FlightRecorder::Entry> FindTimeline(
-      uint64_t trace_id) const = 0;
-
-  /// A client (`ClassifyOptions::client_id`) went away — the net
-  /// server calls this on connection close. Default no-op; the sharded
-  /// tier drops the client's sweep-detector state so a recycled
-  /// connection id never inherits a stale miss streak.
-  virtual void ForgetClient(uint64_t client_id) { (void)client_id; }
-};
-
 /// \brief Batched, cached, instrumented classification server.
-class InferenceEngine : public Engine {
+class InferenceEngine {
  public:
   using Options = InferenceEngineOptions;
 
@@ -362,7 +321,7 @@ class InferenceEngine : public Engine {
   /// its own batches. Caching, deadlines, admission and degraded
   /// answers behave exactly as documented on Classify.
   void ClassifyAsync(chain::AddressId address, const ClassifyOptions& options,
-                     ClassifyCallback done) override;
+                     ClassifyCallback done);
 
   /// \brief Classifies one address (blocking). Thread-safe; concurrent
   /// callers are micro-batched. An address with no transactions
@@ -375,7 +334,7 @@ class InferenceEngine : public Engine {
   /// another batch is building waits for that build instead of
   /// repeating it.
   Result<ClassifyResult> Classify(chain::AddressId address,
-                                  const ClassifyOptions& options = {}) override;
+                                  const ClassifyOptions& options = {});
 
   /// \brief Classifies many addresses through the same batching path:
   /// the caller runs the whole list as its own batches, so its misses
@@ -383,25 +342,37 @@ class InferenceEngine : public Engine {
   /// `options` applies to every request in the list.
   std::vector<Result<ClassifyResult>> ClassifyBatch(
       const std::vector<chain::AddressId>& addresses,
-      const ClassifyOptions& options = {}) override;
+      const ClassifyOptions& options = {});
 
   /// \brief Persists the cache to `options().cache_path` atomically
   /// (no-op OK when persistence is disabled). Safe to call while
   /// queries run.
-  Status SaveCache() const override;
+  Status SaveCache() const;
 
   /// Entries currently cached.
-  size_t CacheSize() const override;
+  size_t CacheSize() const;
 
   /// Drops every cached entry (metrics keep counting).
-  void ClearCache() override;
+  void ClearCache();
 
-  InferenceMetricsSnapshot Metrics() const override;
+  InferenceMetricsSnapshot Metrics() const;
 
-  std::string SlowlogJson(size_t max_entries) const override;
+  /// The admin `slowlog` payload: one JSON object
+  /// {"threshold_seconds":…,"slow":[…],"recent":[…]} with up to
+  /// `max_entries` timelines per ring.
+  std::string SlowlogJson(size_t max_entries) const;
 
-  std::optional<FlightRecorder::Entry> FindTimeline(
-      uint64_t trace_id) const override;
+  /// The most recent recorded timeline carrying `trace_id`, searching
+  /// the flight and slow rings, or nullopt.
+  std::optional<FlightRecorder::Entry> FindTimeline(uint64_t trace_id) const;
+
+  /// A client (`ClassifyOptions::client_id`) went away — the net server
+  /// calls this on connection close, so a recycled connection id never
+  /// inherits a stale miss streak.
+  void ForgetClient(uint64_t client_id) { sweep_.Forget(client_id); }
+
+  /// Clients currently classified as sweeping.
+  uint64_t sweeping_clients() const { return sweep_.sweeping_clients(); }
 
   /// The admission controller, or nullptr when `enable_admission` is
   /// off (monitoring loops report its state).
@@ -439,9 +410,12 @@ class InferenceEngine : public Engine {
     chain::AddressId address = chain::kInvalidAddress;
     std::chrono::steady_clock::time_point deadline{};
     bool allow_degraded = false;
-    /// kNoPromote for router-flagged sweep traffic: lookups skip the
-    /// LRU touch and results never insert new cache entries.
+    /// kNoPromote for sweep traffic (flagged by the sweep detector, or
+    /// asked for by the caller): lookups skip the LRU touch and results
+    /// never insert new cache entries.
     CacheMode cache_mode = CacheMode::kNormal;
+    /// ClassifyOptions::client_id, fed back to the sweep detector.
+    uint64_t client_id = 0;
     ClassifyResult result;
     /// Non-OK when the request ended in an explicit error outcome
     /// (DeadlineExceeded, injected Internal) instead of a result.
@@ -598,9 +572,14 @@ class InferenceEngine : public Engine {
                     const ClassifyCallback& done);
 
   /// Delivery-side bookkeeping shared by FinishRequest and
-  /// DeliverEarly: flight recorder, slow-ring + slowlog line, Perfetto
-  /// flow event.
-  void RecordDelivery(chain::AddressId address, const RequestTimeline& tl);
+  /// DeliverEarly: the sweep detector's feedback for `client_id` (an
+  /// answer with history that reused cached state resets its miss
+  /// streak, one computed from scratch extends it; errors and empty
+  /// histories say nothing about cache temperature), flight recorder,
+  /// slow-ring + slowlog line, Perfetto flow event.
+  void RecordDelivery(chain::AddressId address, uint64_t client_id,
+                      const Result<ClassifyResult>& outcome,
+                      const RequestTimeline& tl);
 
   /// Live backlog signal for admission: enqueued async requests,
   /// blocking requests not yet delivered, and pool tasks in flight.
@@ -665,6 +644,9 @@ class InferenceEngine : public Engine {
   /// options_.slow_request_threshold in nanoseconds (0 = disabled).
   int64_t slow_threshold_ns_ = 0;
 
+  /// Per-client miss streaks (options_.sweep_miss_streak).
+  SweepDetector sweep_;
+
   struct Stats {
     Counter requests;
     Counter full_hits;
@@ -698,6 +680,14 @@ class InferenceEngine : public Engine {
   /// Metrics() scrape.
   Gauge* backlog_gauge_ = nullptr;
   Gauge* queue_depth_gauge_ = nullptr;
+  /// "serve.sweep.requests": requests the sweep detector stamped
+  /// kNoPromote, one process-wide counter shared by every engine.
+  Counter* sweep_requests_ = nullptr;
 };
+
+/// The serving surface's former abstract name. InferenceEngine is the
+/// only engine; the alias keeps code that still spells the type
+/// `serve::Engine` (bench_profile's poll client) compiling.
+using Engine = InferenceEngine;
 
 }  // namespace ba::serve

@@ -120,7 +120,7 @@ enum class CacheMode : uint8_t {
   /// Normal: hits refresh LRU recency, computed results are inserted.
   kNormal = 0,
   /// Scan traffic (mixer_hunt-style cold sweeps, as flagged by the
-  /// router's per-connection miss-streak detector): lookups still read
+  /// engine's per-connection miss-streak detector): lookups still read
   /// the cache but never refresh recency, and computed results update
   /// an existing entry in place without inserting new ones — a full
   /// sweep cannot evict the hot working set.
@@ -192,12 +192,13 @@ struct ClassifyOptions {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   /// In-process only (never on the wire): a stable caller identity —
-  /// the net server stamps its connection id — that the sharded
-  /// router's sweep detector keys per-connection miss streaks on.
+  /// the net server stamps its connection id — that the engine's
+  /// sweep detector keys per-connection miss streaks on.
   /// 0 = anonymous (no sweep tracking).
   uint64_t client_id = 0;
-  /// In-process only (never on the wire): set to kNoPromote by the
-  /// router once a client's miss streak marks it as a cold sweep.
+  /// In-process only (never on the wire): kNoPromote keeps this
+  /// request from promoting into the cache. The engine also applies it
+  /// on its own once a client's miss streak marks it as a cold sweep.
   CacheMode cache_mode = CacheMode::kNormal;
 
   bool has_deadline() const {

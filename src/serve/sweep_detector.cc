@@ -1,52 +1,8 @@
-#include "serve/router.h"
+#include "serve/sweep_detector.h"
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace ba::serve {
-namespace {
-
-/// splitmix64 — the same cheap, well-mixed 64-bit finalizer the fault
-/// injector's probabilistic streams use. Good enough avalanche that
-/// sequential AddressIds land uniformly on the ring.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-ShardRouter::ShardRouter(uint32_t num_shards, uint32_t vnodes_per_shard)
-    : num_shards_(std::max<uint32_t>(num_shards, 1)) {
-  const uint32_t vnodes = std::max<uint32_t>(vnodes_per_shard, 1);
-  ring_.reserve(static_cast<size_t>(num_shards_) * vnodes);
-  for (uint32_t shard = 0; shard < num_shards_; ++shard) {
-    for (uint32_t v = 0; v < vnodes; ++v) {
-      // Point identity mixes shard and vnode ordinals; the odd
-      // multiplier keeps distinct (shard, vnode) pairs from colliding
-      // before the mix.
-      const uint64_t key =
-          (static_cast<uint64_t>(shard) << 32) | (v * 2654435761u);
-      ring_.emplace_back(Mix64(key), shard);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-}
-
-uint32_t ShardRouter::ShardOf(chain::AddressId address) const {
-  const uint64_t h = Mix64(static_cast<uint64_t>(address));
-  // Successor on the ring, wrapping past the largest point.
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), h,
-      [](const std::pair<uint64_t, uint32_t>& p, uint64_t value) {
-        return p.first < value;
-      });
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
-}
 
 SweepDetector::SweepDetector(int threshold) : threshold_(threshold) {}
 

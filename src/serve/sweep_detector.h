@@ -3,62 +3,26 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
-#include "chain/ledger.h"
 #include "serve/protocol.h"
 
-/// \file router.h
-/// \brief Address-space partitioning and sweep detection for the
-/// sharded serving tier (serve::ShardedEngine).
+/// \file sweep_detector.h
+/// \brief Per-client cold-sweep classification for the InferenceEngine.
 ///
-/// **ShardRouter** — a consistent-hash ring over the address space.
-/// Each shard owns `vnodes_per_shard` points on a 64-bit ring
-/// (splitmix64 of shard ordinal × vnode ordinal); an address maps to
-/// the shard owning the first ring point at or after its hash. Two
-/// properties matter for the serving tier:
-///
-///  * **Determinism.** The mapping is a pure function of
-///    (num_shards, vnodes_per_shard, address), so a restarted router
-///    sends every address back to the shard whose persisted cache
-///    already holds its embeddings.
-///  * **Balance.** With 64 vnodes per shard the largest shard's
-///    expected share is within a few percent of 1/N, so per-shard
-///    caches and leaders load evenly without a rebalancing protocol.
-///
-/// **SweepDetector** — per-client cold-sweep classification. A
-/// monitoring client polls a stable working set and hits the cache
+/// A monitoring client polls a stable working set and hits the cache
 /// almost every query; a mixer_hunt-style scan walks the whole address
 /// space and misses almost every query. The detector keeps one miss
 /// streak per `ClassifyOptions::client_id` (the net server stamps its
 /// connection id): a full or partial cache hit resets the streak, a
 /// computed-from-scratch result extends it, and once the streak
-/// reaches `miss_streak_threshold` the client is marked *sweeping* —
-/// the router then stamps its requests `CacheMode::kNoPromote` so the
+/// reaches the threshold the client is marked *sweeping* —
+/// the engine then stamps its requests `CacheMode::kNoPromote` so the
 /// scan reads the cache but can no longer evict the hot working set.
 /// Unmarking is deliberately sticky (a run of consecutive hits, not
 /// one), and a client that was marked before re-marks on a much
 /// shorter streak — see Observe.
 
 namespace ba::serve {
-
-/// \brief Deterministic consistent-hash ring: address -> shard.
-class ShardRouter {
- public:
-  /// `num_shards` >= 1; `vnodes_per_shard` >= 1 (64 gives a few
-  /// percent balance — see file comment).
-  ShardRouter(uint32_t num_shards, uint32_t vnodes_per_shard = 64);
-
-  /// The shard owning `address` (in [0, num_shards)).
-  uint32_t ShardOf(chain::AddressId address) const;
-
-  uint32_t num_shards() const { return num_shards_; }
-
- private:
-  uint32_t num_shards_;
-  /// Ring points sorted by hash; .second is the owning shard.
-  std::vector<std::pair<uint64_t, uint32_t>> ring_;
-};
 
 /// \brief Per-client miss-streak tracking (thread-safe).
 class SweepDetector {
@@ -78,9 +42,9 @@ class SweepDetector {
   /// stale). Errors and empty-history answers should not be reported.
   void Observe(uint64_t client_id, bool reused_cache);
 
-  /// Drops a departed client's state (the net server calls this on
-  /// connection close so ids recycled by a long-lived process never
-  /// inherit a stale streak).
+  /// Drops a departed client's state (the net server calls
+  /// InferenceEngine::ForgetClient on connection close so ids recycled
+  /// by a long-lived process never inherit a stale streak).
   void Forget(uint64_t client_id);
 
   /// Clients currently classified as sweeping.

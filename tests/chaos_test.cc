@@ -20,10 +20,7 @@
 #include <vector>
 
 #include "chain/ledger.h"
-#include "core/aggregator.h"
 #include "core/classifier.h"
-#include "core/gfn_features.h"
-#include "core/graph_builder.h"
 #include "datagen/dataset.h"
 #include "datagen/simulator.h"
 #include "serve/inference_engine.h"
@@ -31,11 +28,12 @@
 #include "util/retry.h"
 #include "util/rng.h"
 
+#include "predict_at_epoch.h"
+
 namespace ba {
 namespace {
 
 using chain::AddressId;
-using chain::TxId;
 using serve::ClassifyOptions;
 using serve::ClassifyResult;
 using serve::InferenceEngine;
@@ -156,32 +154,8 @@ class ChaosServeTest : public ::testing::Test {
   /// `address` had exactly `tx_count` capped transactions — the
   /// ground truth every successful chaos answer is held to.
   static int PredictAtEpoch(AddressId address, uint64_t tx_count) {
-    if (tx_count == 0) return 0;
-    const chain::Ledger& ledger = simulator_->ledger();
-    const std::vector<TxId> full = ledger.TransactionsOf(address);
-    EXPECT_LE(tx_count, full.size());
-    const chain::LedgerSnapshot snap =
-        ledger.SnapshotAt(full[static_cast<size_t>(tx_count) - 1] + 1);
-    core::GraphConstructor ctor(
-        classifier_->options().dataset.construction);
-    const std::vector<core::AddressGraph> graphs =
-        ctor.BuildGraphs(snap, address);
-    if (graphs.empty()) return 0;
-    const core::GraphModel& model = classifier_->graph_model();
-    const int64_t embed_dim = model.embed_dim();
-    std::vector<core::EmbeddingSequence> seqs(1);
-    seqs[0].embeddings =
-        tensor::Tensor({static_cast<int64_t>(graphs.size()), embed_dim});
-    for (size_t g = 0; g < graphs.size(); ++g) {
-      const core::GraphTensors gt = core::PrepareGraphTensors(
-          graphs[g], classifier_->options().dataset.k_hops);
-      const tensor::Tensor e = model.Embed(gt);
-      for (int64_t j = 0; j < embed_dim; ++j) {
-        seqs[0].embeddings.at(static_cast<int64_t>(g), j) = e.at(0, j);
-      }
-    }
-    classifier_->scaler().Apply(&seqs);
-    return classifier_->aggregator().Predict(seqs[0].embeddings);
+    return testutil::PredictAtEpoch(*classifier_, simulator_->ledger(),
+                                    address, tx_count);
   }
 
   static datagen::Simulator* simulator_;

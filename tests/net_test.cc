@@ -3,7 +3,8 @@
 // wire-vs-in-process answer equivalence, pipelined correlation ids,
 // the admin line protocol, protocol-violation goodbyes (one kError
 // frame, then close), shedding under an admission-controlled engine,
-// concurrent connections, and clean Stop with requests in flight.
+// concurrent connections, sweep detection keyed on the connection, and
+// clean Stop with requests in flight.
 
 #include <gtest/gtest.h>
 
@@ -318,6 +319,37 @@ TEST_F(NetTest, ConcurrentConnectionsAllGetTheirOwnAnswers) {
   }
   for (auto& t : fleet) t.join();
   EXPECT_EQ(failures.load(), 0);
+  server->Stop();
+}
+
+TEST_F(NetTest, SweepingConnectionIsFlaggedAndForgottenOnClose) {
+  serve::InferenceEngineOptions options;
+  options.sweep_miss_streak = 4;
+  auto engine = MakeEngine(options);
+  auto server = MakeServer(engine.get());
+  const auto cold = simulator_->CollectLabeledAddresses(3);
+  ASSERT_GT(cold.size(), static_cast<size_t>(options.sweep_miss_streak));
+  {
+    // One connection classifies more distinct cold addresses than the
+    // streak: the server stamps its connection id as the client id, so
+    // the engine's detector marks it sweeping. The detector observes an
+    // answer before it is sent, so the mark is set by the last reply.
+    Client client = Dial(*server);
+    for (int i = 0; i <= options.sweep_miss_streak; ++i) {
+      const auto r = client.Classify(cold[static_cast<size_t>(i)].address);
+      ASSERT_TRUE(r.ok()) << r.status().message();
+      ASSERT_FALSE(r.value().cache_hit);
+    }
+    EXPECT_EQ(engine->sweeping_clients(), 1u);
+  }
+  // The client hung up: closing the connection forgets its id.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine->sweeping_clients() != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(engine->sweeping_clients(), 0u);
   server->Stop();
 }
 

@@ -1,7 +1,9 @@
 // Serving-layer tests: the batched concurrent InferenceEngine must
 // agree with serial BaClassifier::Predict, reuse its cache correctly as
-// the ledger grows, survive killed cache saves, and report sane
-// metrics. Run under BA_SANITIZE=thread to validate the concurrency.
+// the ledger grows, survive killed cache saves, report sane metrics,
+// and keep a sweeping client from growing its cache (the sweep
+// detector must mark scanners, and only scanners, with sticky
+// unmarking). Run under BA_SANITIZE=thread to validate the concurrency.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,10 +23,90 @@
 #include "obs/metrics.h"
 #include "serve/inference_engine.h"
 #include "serve/metrics.h"
+#include "serve/sweep_detector.h"
 #include "util/fs.h"
 
 namespace ba::serve {
 namespace {
+
+using chain::AddressId;
+
+// ---------------------------------------------------------------------
+// SweepDetector
+// ---------------------------------------------------------------------
+
+TEST(SweepDetectorTest, MarksAfterMissStreakHitResetsIt) {
+  SweepDetector detector(4);
+  const uint64_t client = 7;
+  for (int i = 0; i < 3; ++i) detector.Observe(client, false);
+  EXPECT_EQ(detector.ModeFor(client), CacheMode::kNormal);
+  // A hit mid-streak resets it: three more misses are not enough.
+  detector.Observe(client, true);
+  for (int i = 0; i < 3; ++i) detector.Observe(client, false);
+  EXPECT_EQ(detector.ModeFor(client), CacheMode::kNormal);
+  EXPECT_EQ(detector.sweeping_clients(), 0u);
+  // The fourth consecutive miss marks the client.
+  detector.Observe(client, false);
+  EXPECT_EQ(detector.ModeFor(client), CacheMode::kNoPromote);
+  EXPECT_EQ(detector.sweeping_clients(), 1u);
+}
+
+TEST(SweepDetectorTest, UnmarkIsStickyAndRemarkIsFast) {
+  SweepDetector detector(8);
+  const uint64_t client = 3;
+  for (int i = 0; i < 8; ++i) detector.Observe(client, false);
+  ASSERT_EQ(detector.ModeFor(client), CacheMode::kNoPromote);
+
+  // A scanner wrapping over its own few cached entries produces short
+  // hit runs; one hit (or three) must not clear the mark.
+  for (int i = 0; i < 3; ++i) {
+    detector.Observe(client, true);
+    EXPECT_EQ(detector.ModeFor(client), CacheMode::kNoPromote)
+        << "unmarked after only " << i + 1 << " hits";
+  }
+  // The fourth consecutive hit clears it — a genuine working-set
+  // client hits continuously and recovers normal promotion quickly.
+  detector.Observe(client, true);
+  EXPECT_EQ(detector.ModeFor(client), CacheMode::kNormal);
+  EXPECT_EQ(detector.sweeping_clients(), 0u);
+
+  // A repeat offender re-marks on a quarter of the threshold: the full
+  // insertion budget is never sold twice.
+  detector.Observe(client, false);
+  EXPECT_EQ(detector.ModeFor(client), CacheMode::kNormal);
+  detector.Observe(client, false);
+  EXPECT_EQ(detector.ModeFor(client), CacheMode::kNoPromote);
+}
+
+TEST(SweepDetectorTest, AnonymousAndDisabledClientsAreNeverTracked) {
+  SweepDetector detector(2);
+  for (int i = 0; i < 10; ++i) detector.Observe(/*client_id=*/0, false);
+  EXPECT_EQ(detector.ModeFor(0), CacheMode::kNormal);
+  EXPECT_EQ(detector.sweeping_clients(), 0u);
+
+  SweepDetector disabled(0);
+  for (int i = 0; i < 10; ++i) disabled.Observe(5, false);
+  EXPECT_EQ(disabled.ModeFor(5), CacheMode::kNormal);
+  EXPECT_EQ(disabled.sweeping_clients(), 0u);
+}
+
+TEST(SweepDetectorTest, ForgetDropsClientState) {
+  SweepDetector detector(3);
+  for (int i = 0; i < 3; ++i) detector.Observe(11, false);
+  ASSERT_EQ(detector.ModeFor(11), CacheMode::kNoPromote);
+  detector.Forget(11);
+  EXPECT_EQ(detector.ModeFor(11), CacheMode::kNormal);
+  EXPECT_EQ(detector.sweeping_clients(), 0u);
+  // A recycled connection id starts from a clean slate: the fast
+  // re-mark path does not survive Forget.
+  detector.Observe(11, false);
+  detector.Observe(11, false);
+  EXPECT_EQ(detector.ModeFor(11), CacheMode::kNormal);
+}
+
+// ---------------------------------------------------------------------
+// InferenceEngine
+// ---------------------------------------------------------------------
 
 class TempFile {
  public:
@@ -700,6 +782,62 @@ TEST_F(ServeTest, FlightRecorderCanBeDisabled) {
   EXPECT_EQ(engine->slow_recorder(), nullptr);
   // Classification is unaffected — recording is a pure observer.
   EXPECT_TRUE(engine->Classify((*test_)[0].address).ok());
+}
+
+TEST_F(ServeTest, SweepingClientStopsGrowingTheCache) {
+  auto& reg = obs::MetricsRegistry::Instance();
+  const uint64_t sweep_before =
+      reg.GetCounter("serve.sweep.requests")->value();
+  InferenceEngineOptions options;
+  options.sweep_miss_streak = 4;
+  auto engine = MakeEngine(options);
+
+  // The working set is warmed anonymously (client_id 0 — batch
+  // warm-up traffic is never sweep-tracked); the monitoring client
+  // then polls it and only ever hits.
+  std::vector<datagen::LabeledAddress> hot(test_->begin(),
+                                           test_->begin() + 6);
+  std::vector<AddressId> hot_addresses;
+  for (const auto& a : hot) hot_addresses.push_back(a.address);
+  for (const auto& r : engine->ClassifyBatch(hot_addresses)) {
+    ASSERT_TRUE(r.ok());
+  }
+  const size_t warm_size = engine->CacheSize();
+  ASSERT_EQ(warm_size, hot.size());
+  ClassifyOptions monitor;
+  monitor.client_id = 1;
+
+  // A second client sweeps cold addresses: the first `threshold`
+  // misses buy cache slots, then the detector flags it and every
+  // later request is stamped kNoPromote — the cache stops growing.
+  const std::vector<int> sweep_truth = SerialTruth(*train_);
+  ClassifyOptions scanner;
+  scanner.client_id = 42;
+  for (size_t i = 0; i < train_->size(); ++i) {
+    const auto r = engine->Classify((*train_)[i].address, scanner);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    // No-promote is invisible to the answer: the scan still gets the
+    // exact serial prediction.
+    EXPECT_EQ(r.value().predicted, sweep_truth[i]);
+  }
+  EXPECT_EQ(engine->sweeping_clients(), 1u);
+  EXPECT_EQ(engine->CacheSize(),
+            warm_size + static_cast<size_t>(options.sweep_miss_streak));
+  EXPECT_EQ(reg.GetCounter("serve.sweep.requests")->value(),
+            sweep_before + train_->size() -
+                static_cast<size_t>(options.sweep_miss_streak));
+
+  // The monitoring client's working set survived the sweep untouched.
+  for (const auto& a : hot) {
+    const auto r = engine->Classify(a.address, monitor);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.value().cache_hit) << "hot address " << a.address
+                                     << " evicted by the sweep";
+  }
+
+  // Connection close drops the mark; a recycled id starts clean.
+  engine->ForgetClient(scanner.client_id);
+  EXPECT_EQ(engine->sweeping_clients(), 0u);
 }
 
 }  // namespace
