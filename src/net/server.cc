@@ -288,7 +288,8 @@ void Server::DispatchClassify(Connection* conn,
   }
   net_.requests->Increment();
   // Stamp the connection id as the in-process client identity: the
-  // engine's sweep detector keys its per-client miss streaks on it. Never decoded from the wire — a client cannot claim another
+  // engine's sweep detector keys its per-client miss streaks on it.
+  // Never decoded from the wire — a client cannot claim another
   // connection's identity.
   req.options.client_id = conn->id;
   {

@@ -26,11 +26,11 @@
 /// machine (immediate write, overflow buffered, EPOLLOUT armed only
 /// while bytes are pending). A decoded ClassifyRequest dispatches into
 /// `serve::InferenceEngine::ClassifyAsync`, whose completion callback
-/// encodes the response frame. Whatever the engine decides at submit — a cache
-/// hit, an admission shed, an expired deadline, an unknown address —
-/// fires the callback synchronously on the loop thread, which writes
-/// the answer out directly; only a miss completes later on an engine
-/// worker thread, which posts the frame back to the loop. Because
+/// encodes the response frame. Whatever the engine decides at submit —
+/// a cache hit, an admission shed, an expired deadline, an unknown
+/// address — fires the callback synchronously on the loop thread, which
+/// writes the answer out directly; only a miss completes later on an
+/// engine worker thread, which posts the frame back to the loop. Because
 /// dispatch is non-blocking, *backpressure is the engine's admission
 /// controller*: when it sheds, the connection answers
 /// ResourceExhausted in well under a millisecond instead of queueing

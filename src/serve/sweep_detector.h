@@ -15,9 +15,9 @@
 /// streak per `ClassifyOptions::client_id` (the net server stamps its
 /// connection id): a full or partial cache hit resets the streak, a
 /// computed-from-scratch result extends it, and once the streak
-/// reaches the threshold the client is marked *sweeping* —
-/// the engine then stamps its requests `CacheMode::kNoPromote` so the
-/// scan reads the cache but can no longer evict the hot working set.
+/// reaches the threshold the client is marked *sweeping* — the engine
+/// then stamps its requests `CacheMode::kNoPromote` so the scan reads
+/// the cache but can no longer evict the hot working set.
 /// Unmarking is deliberately sticky (a run of consecutive hits, not
 /// one), and a client that was marked before re-marks on a much
 /// shorter streak — see Observe.
