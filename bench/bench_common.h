@@ -97,17 +97,21 @@ inline int AffinityCores() {
 
 /// \brief JSON object recording the provenance every BENCH_*.json
 /// needs to be comparable across machines and commits: which benchmark
-/// wrote it, git SHA, compiler + flags, the `--threads` setting, the
-/// shared pool's effective size, the machine's hardware concurrency,
-/// the CPU model, and which fp32 target_clones / int8 kernel variants
-/// actually dispatch on this host. Every bench JSON writer goes
-/// through this one helper — add a provenance field here and all of
-/// them pick it up.
-inline std::string BenchMetaJson(const CliFlags& flags,
-                                 const char* bench_name = "") {
+/// wrote it, git SHA, compiler + flags, the thread count the bench ran
+/// with, the shared pool's effective size, the machine's hardware
+/// concurrency, the CPU model, and which fp32 target_clones / int8
+/// kernel variants actually dispatch on this host. Every bench JSON
+/// writer goes through this one helper — add a provenance field here
+/// and all of them pick it up.
+///
+/// `threads` is written as `threads_flag`: the worker-thread count the
+/// bench's measured work ran with, after that bench's own default — the
+/// engine pool of the serve benches (`--threads`, bench_net_loadgen's
+/// `--engine-threads`), the lane count of bench_train_throughput, the
+/// shared pool of bench_gemm.
+inline std::string BenchMetaJson(const char* bench_name, int threads) {
   std::ostringstream os;
-  os << "{";
-  if (bench_name[0] != '\0') os << "\"bench\":\"" << bench_name << "\",";
+  os << "{\"bench\":\"" << bench_name << "\",";
   // Free-text fields are escaped: flags may carry quoted -D defines.
   os << "\"git_sha\":\"";
   obs::AppendJsonEscaped(&os, BA_BENCH_GIT_SHA);
@@ -115,7 +119,7 @@ inline std::string BenchMetaJson(const CliFlags& flags,
   obs::AppendJsonEscaped(&os, BA_BENCH_COMPILER);
   os << "\",\"cxx_flags\":\"";
   obs::AppendJsonEscaped(&os, BA_BENCH_CXX_FLAGS);
-  os << "\",\"threads_flag\":" << flags.GetInt("threads", 0)
+  os << "\",\"threads_flag\":" << threads
      << ",\"shared_pool_threads\":" << util::SharedPoolThreads()
      << ",\"hardware_concurrency\":" << std::thread::hardware_concurrency()
      << ",\"affinity_cores\":" << AffinityCores() << ",\"cpu_model\":\"";
@@ -123,6 +127,27 @@ inline std::string BenchMetaJson(const CliFlags& flags,
   os << "\",\"gemm_variant\":\"" << tensor::internal::GemmVariantName()
      << "\",\"int8_gemm_variant\":\"" << tensor::internal::Int8GemmVariantName()
      << "\"}";
+  return os.str();
+}
+
+/// \brief Median, min and max of one side's repeated measurements.
+struct Spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+inline Spread SpreadOf(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  const size_t n = runs.size();
+  const double median =
+      n % 2 == 1 ? runs[n / 2] : 0.5 * (runs[n / 2 - 1] + runs[n / 2]);
+  return {median, runs.front(), runs.back()};
+}
+
+/// `"key":median,"key_min":min,"key_max":max` (no enclosing braces).
+inline std::string SpreadJson(const std::string& key, const Spread& s) {
+  std::ostringstream os;
+  os << "\"" << key << "\":" << s.median << ",\"" << key
+     << "_min\":" << s.min << ",\"" << key << "_max\":" << s.max;
   return os.str();
 }
 

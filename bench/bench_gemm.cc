@@ -318,7 +318,10 @@ int main(int argc, char** argv) {
     out << "{\"size\":" << int8_rows[i].size
         << ",\"gops\":" << int8_rows[i].gops << "}";
   }
-  out << "],\"meta\":" << ba::bench::BenchMetaJson(flags, "gemm") << "}\n";
+  out << "],\"meta\":"
+      << ba::bench::BenchMetaJson(
+             "gemm", static_cast<int>(ba::util::SharedPoolThreads()))
+      << "}\n";
   std::cout << "wrote " << out_path << "\n";
   return (parity_ok && int8_parity_ok) ? 0 : 1;
 }

@@ -416,6 +416,8 @@ int main(int argc, char** argv) {
   const int churn_rounds =
       static_cast<int>(flags.GetInt("churn-rounds", 200));
   const std::string out_path = flags.GetString("out", "BENCH_net.json");
+  const int engine_threads =
+      static_cast<int>(flags.GetInt("engine-threads", 2));
 
   const bool external = flags.Has("connect");
   uint16_t data_port = static_cast<uint16_t>(flags.GetInt("connect", 0));
@@ -463,8 +465,7 @@ int main(int argc, char** argv) {
               << " addresses, " << pool.size() << " watched\n";
 
     ba::serve::InferenceEngineOptions engine_options;
-    engine_options.num_threads =
-        static_cast<int>(flags.GetInt("engine-threads", 2));
+    engine_options.num_threads = engine_threads;
     auto made = ba::serve::InferenceEngine::Create(
         classifier.get(), &simulator->ledger(), engine_options);
     BA_CHECK_OK(made.status());
@@ -652,7 +653,8 @@ int main(int argc, char** argv) {
   if (engine != nullptr) {
     out << ",\"engine\":" << engine->Metrics().ToJson();
   }
-  out << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "net_loadgen") << "}\n";
+  out << ",\"meta\":" << ba::bench::BenchMetaJson("net_loadgen", engine_threads)
+      << "}\n";
   std::cout << "\nwrote " << out_path
             << (all_ok ? " (all gates ok)\n" : " (GATE FAILURE)\n");
   return all_ok ? 0 : 1;

@@ -280,7 +280,9 @@ int main(int argc, char** argv) {
       << "},\"base_clients\":" << base_clients
       << ",\"phase_seconds\":" << phase_seconds
       << ",\"engine\":" << m.ToJson()
-      << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "serve_overload") << "}\n";
+      << ",\"meta\":"
+      << ba::bench::BenchMetaJson("serve_overload", engine_options.num_threads)
+      << "}\n";
   std::cout << "\nwrote " << out_path << "\n";
   return (gate_lost && gate_shed_fast && gate_p99) ? 0 : 1;
 }

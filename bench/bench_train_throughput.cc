@@ -20,11 +20,9 @@
 // "speedup": null). Exits non-zero when any run's per-epoch losses
 // differ from the first serial run's (they must be bit-identical).
 
-#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,27 +54,6 @@ double MeanEpochSeconds(const std::vector<ba::core::EpochStat>& history) {
   return history.empty() ? 0.0
                          : history.back().seconds /
                                static_cast<double>(history.size());
-}
-
-/// Median, min and max of one side's per-run mean epoch seconds.
-struct Spread {
-  double median = 0.0, min = 0.0, max = 0.0;
-};
-
-Spread SpreadOf(std::vector<double> runs) {
-  std::sort(runs.begin(), runs.end());
-  const size_t n = runs.size();
-  const double median =
-      n % 2 == 1 ? runs[n / 2] : 0.5 * (runs[n / 2 - 1] + runs[n / 2]);
-  return {median, runs.front(), runs.back()};
-}
-
-std::string SpreadJson(const char* side, const Spread& s) {
-  std::ostringstream os;
-  os << "\"" << side << "_epoch_seconds\":" << s.median << ",\"" << side
-     << "_epoch_seconds_min\":" << s.min << ",\"" << side
-     << "_epoch_seconds_max\":" << s.max;
-  return os.str();
 }
 
 }  // namespace
@@ -121,8 +98,8 @@ int main(int argc, char** argv) {
   for (const double loss : reference) std::cout << " " << loss;
   std::cout << std::setprecision(6) << "\n";
 
-  const Spread serial = SpreadOf(serial_runs);
-  const Spread threaded = SpreadOf(threaded_runs);
+  const ba::bench::Spread serial = ba::bench::SpreadOf(serial_runs);
+  const ba::bench::Spread threaded = ba::bench::SpreadOf(threaded_runs);
   // Lanes beyond the cores time-slice one another: their ratio says
   // nothing about data-parallel scaling.
   const bool measured = threads <= cores && threaded.median > 0.0;
@@ -140,8 +117,8 @@ int main(int argc, char** argv) {
 
   const std::string out_path = flags.GetString("out", "BENCH_train.json");
   std::ofstream out(out_path, std::ios::trunc);
-  out << "{" << SpreadJson("serial", serial) << ","
-      << SpreadJson("threaded", threaded)
+  out << "{" << ba::bench::SpreadJson("serial_epoch_seconds", serial) << ","
+      << ba::bench::SpreadJson("threaded_epoch_seconds", threaded)
       << ",\"speedup\":" << (measured ? std::to_string(speedup) : "null")
       << ",\"loss_match\":" << (loss_match ? "true" : "false")
       << std::setprecision(17) << ",\"final_loss\":" << reference.back()
@@ -150,7 +127,7 @@ int main(int argc, char** argv) {
       << ",\"batch\":" << flags.GetInt("batch", 16)
       << ",\"train_examples\":" << exp.train.size()
       << ",\"lanes\":" << threads << ",\"cores\":" << cores
-      << ",\"meta\":" << ba::bench::BenchMetaJson(flags, "train_throughput")
+      << ",\"meta\":" << ba::bench::BenchMetaJson("train_throughput", threads)
       << "}\n";
   std::cout << "wrote " << out_path << "\n";
   return loss_match ? 0 : 1;

@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
     std::cout << "block " << ledger->height() << ": " << m.requests
               << " queries served, hit rate "
               << static_cast<int>(m.hit_rate * 100.0 + 0.5) << "%, p99 "
-              << ba::serve::FormatSeconds(m.request_latency.p99_seconds)
+              << ba::obs::FormatSeconds(m.request_latency.p99_seconds)
               << "\n";
   }
 

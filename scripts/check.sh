@@ -33,8 +33,9 @@
 #                      tolerated), scrapes health/metrics through the
 #                      admin port via serve_monitor's scrape subcommand
 #                      (the metrics scrape must carry the engine's
-#                      serve.sweep.requests counter), then shuts the
-#                      daemon down with an admin quit and requires a
+#                      serve.sweep.requests counter and its provider's
+#                      degraded_stale / slow_requests keys), then shuts
+#                      the daemon down with an admin quit and requires a
 #                      clean exit.
 #   perf               Release-build perf smoke: bench_gemm (fp32 +
 #                      int8 kernel parity, single-thread speedup), the
@@ -236,6 +237,12 @@ EOF
       || { echo "check.sh: no net.requests in scrape" >&2; exit 1; }
     grep -q 'serve.sweep.requests' "$METRICS_OUT" \
       || { echo "check.sh: no serve.sweep.requests in scrape" >&2; exit 1; }
+    # Degraded answers and slow requests are counted only in the
+    # serve.engine.<n> provider: the scrape must carry its keys.
+    for key in degraded_stale slow_requests; do
+      grep -q "\"$key\"" "$METRICS_OUT" \
+        || { echo "check.sh: no $key in scrape" >&2; exit 1; }
+    done
     # Admin quit: the daemon must exit 0 on its own, no signal needed.
     "$BUILD_DIR"/examples/serve_monitor scrape --admin "$ADMIN_PORT" \
       --cmd quit | grep -q 'bye' \

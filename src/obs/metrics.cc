@@ -93,6 +93,21 @@ HistogramSnapshot Histogram::Snapshot() const {
   return s;
 }
 
+std::string HistogramSnapshot::ToJson() const {
+  std::ostringstream os;
+  os << "{\"count\":" << count << ",\"mean_s\":" << mean_seconds
+     << ",\"p50_s\":" << p50_seconds << ",\"p95_s\":" << p95_seconds
+     << ",\"p99_s\":" << p99_seconds << ",\"max_s\":" << max_seconds << "}";
+  return os.str();
+}
+
+std::string HistogramSnapshot::ToString() const {
+  return "count=" + std::to_string(count) + " p50=" +
+         FormatSeconds(p50_seconds) + " p95=" + FormatSeconds(p95_seconds) +
+         " p99=" + FormatSeconds(p99_seconds) +
+         " max=" + FormatSeconds(max_seconds);
+}
+
 std::string FormatSeconds(double seconds) {
   char buf[32];
   if (seconds >= 1.0) {
@@ -192,15 +207,9 @@ std::string MetricsRegistry::TextExposition() const {
         case Kind::kTime:
           os << name << " " << FormatSeconds(ins.time->Seconds()) << "\n";
           break;
-        case Kind::kHistogram: {
-          const HistogramSnapshot h = ins.histogram->Snapshot();
-          os << name << " count=" << h.count << " p50="
-             << FormatSeconds(h.p50_seconds)
-             << " p95=" << FormatSeconds(h.p95_seconds)
-             << " p99=" << FormatSeconds(h.p99_seconds)
-             << " max=" << FormatSeconds(h.max_seconds) << "\n";
+        case Kind::kHistogram:
+          os << name << " " << ins.histogram->Snapshot().ToString() << "\n";
           break;
-        }
       }
     }
     providers.assign(providers_.begin(), providers_.end());
@@ -253,12 +262,8 @@ std::string MetricsRegistry::JsonExposition() const {
     first = true;
     for (const auto& [name, ins] : instruments_) {
       if (ins.kind != Kind::kHistogram) continue;
-      const HistogramSnapshot h = ins.histogram->Snapshot();
       AppendJsonKey(&os, name, &first);
-      os << "{\"count\":" << h.count << ",\"mean_s\":" << h.mean_seconds
-         << ",\"p50_s\":" << h.p50_seconds << ",\"p95_s\":" << h.p95_seconds
-         << ",\"p99_s\":" << h.p99_seconds << ",\"max_s\":" << h.max_seconds
-         << "}";
+      os << ins.histogram->Snapshot().ToJson();
     }
     providers.assign(providers_.begin(), providers_.end());
   }

@@ -18,9 +18,9 @@
 /// that names them.
 ///
 /// The serving layer started with engine-local counters and latency
-/// histograms (PR 2's `serve/metrics.h`); this generalizes those
-/// primitives so every subsystem — graph construction, training, the
-/// thread pool, the inference engine — records into the same taxonomy:
+/// histograms; this generalizes those primitives so every subsystem —
+/// graph construction, training, the thread pool, the inference engine
+/// — records into the same taxonomy:
 ///
 ///  * `Counter`          monotonically increasing event count
 ///  * `Gauge`            instantaneous signed level (queue depth)
@@ -101,6 +101,12 @@ struct HistogramSnapshot {
   double p95_seconds = 0.0;
   double p99_seconds = 0.0;
   double max_seconds = 0.0;
+
+  /// {"count","mean_s","p50_s","p95_s","p99_s","max_s"} — the one JSON
+  /// rendering of a histogram, shared by every exposition.
+  std::string ToJson() const;
+  /// "count=N p50=… p95=… p99=… max=…" with human-scaled durations.
+  std::string ToString() const;
 };
 
 /// \brief Fixed log-spaced histogram (1µs … ~3.5h upper bucket) with
@@ -151,6 +157,13 @@ class Histogram {
 
 /// Renders seconds as a human-scaled string ("1.23ms", "45.6us").
 std::string FormatSeconds(double seconds);
+
+/// Point-in-time value of each instrument kind, so one metric list can
+/// be expanded over instruments of several kinds (see
+/// serve::InferenceMetricsSnapshot).
+inline uint64_t ValueOf(const Counter& c) { return c.value(); }
+inline double ValueOf(const TimeAccumulator& t) { return t.Seconds(); }
+inline HistogramSnapshot ValueOf(const Histogram& h) { return h.Snapshot(); }
 
 /// \brief Process-wide registry of named instruments.
 ///

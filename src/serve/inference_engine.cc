@@ -36,35 +36,6 @@ void AppendPod(std::string* out, const T& value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// Process-wide degraded-answer counters (serve.degraded.*), shared by
-/// every engine in the process; each engine also keeps local copies in
-/// its Stats for the per-engine snapshot.
-obs::Counter* DegradedStaleCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Instance().GetCounter("serve.degraded.stale");
-  return c;
-}
-
-obs::Counter* DegradedFallbackCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Instance().GetCounter("serve.degraded.fallback");
-  return c;
-}
-
-obs::Counter* DegradedLateCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Instance().GetCounter("serve.degraded.late");
-  return c;
-}
-
-/// Process-wide slow-request counter, shared by every engine; each
-/// engine also keeps a local copy for its per-engine snapshot.
-obs::Counter* SlowRequestCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Instance().GetCounter("serve.slow_requests");
-  return c;
-}
-
 /// Timeline outcome label of a non-OK delivery. Derived from the
 /// Status actually handed to the callback, so the recorded outcome
 /// matches the wire response by construction.
@@ -263,7 +234,6 @@ InferenceEngine::Lookup InferenceEngine::LookupLocked(Request* req,
       r.degraded = true;
       r.epoch_lag = n - entry->tx_count;
       stats_.degraded_stale.Increment();
-      DegradedStaleCounter()->Increment();
     }
     return {LookupOutcome::kSettled};
   }
@@ -287,7 +257,6 @@ void InferenceEngine::AnswerFromFallback(Request* req) {
   req->result.degraded = true;
   req->result.epoch_lag = 0;
   stats_.degraded_fallback.Increment();
-  DegradedFallbackCounter()->Increment();
 }
 
 Result<ClassifyResult> InferenceEngine::TryDegradedAnswer(
@@ -412,7 +381,6 @@ void InferenceEngine::RecordDelivery(chain::AddressId address,
   if (slow_recorder_ != nullptr && tl.deliver_ns >= slow_threshold_ns_) {
     slow_recorder_->Record(address, tl);
     stats_.slow_requests.Increment();
-    SlowRequestCounter()->Increment();
     BA_LOG(Warn, "serve.slowlog")
         << "{\"address\":" << address << ",\"timeline\":" << tl.ToJson()
         << "}";
@@ -978,7 +946,6 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
           req->result.degraded = true;
           req->result.epoch_lag = 0;
           stats_.degraded_late.Increment();
-          DegradedLateCounter()->Increment();
         }
       }
     }
@@ -1065,7 +1032,7 @@ void InferenceEngine::StoreEntry(chain::AddressId address, CacheEntry entry,
       ++evicted;
     }
   }
-  stats_.evictions.Increment(evicted);
+  stats_.cache_evictions.Increment(evicted);
 }
 
 size_t InferenceEngine::CacheSize() const {
@@ -1229,26 +1196,13 @@ Status InferenceEngine::LoadCacheFile(const std::string& path) {
 
 InferenceMetricsSnapshot InferenceEngine::Metrics() const {
   InferenceMetricsSnapshot s;
-  s.requests = stats_.requests.value();
-  s.full_hits = stats_.full_hits.value();
-  s.partial_hits = stats_.partial_hits.value();
-  s.misses = stats_.misses.value();
-  s.coalesced = stats_.coalesced.value();
-  s.empty_history = stats_.empty_history.value();
-  s.batches = stats_.batches.value();
-  s.slices_built = stats_.slices_built.value();
-  s.slices_reused = stats_.slices_reused.value();
-  s.cache_evictions = stats_.evictions.value();
+#define BA_SERVE_COPY(kind, name) s.name = obs::ValueOf(stats_.name);
+  BA_SERVE_ENGINE_METRICS(BA_SERVE_COPY)
+#undef BA_SERVE_COPY
   s.cache_entries = CacheSize();
   s.pool_backlog = pool_->in_flight();
   s.queue_depth = static_cast<uint64_t>(
       std::max<int64_t>(0, queue_depth_.load(std::memory_order_relaxed)));
-  s.shed = stats_.shed.value();
-  s.deadline_exceeded = stats_.deadline_exceeded.value();
-  s.degraded_stale = stats_.degraded_stale.value();
-  s.degraded_fallback = stats_.degraded_fallback.value();
-  s.degraded_late = stats_.degraded_late.value();
-  s.slow_requests = stats_.slow_requests.value();
   s.admission_state =
       admission_ == nullptr
           ? "disabled"
@@ -1264,11 +1218,6 @@ InferenceMetricsSnapshot InferenceEngine::Metrics() const {
           ? 0.0
           : static_cast<double>(s.full_hits + s.partial_hits + s.coalesced) /
                 static_cast<double>(classified);
-  s.build_seconds = stats_.build_seconds.Seconds();
-  s.embed_seconds = stats_.embed_seconds.Seconds();
-  s.aggregate_seconds = stats_.aggregate_seconds.Seconds();
-  s.request_latency = stats_.request_latency.Snapshot();
-  s.batch_latency = stats_.batch_latency.Snapshot();
   return s;
 }
 
@@ -1296,76 +1245,46 @@ std::optional<FlightRecorder::Entry> InferenceEngine::FindTimeline(
   return hit;
 }
 
-std::string InferenceMetricsSnapshot::ToString() const {
-  std::ostringstream os;
-  os << "serve metrics\n"
-     << "  requests          " << requests << " (" << empty_history
-     << " empty-history)\n"
-     << "  cache             " << full_hits << " full + " << partial_hits
-     << " partial hits, " << misses << " misses, " << coalesced
-     << " coalesced (hit rate "
-     << static_cast<int>(hit_rate * 100.0 + 0.5) << "%), " << cache_entries
-     << " entries, " << cache_evictions << " evictions\n"
-     << "  slices            " << slices_built << " built, "
-     << slices_reused << " reused\n"
-     << "  batches           " << batches << " (pool backlog "
-     << pool_backlog << ", queue depth " << queue_depth << ")\n"
-     << "  resilience        " << shed << " shed, " << deadline_exceeded
-     << " deadline-exceeded, degraded " << degraded_stale << " stale + "
-     << degraded_fallback << " fallback + " << degraded_late
-     << " late, " << slow_requests << " slow (admission " << admission_state
-     << ")\n"
-     << "  stage seconds     build " << FormatSeconds(build_seconds)
-     << ", embed " << FormatSeconds(embed_seconds) << ", aggregate "
-     << FormatSeconds(aggregate_seconds) << "\n"
-     << "  request latency   p50 " << FormatSeconds(request_latency.p50_seconds)
-     << ", p95 " << FormatSeconds(request_latency.p95_seconds) << ", p99 "
-     << FormatSeconds(request_latency.p99_seconds) << ", max "
-     << FormatSeconds(request_latency.max_seconds) << "\n"
-     << "  batch latency     p50 " << FormatSeconds(batch_latency.p50_seconds)
-     << ", p95 " << FormatSeconds(batch_latency.p95_seconds) << ", max "
-     << FormatSeconds(batch_latency.max_seconds) << "\n";
-  return os.str();
-}
-
 namespace {
 
-void AppendHistogramJson(std::ostringstream* os, const char* name,
-                         const HistogramSnapshot& h) {
-  *os << "\"" << name << "\":{\"count\":" << h.count
-      << ",\"mean_s\":" << h.mean_seconds << ",\"p50_s\":" << h.p50_seconds
-      << ",\"p95_s\":" << h.p95_seconds << ",\"p99_s\":" << h.p99_seconds
-      << ",\"max_s\":" << h.max_seconds << "}";
+// Per-type renderings of one snapshot field: counters as integers,
+// accumulated time in seconds, histograms through obs::HistogramSnapshot.
+std::string FieldText(uint64_t v) { return std::to_string(v); }
+std::string FieldText(double seconds) { return obs::FormatSeconds(seconds); }
+std::string FieldText(const obs::HistogramSnapshot& h) { return h.ToString(); }
+
+template <typename T>
+void AppendFieldJson(std::ostringstream* os, const char* name, const T& v) {
+  *os << "\"" << name << "\":" << v << ",";
+}
+void AppendFieldJson(std::ostringstream* os, const char* name,
+                     const obs::HistogramSnapshot& h) {
+  *os << "\"" << name << "\":" << h.ToJson() << ",";
 }
 
 }  // namespace
 
+std::string InferenceMetricsSnapshot::ToString() const {
+  std::ostringstream os;
+#define BA_SERVE_TEXT(kind, name) os << #name " " << FieldText(name) << "\n";
+  BA_SERVE_ENGINE_METRICS(BA_SERVE_TEXT)
+#undef BA_SERVE_TEXT
+  os << "cache_entries " << cache_entries << "\npool_backlog " << pool_backlog
+     << "\nqueue_depth " << queue_depth << "\nadmission_state "
+     << admission_state << "\nhit_rate " << hit_rate << "\n";
+  return os.str();
+}
+
 std::string InferenceMetricsSnapshot::ToJson() const {
   std::ostringstream os;
-  os << "{\"requests\":" << requests << ",\"full_hits\":" << full_hits
-     << ",\"partial_hits\":" << partial_hits << ",\"misses\":" << misses
-     << ",\"coalesced\":" << coalesced
-     << ",\"empty_history\":" << empty_history << ",\"batches\":" << batches
-     << ",\"slices_built\":" << slices_built
-     << ",\"slices_reused\":" << slices_reused
-     << ",\"cache_entries\":" << cache_entries
-     << ",\"cache_evictions\":" << cache_evictions
+  os << "{";
+#define BA_SERVE_JSON(kind, name) AppendFieldJson(&os, #name, name);
+  BA_SERVE_ENGINE_METRICS(BA_SERVE_JSON)
+#undef BA_SERVE_JSON
+  os << "\"cache_entries\":" << cache_entries
      << ",\"pool_backlog\":" << pool_backlog
-     << ",\"queue_depth\":" << queue_depth << ",\"shed\":" << shed
-     << ",\"deadline_exceeded\":" << deadline_exceeded
-     << ",\"degraded_stale\":" << degraded_stale
-     << ",\"degraded_fallback\":" << degraded_fallback
-     << ",\"degraded_late\":" << degraded_late
-     << ",\"slow_requests\":" << slow_requests
-     << ",\"admission_state\":\"" << admission_state << "\""
-     << ",\"hit_rate\":" << hit_rate
-     << ",\"build_seconds\":" << build_seconds
-     << ",\"embed_seconds\":" << embed_seconds
-     << ",\"aggregate_seconds\":" << aggregate_seconds << ",";
-  AppendHistogramJson(&os, "request_latency", request_latency);
-  os << ",";
-  AppendHistogramJson(&os, "batch_latency", batch_latency);
-  os << "}";
+     << ",\"queue_depth\":" << queue_depth << ",\"admission_state\":\""
+     << admission_state << "\",\"hit_rate\":" << hit_rate << "}";
   return os.str();
 }
 

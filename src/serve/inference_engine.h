@@ -10,13 +10,14 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "chain/ledger.h"
 #include "core/classifier.h"
+#include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/flight_recorder.h"
-#include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/sweep_detector.h"
 #include "util/retry.h"
@@ -58,7 +59,8 @@
 ///    crash-safe AtomicFileWriter, so a killed server restarts warm.
 ///
 ///  * **Observability.** Counters, per-stage wall-clock accumulators
-///    and latency histograms (p50/p95/p99) are collected into an
+///    and latency histograms (p50/p95/p99), each declared once in
+///    `BA_SERVE_ENGINE_METRICS`, are collected into an
 ///    `InferenceMetricsSnapshot`, printable or JSON-exportable. Each
 ///    engine also publishes that snapshot as a JSON provider named
 ///    `serve.engine.<n>` in the process-wide obs::MetricsRegistry, and
@@ -110,7 +112,8 @@
 ///    in well under a millisecond because the engine is overloaded.
 ///
 /// Nothing hangs, nothing is silently dropped, and every degraded
-/// answer is counted (`serve.degraded.*`).
+/// answer is counted (`degraded_{stale,fallback,late}` in the snapshot
+/// and its `serve.engine.<n>` provider).
 
 namespace ba::serve {
 
@@ -226,45 +229,61 @@ struct InferenceEngineOptions {
 using ClassifyCallback =
     std::function<void(Result<ClassifyResult>, const RequestTimeline&)>;
 
+/// \brief Every metric the engine records, declared once as
+/// `X(Kind, name)` where Kind is the obs instrument that records it.
+/// The list expands into the engine's live `Stats`, the snapshot's
+/// fields (`uint64_t` for a Counter, `double` seconds for a
+/// TimeAccumulator, `obs::HistogramSnapshot` for a Histogram), the copy
+/// in `Metrics()`, and the lines of `ToJson()` / `ToString()` — a row
+/// added here shows up in all of them.
+#define BA_SERVE_ENGINE_METRICS(X)                                             \
+  X(Counter, requests)                                                         \
+  X(Counter, full_hits)    /* answered from cache outright */                  \
+  X(Counter, partial_hits) /* tail rebuilt, prefix reused */                   \
+  X(Counter, misses)                                                           \
+  /* Requests folded onto another request's work: a duplicate in the           \
+     same batch, or a miss that joined another batch's build. */               \
+  X(Counter, coalesced)                                                        \
+  X(Counter, empty_history) /* addresses with no transactions */               \
+  X(Counter, batches)                                                          \
+  X(Counter, slices_built)                                                     \
+  X(Counter, slices_reused)                                                    \
+  X(Counter, cache_evictions)                                                  \
+  X(Counter, shed)              /* rejected by admission control */            \
+  X(Counter, deadline_exceeded) /* rejected on an expired deadline */          \
+  X(Counter, degraded_stale)    /* answered from a stale cache entry */        \
+  X(Counter, degraded_fallback) /* answered by the fallback hook */            \
+  X(Counter, degraded_late)     /* fresh result past its deadline */           \
+  /* Requests at or past `slow_request_threshold` (0 when disabled). */        \
+  X(Counter, slow_requests)                                                    \
+  X(TimeAccumulator, build_seconds)     /* graph construction (all workers) */ \
+  X(TimeAccumulator, embed_seconds)     /* tensor prep + encoder forward */    \
+  X(TimeAccumulator, aggregate_seconds) /* scaler + LSTM head + cache write */ \
+  X(Histogram, request_latency)                                                \
+  X(Histogram, batch_latency)
+
 /// \brief Point-in-time view of every engine metric.
 struct InferenceMetricsSnapshot {
-  uint64_t requests = 0;
-  uint64_t full_hits = 0;     ///< answered from cache outright
-  uint64_t partial_hits = 0;  ///< tail rebuilt, prefix reused
-  uint64_t misses = 0;
-  /// Requests folded onto another request's work: a duplicate in the
-  /// same batch, or a miss that joined another batch's build.
-  uint64_t coalesced = 0;
-  uint64_t empty_history = 0;  ///< addresses with no transactions
-  uint64_t batches = 0;
-  uint64_t slices_built = 0;
-  uint64_t slices_reused = 0;
+#define BA_SERVE_SNAPSHOT_FIELD(kind, name) \
+  decltype(obs::ValueOf(std::declval<const obs::kind&>())) name{};
+  BA_SERVE_ENGINE_METRICS(BA_SERVE_SNAPSHOT_FIELD)
+#undef BA_SERVE_SNAPSHOT_FIELD
+
+  // Derived by the engine at scrape time rather than recorded.
   uint64_t cache_entries = 0;
-  uint64_t cache_evictions = 0;
   uint64_t pool_backlog = 0;  ///< thread-pool tasks in flight now
   uint64_t queue_depth = 0;   ///< requests enqueued, not yet in a batch
-  uint64_t shed = 0;          ///< rejected by admission control
-  uint64_t deadline_exceeded = 0;  ///< rejected on an expired deadline
-  uint64_t degraded_stale = 0;     ///< answered from a stale cache entry
-  uint64_t degraded_fallback = 0;  ///< answered by the fallback hook
-  uint64_t degraded_late = 0;      ///< fresh result past its deadline
-  /// Requests at or past `slow_request_threshold` (0 when disabled).
-  uint64_t slow_requests = 0;
   /// Admission state name ("accepting"/"shedding"/"recovering"), or
   /// "disabled" when admission control is off.
   std::string admission_state;
   /// (full + partial + coalesced) / (requests - empty_history), 0 when
   /// undefined.
   double hit_rate = 0.0;
-  double build_seconds = 0.0;      ///< graph construction (all workers)
-  double embed_seconds = 0.0;      ///< tensor prep + encoder forward
-  double aggregate_seconds = 0.0;  ///< scaler + LSTM head + cache write
-  HistogramSnapshot request_latency;
-  HistogramSnapshot batch_latency;
 
-  /// Multi-line human-readable rendering (monitoring loops print this).
+  /// One `name value` line per field, the shape of
+  /// obs::MetricsRegistry::TextExposition (monitoring loops print it).
   std::string ToString() const;
-  /// Single JSON object (same fields; histograms flattened).
+  /// Single JSON object (same fields; histograms as nested objects).
   std::string ToJson() const;
 };
 
@@ -647,28 +666,11 @@ class InferenceEngine {
   /// Per-client miss streaks (options_.sweep_miss_streak).
   SweepDetector sweep_;
 
+  /// Live instruments behind every BA_SERVE_ENGINE_METRICS row.
   struct Stats {
-    Counter requests;
-    Counter full_hits;
-    Counter partial_hits;
-    Counter misses;
-    Counter coalesced;
-    Counter empty_history;
-    Counter batches;
-    Counter slices_built;
-    Counter slices_reused;
-    Counter evictions;
-    Counter shed;
-    Counter deadline_exceeded;
-    Counter degraded_stale;
-    Counter degraded_fallback;
-    Counter degraded_late;
-    Counter slow_requests;
-    TimeAccumulator build_seconds;
-    TimeAccumulator embed_seconds;
-    TimeAccumulator aggregate_seconds;
-    LatencyHistogram request_latency;
-    LatencyHistogram batch_latency;
+#define BA_SERVE_STATS_FIELD(kind, name) obs::kind name;
+    BA_SERVE_ENGINE_METRICS(BA_SERVE_STATS_FIELD)
+#undef BA_SERVE_STATS_FIELD
   };
   mutable Stats stats_;
 
@@ -678,11 +680,11 @@ class InferenceEngine {
   /// Registry gauges mirroring live load — "serve.engine.<n>.
   /// pool_backlog" / ".queue_depth" — refreshed per batch and on every
   /// Metrics() scrape.
-  Gauge* backlog_gauge_ = nullptr;
-  Gauge* queue_depth_gauge_ = nullptr;
+  obs::Gauge* backlog_gauge_ = nullptr;
+  obs::Gauge* queue_depth_gauge_ = nullptr;
   /// "serve.sweep.requests": requests the sweep detector stamped
   /// kNoPromote, one process-wide counter shared by every engine.
-  Counter* sweep_requests_ = nullptr;
+  obs::Counter* sweep_requests_ = nullptr;
 };
 
 /// The serving surface's former abstract name. InferenceEngine is the

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +24,6 @@
 #include "datagen/simulator.h"
 #include "obs/metrics.h"
 #include "serve/inference_engine.h"
-#include "serve/metrics.h"
 #include "serve/sweep_detector.h"
 #include "util/fs.h"
 
@@ -341,6 +342,85 @@ TEST_F(ServeTest, MetricsAreConsistent) {
   EXPECT_GT(m.hit_rate, 0.0);
   EXPECT_NE(m.ToString().find("requests"), std::string::npos);
   EXPECT_NE(m.ToJson().find("\"requests\""), std::string::npos);
+}
+
+/// Keys of the JSON object `json` at its top level, in order. The text
+/// of every value that is itself an object lands in `objects` under its
+/// key. Enough JSON for the engine's own flat snapshot.
+std::vector<std::string> TopLevelKeys(
+    const std::string& json, std::map<std::string, std::string>* objects) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  size_t object_start = 0;
+  char last = '\0';  // last structural character outside strings
+  for (size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      size_t end = i + 1;
+      while (end < json.size() && json[end] != '"') {
+        end += json[end] == '\\' ? 2 : 1;
+      }
+      if (depth == 1 && (last == '{' || last == ',')) {
+        keys.push_back(json.substr(i + 1, end - i - 1));
+      }
+      i = end;
+      last = '"';
+      continue;
+    }
+    if (c == '{' || c == '[') {
+      if (++depth == 2 && c == '{') object_start = i;
+    } else if (c == '}' || c == ']') {
+      if (depth-- == 2 && c == '}' && !keys.empty()) {
+        (*objects)[keys.back()] =
+            json.substr(object_start, i - object_start + 1);
+      }
+    }
+    if (c != ' ') last = c;
+  }
+  return keys;
+}
+
+TEST_F(ServeTest, MetricsJsonKeySetIsPinned) {
+  auto engine = MakeEngine();
+  ASSERT_TRUE(engine->Classify((*test_)[0].address).ok());
+  const InferenceMetricsSnapshot m = engine->Metrics();
+
+  // Consumers (bench JSON, the admin scrape, dashboards) key on these
+  // names: adding, dropping or renaming one must be a visible change.
+  const std::set<std::string> kKeys = {
+      "requests",          "full_hits",       "partial_hits",
+      "misses",            "coalesced",       "empty_history",
+      "batches",           "slices_built",    "slices_reused",
+      "cache_entries",     "cache_evictions", "pool_backlog",
+      "queue_depth",       "shed",            "deadline_exceeded",
+      "degraded_stale",    "degraded_fallback", "degraded_late",
+      "slow_requests",     "admission_state", "hit_rate",
+      "build_seconds",     "embed_seconds",   "aggregate_seconds",
+      "request_latency",   "batch_latency"};
+  const std::set<std::string> kHistogramKeys = {"count", "mean_s", "p50_s",
+                                                "p95_s", "p99_s",  "max_s"};
+
+  std::map<std::string, std::string> objects;
+  const std::vector<std::string> keys = TopLevelKeys(m.ToJson(), &objects);
+  EXPECT_EQ(keys.size(), kKeys.size()) << m.ToJson();  // no duplicates
+  EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()), kKeys)
+      << m.ToJson();
+  ASSERT_EQ(objects.size(), 2u) << m.ToJson();
+  for (const char* histogram : {"request_latency", "batch_latency"}) {
+    std::map<std::string, std::string> nested;
+    const std::vector<std::string> sub =
+        TopLevelKeys(objects[histogram], &nested);
+    EXPECT_EQ(sub.size(), kHistogramKeys.size()) << objects[histogram];
+    EXPECT_EQ(std::set<std::string>(sub.begin(), sub.end()), kHistogramKeys)
+        << histogram << ": " << objects[histogram];
+    EXPECT_TRUE(nested.empty());
+  }
+  // The text rendering carries the same fields, one `name value` line
+  // each.
+  const std::string text = m.ToString();
+  for (const std::string& key : kKeys) {
+    EXPECT_NE(text.find(key + " "), std::string::npos) << key << "\n" << text;
+  }
 }
 
 TEST_F(ServeTest, EnginePublishesRegistryProviderWhileAlive) {
