@@ -123,10 +123,14 @@ int main(int argc, char** argv) {
   ba::Rng rng(config.seed);
   const auto split = ba::datagen::StratifiedSplit(labeled, 0.8, &rng);
 
+  // One lane count for training and the engine's pool; any lane count
+  // trains the same model (DESIGN.md §7).
+  const int threads = static_cast<int>(flags.GetInt("threads", 2));
   ba::core::BaClassifier::Options options;
   options.dataset.construction.slice_size =
       static_cast<int>(flags.GetInt("slice", 20));
   options.graph_model.epochs = static_cast<int>(flags.GetInt("epochs", 6));
+  options.graph_model.num_threads = threads;
   options.aggregator.epochs = 12;
   auto created = ba::core::BaClassifier::Create(options);
   BA_CHECK_OK(created.status());
@@ -139,7 +143,7 @@ int main(int argc, char** argv) {
   const int overload = static_cast<int>(flags.GetInt("overload", 1));
   const int64_t deadline_ms = flags.GetInt("deadline-ms", 0);
   ba::serve::InferenceEngineOptions engine_options;
-  engine_options.num_threads = static_cast<int>(flags.GetInt("threads", 2));
+  engine_options.num_threads = threads;
   engine_options.cache_path =
       flags.GetString("cache", "/tmp/ba_serve_cache.basv");
   if (overload > 1) {

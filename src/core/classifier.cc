@@ -532,13 +532,19 @@ struct ContainerParts {
 };
 
 /// Splits a BACL buffer into its options and parameter sections after
-/// verifying magic, version and the outer CRC trailer.
+/// verifying magic, version and the outer CRC trailer. A bare BATN
+/// weights file (no embedded options) is named as such.
 Result<ContainerParts> ParseContainer(const std::string& buf,
                                       const std::string& path) {
   util::BufferReader r(buf);
   char magic[4];
-  if (!r.ReadBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kContainerMagic, sizeof(magic)) != 0) {
+  const bool has_magic = r.ReadBytes(magic, sizeof(magic));
+  if (has_magic && std::memcmp(magic, kLegacyMagic, sizeof(magic)) == 0) {
+    return Status::InvalidArgument(
+        "legacy weights-only BATN checkpoint (no embedded options): " +
+        path);
+  }
+  if (!has_magic || std::memcmp(magic, kContainerMagic, sizeof(magic)) != 0) {
     return Status::InvalidArgument("not a BACL classifier checkpoint: " +
                                    path);
   }
@@ -638,12 +644,6 @@ Status BaClassifier::InstallParameters(const std::string& image,
 
 Status BaClassifier::Load(const std::string& path) {
   BA_ASSIGN_OR_RETURN(const std::string buf, util::ReadFileToString(path));
-  if (buf.size() >= sizeof(kLegacyMagic) &&
-      std::memcmp(buf.data(), kLegacyMagic, sizeof(kLegacyMagic)) == 0) {
-    // Legacy weights-only checkpoint: this classifier's Options define
-    // the architecture; shapes are verified during the parse.
-    return InstallParameters(buf, path);
-  }
   BA_ASSIGN_OR_RETURN(const ContainerParts parts, ParseContainer(buf, path));
   return InstallParameters(parts.params_image, path);
 }
@@ -651,12 +651,6 @@ Status BaClassifier::Load(const std::string& path) {
 Result<std::unique_ptr<BaClassifier>> BaClassifier::FromCheckpoint(
     const std::string& path) {
   BA_ASSIGN_OR_RETURN(const std::string buf, util::ReadFileToString(path));
-  if (buf.size() >= sizeof(kLegacyMagic) &&
-      std::memcmp(buf.data(), kLegacyMagic, sizeof(kLegacyMagic)) == 0) {
-    return Status::InvalidArgument(
-        "legacy weights-only checkpoint (no embedded options): " + path +
-        "; construct a BaClassifier with matching Options and call Load()");
-  }
   BA_ASSIGN_OR_RETURN(const ContainerParts parts, ParseContainer(buf, path));
   BaClassifier::Options options;
   BA_RETURN_NOT_OK(DecodeClassifierOptions(parts.options_text, &options));

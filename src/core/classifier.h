@@ -140,9 +140,8 @@ class BaClassifier {
 
   /// \brief Loads a checkpoint written by Save into this classifier.
   /// The classifier must have been constructed with the same Options
-  /// (architecture shapes are verified). Accepts both the BACL
-  /// container and legacy weights-only BATN files. Marks the model
-  /// trained.
+  /// (architecture shapes are verified). A legacy weights-only BATN
+  /// file is rejected as such. Marks the model trained.
   Status Load(const std::string& path);
 
   /// True once Train/TrainOnSamples/Load has succeeded.

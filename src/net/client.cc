@@ -60,8 +60,7 @@ Result<serve::ClassifyResponse> Client::ReadResponse() {
             std::to_string(static_cast<int>(frame.type)));
       }
       serve::ClassifyResponse resp;
-      BA_RETURN_NOT_OK(serve::ClassifyResponse::Decode(
-          frame.payload, &resp, frame.version));
+      BA_RETURN_NOT_OK(serve::ClassifyResponse::Decode(frame.payload, &resp));
       return resp;
     }
     const ssize_t n = ::recv(sock_.fd(), buf, sizeof(buf), 0);

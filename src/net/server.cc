@@ -261,8 +261,7 @@ void Server::ProcessFrames(Connection* conn) {
             conn, PeekRequestId(frame.payload),
             Status::InvalidArgument(
                 "unsupported message type " +
-                std::to_string(static_cast<int>(frame.type))),
-            frame.version);
+                std::to_string(static_cast<int>(frame.type))));
         break;
     }
   }
@@ -276,14 +275,13 @@ void Server::DispatchClassify(Connection* conn,
                               const serve::Frame& frame) {
   serve::ClassifyRequest req;
   const Status decoded = serve::ClassifyRequest::Decode(
-      frame.payload, std::chrono::steady_clock::now(), &req, frame.version);
+      frame.payload, std::chrono::steady_clock::now(), &req);
   if (!decoded.ok()) {
     // The frame itself was well-formed (magic/CRC passed), so the
     // connection survives — only this request is answered with an
     // error.
     net_.protocol_errors->Increment();
-    SendProtocolError(conn, PeekRequestId(frame.payload), decoded,
-                      frame.version);
+    SendProtocolError(conn, PeekRequestId(frame.payload), decoded);
     return;
   }
   net_.requests->Increment();
@@ -301,12 +299,9 @@ void Server::DispatchClassify(Connection* conn,
   const int64_t start_ns = tracer.enabled() ? obs::Tracer::NowNs() : -1;
   const uint64_t conn_id = conn->id;
   const uint64_t request_id = req.request_id;
-  // The response is encoded in the version the request arrived in: a
-  // v1 peer never sees v2 bytes.
-  const uint16_t wire_version = frame.version;
   engine_->ClassifyAsync(
       static_cast<chain::AddressId>(req.address), req.options,
-      [this, conn, conn_id, request_id, start_ns, wire_version](
+      [this, conn, conn_id, request_id, start_ns](
           Result<serve::ClassifyResult> outcome,
           const serve::RequestTimeline& tl) {
         // Runs synchronously right here on the loop thread for
@@ -318,8 +313,7 @@ void Server::DispatchClassify(Connection* conn,
         std::string frame_bytes = serve::EncodeFrame(
             serve::MessageType::kClassifyResponse,
             serve::ClassifyResponse::From(request_id, outcome, tl)
-                .EncodePayload(wire_version),
-            wire_version);
+                .EncodePayload());
         if (start_ns >= 0) {
           const int64_t end_ns = obs::Tracer::NowNs();
           obs::Tracer::Instance().RecordComplete("net.request", start_ns,
@@ -536,7 +530,7 @@ void Server::CloseConnection(uint64_t conn_id) {
 }
 
 void Server::SendProtocolError(Connection* conn, uint64_t request_id,
-                               const Status& why, uint16_t version) {
+                               const Status& why) {
   serve::ClassifyResponse resp;
   resp.request_id = request_id;
   resp.code = static_cast<int32_t>(why.code());
@@ -546,7 +540,7 @@ void Server::SendProtocolError(Connection* conn, uint64_t request_id,
   }
   net_.frames_sent->Increment();
   SendBytes(conn, serve::EncodeFrame(serve::MessageType::kError,
-                                     resp.EncodePayload(version), version));
+                                     resp.EncodePayload()));
 }
 
 void Server::SweepIdle() {

@@ -67,10 +67,9 @@
 /// request's trace_id) that stitches with the client's and engine's
 /// flow events into one Perfetto track.
 ///
-/// **Wire versions** — the server decodes each data-port frame in the
-/// version its header declares (v1 legacy, v2 trace-context) and
-/// answers in that same version, so a v1 peer keeps classifying
-/// against a v2 server and never sees bytes it cannot parse.
+/// **Wire version** — the data port speaks `serve::kWireVersion`
+/// only; a frame declaring any other version is a protocol violation,
+/// answered with a kError frame that names the version.
 
 namespace ba::net {
 
@@ -196,11 +195,9 @@ class Server {
   /// Queues bytes on the connection: writes immediately while the
   /// socket accepts them, buffers the rest, arms EPOLLOUT.
   void SendBytes(Connection* conn, std::string_view bytes);
-  /// One kError frame carrying `why`, encoded in `version` (the
-  /// request frame's version when known), then close-after-flush.
+  /// One kError frame carrying `why`, then close-after-flush.
   void SendProtocolError(Connection* conn, uint64_t request_id,
-                         const Status& why,
-                         uint16_t version = serve::kWireVersion);
+                         const Status& why);
 
   void CloseConnection(uint64_t conn_id);
   /// Runs on the loop thread (posted from engine callbacks).

@@ -59,6 +59,11 @@ const Status kExpiredAtLookup =
 const Status kExpiredBeforeConstruction = Status::DeadlineExceeded(
     "InferenceEngine: deadline expired before graph construction");
 
+/// The explicit error of a request failed by fault point `point`.
+Status InjectedFault(const char* point) {
+  return Status::Internal(std::string("injected fault at ") + point);
+}
+
 }  // namespace
 
 const char* PrecisionName(Precision p) {
@@ -434,24 +439,6 @@ void InferenceEngine::RunOwnBatches(const std::vector<Request*>& requests) {
   }
 }
 
-void InferenceEngine::Deliver(const std::vector<Request*>& requests) {
-  const int64_t async_done =
-      std::count_if(requests.begin(), requests.end(),
-                    [](const Request* req) { return req->async; });
-  // Blocking requests leave the backlog before their callers wake, so a
-  // caller's next submit never sees its own finished request.
-  const int64_t blocking_done =
-      static_cast<int64_t>(requests.size()) - async_done;
-  if (blocking_done > 0) {
-    blocking_backlog_.fetch_sub(blocking_done, std::memory_order_relaxed);
-  }
-  for (Request* req : requests) FinishRequest(req);
-  if (async_done == 0) return;
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  inflight_requests_ -= async_done;
-  done_cv_.notify_all();
-}
-
 void InferenceEngine::FinishRequest(Request* req) {
   if (req->admitted && admission_ != nullptr) admission_->Release();
   stats_.requests.Increment();
@@ -487,8 +474,7 @@ void InferenceEngine::ClassifyAsync(chain::AddressId address,
   // submitting thread may be an event loop.
   if (util::FaultInjector::Instance().ShouldFail(kFaultBatchLookup,
                                                  /*inject_latency=*/false)) {
-    req->status = Status::Internal(std::string("injected fault at ") +
-                                   kFaultBatchLookup);
+    req->status = InjectedFault(kFaultBatchLookup);
     FinishRequest(req);
     return;
   }
@@ -627,65 +613,94 @@ void InferenceEngine::RunLeader(std::unique_lock<std::mutex>* lock) {
   done_cv_.notify_all();
 }
 
-void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
+/// One address a batch builds: the requests it answers, the capped
+/// history length it is built at, and one embedding row per slice.
+struct InferenceEngine::Miss {
+  std::vector<Request*> reqs;
+  chain::AddressId address = chain::kInvalidAddress;
+  uint64_t tx_count = 0;
+  /// Leading complete slices reused from an older cache entry.
+  int reuse_slices = 0;
+  /// Sized to the slice count at lookup: rows [0, reuse_slices) are the
+  /// reused embeddings, and BuildWindow writes every later row at its
+  /// slice index, so the LSTM reads them in chronological order.
+  std::vector<std::vector<float>> rows;
+  /// True only while every requester is no-promote sweep traffic; one
+  /// normal requester earns the result a cache slot.
+  bool no_promote = true;
+  /// True while this miss holds `flights_[address]`, where requests
+  /// (duplicates in this batch, or from other batches and submits) park
+  /// to be delivered by this batch.
+  bool owns_flight = false;
+};
+
+struct InferenceEngine::Batch {
+  Batch(chain::LedgerSnapshot pinned, std::vector<Request*> batch)
+      : snapshot(std::move(pinned)), pending(std::move(batch)) {}
+
+  /// The epoch every answer of the batch is computed at.
+  chain::LedgerSnapshot snapshot;
+  /// Requests not yet looked up: the whole batch until stage 1 runs.
+  std::vector<Request*> pending;
+  /// Looked-up requests the batch delivers: every one of them except
+  /// those that joined another batch's build.
+  std::vector<Request*> requests;
+  std::vector<Miss> misses;
+  std::unordered_map<chain::AddressId, size_t> miss_index;
+  /// Requests the fallback hook answers, outside cache_mu_.
+  std::vector<Request*> fallback_pending;
+  /// Joiners of this batch's flights, delivered with it.
+  std::vector<Request*> adopted;
+  /// When stage 2 finished (unset before).
+  std::chrono::steady_clock::time_point built{};
+};
+
+void InferenceEngine::ProcessBatch(std::vector<Request*> requests) {
   obs::ScopedSpan batch_span("serve.batch");
-  batch_span.AddArg("batch_size", static_cast<double>(batch.size()));
+  batch_span.AddArg("batch_size", static_cast<double>(requests.size()));
   Stopwatch batch_sw;
   batch_sw.Start();
   stats_.batches.Increment();
   util::FaultInjector& faults = util::FaultInjector::Instance();
-
   // The whole micro-batch reads one pinned epoch (O(1) to capture), so
   // its results are mutually consistent and immune to a SealBlock /
   // ApplyTransaction racing the batch.
-  const chain::LedgerSnapshot snapshot = ledger_->Snapshot();
-
+  Batch batch(ledger_->Snapshot(), std::move(requests));
   // A lookup-stage fault decides the whole batch: every request gets an
   // explicit injected error — never a hang, never a wrong answer.
   if (faults.ShouldFail(kFaultBatchLookup)) {
-    const Status st = Status::Internal(std::string("injected fault at ") +
-                                       kFaultBatchLookup);
-    for (Request* req : batch) req->status = st;
-    batch_sw.Stop();
-    stats_.batch_latency.Record(batch_sw.ElapsedSeconds());
-    Deliver(batch);
-    return;
+    FailUndecided(&batch, kFaultBatchLookup);
+  } else {
+    LookupStage(&batch);
+    BuildBoundary(&batch);
+    BuildStage(&batch);
+    // Boundary build -> aggregate: the injected aggregate fault fails
+    // the joiners of this batch's builds too.
+    if (!batch.misses.empty() && faults.ShouldFail(kFaultBatchAggregate)) {
+      FailUndecided(&batch, kFaultBatchAggregate);
+    }
+    AggregateStage(&batch);
   }
+  batch_sw.Stop();
+  stats_.batch_latency.Record(batch_sw.ElapsedSeconds());
+  DeliverBatch(&batch);
+}
 
-  // Stage 1 — cache lookup (serial, one short critical section): the
-  // lookup decision per request. What it settles (hits, empty
-  // histories, expired requests) is delivered with the batch; a miss
-  // another batch is already building joins that build, and a
-  // duplicate of a miss in this batch joins this batch's build of it —
-  // N monitoring clients polling the same address cost one computation.
-  struct Work {
-    std::vector<Request*> reqs;
-    chain::AddressId address = chain::kInvalidAddress;
-    uint64_t tx_count = 0;
-    int reuse_slices = 0;
-    int built = 0;
-    /// Reused complete-slice embeddings; workers append the rebuilt
-    /// tail behind them.
-    std::vector<std::vector<float>> rows;
-    /// True only while every requester is no-promote sweep
-    /// traffic; one normal requester earns the result a cache slot.
-    bool no_promote = true;
-    /// True while this unit holds `flights_[address]`, where requests
-    /// (duplicates in this batch, or from other batches and submits)
-    /// park to be delivered by this one.
-    bool owns_flight = false;
-  };
-  std::vector<Work> work;
-  work.reserve(batch.size());
-  std::unordered_map<chain::AddressId, size_t> work_index;
-  std::vector<Request*> fallback_pending;
+void InferenceEngine::LookupStage(Batch* batch) {
+  // What the lookup settles (hits, empty histories, expired requests) is
+  // delivered with the batch; a miss another batch is already building
+  // joins that build, and a duplicate of a miss in this batch joins this
+  // batch's build of it — N monitoring clients polling the same address
+  // cost one computation.
+  batch->requests.swap(batch->pending);
+  batch->misses.reserve(batch->requests.size());
   {
     BA_TRACE_SPAN("serve.batch.lookup");
     const auto now = SteadyClock::now();
-    std::unique_lock<std::mutex> lock(cache_mu_);
-    for (Request*& slot : batch) {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    for (Request*& slot : batch->requests) {
       Request* req = slot;
-      const uint64_t n = TxCountOf(snapshot, req->address);
+      const uint64_t n = TxCountOf(batch->snapshot, req->address);
       // Requests already past deadline are decided here, before any
       // graph construction.
       const Lookup decided = LookupLocked(
@@ -694,7 +709,7 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
         case LookupOutcome::kSettled:
           continue;
         case LookupOutcome::kFallback:
-          fallback_pending.push_back(req);  // the hook runs unlocked
+          batch->fallback_pending.push_back(req);  // the hook runs unlocked
           continue;
         case LookupOutcome::kJoin:
           // The flight's owner delivers the request, so this batch lets
@@ -707,281 +722,260 @@ void InferenceEngine::ProcessBatch(std::vector<Request*> batch) {
         case LookupOutcome::kMiss:
           break;
       }
-      auto dup = work_index.find(req->address);
-      if (dup != work_index.end()) {
-        // A duplicate whose unit could not take the address's flight
-        // (a build at another epoch of it holds it).
-        Work& shared = work[dup->second];
+      auto dup = batch->miss_index.find(req->address);
+      if (dup != batch->miss_index.end()) {
+        // A duplicate whose miss could not take the address's flight (a
+        // build at another epoch of it holds it).
+        Miss& shared = batch->misses[dup->second];
         shared.reqs.push_back(req);
         shared.no_promote =
             shared.no_promote && req->cache_mode == CacheMode::kNoPromote;
         stats_.coalesced.Increment();
         continue;
       }
-      Work w;
-      w.reqs.push_back(req);
-      w.address = req->address;
-      w.tx_count = n;
-      w.no_promote = req->cache_mode == CacheMode::kNoPromote;
-      // Hold the address's flight, unless a build at another epoch of
-      // it already does.
-      w.owns_flight =
-          flights_.try_emplace(req->address, Flight{n, {}}).second;
+      Miss m;
+      m.reqs.push_back(req);
+      m.address = req->address;
+      m.tx_count = n;
+      m.no_promote = req->cache_mode == CacheMode::kNoPromote;
+      // Hold the address's flight, unless a build at another epoch of it
+      // already does.
+      m.owns_flight = flights_.try_emplace(req->address, Flight{n, {}}).second;
       // An entry computed at a shorter history donates its complete
       // slices — they are immutable on the append-only ledger.
-      const int complete =
-          decided.entry == nullptr
-              ? 0
-              : static_cast<int>(decided.entry->tx_count /
-                                 static_cast<uint64_t>(slice_size_));
-      if (complete > 0) {
-        w.reuse_slices = complete;
-        w.rows.assign(decided.entry->slice_embeddings.begin(),
-                      decided.entry->slice_embeddings.begin() + complete);
+      const uint64_t slice = static_cast<uint64_t>(slice_size_);
+      m.rows.resize(static_cast<size_t>((n + slice - 1) / slice));
+      if (decided.entry != nullptr && decided.entry->tx_count >= slice) {
+        m.reuse_slices = static_cast<int>(decided.entry->tx_count / slice);
+        std::copy_n(decided.entry->slice_embeddings.begin(), m.reuse_slices,
+                    m.rows.begin());
         stats_.partial_hits.Increment();
       } else {
         stats_.misses.Increment();
       }
-      work_index.emplace(req->address, work.size());
-      work.push_back(std::move(w));
+      batch->miss_index.emplace(req->address, batch->misses.size());
+      batch->misses.push_back(std::move(m));
     }
   }
-  std::erase(batch, nullptr);  // the requests that joined other builds
-  {
-    // Lookup-stage stamp for every request this batch still holds,
-    // including those decided here (hits, degraded, rejections) — one
-    // clock read for the batch.
-    const auto now = SteadyClock::now();
-    for (Request* req : batch) req->tl.lookup_ns = req->SinceSubmitNs(now);
+  std::erase(batch->requests, nullptr);  // those that joined other builds
+  // Lookup-stage stamp for every request this batch still holds,
+  // including those decided here (hits, degraded, rejections) — one
+  // clock read for the batch.
+  const auto now = SteadyClock::now();
+  for (Request* req : batch->requests) {
+    req->tl.lookup_ns = req->SinceSubmitNs(now);
   }
-
-  // Moves `joiners` (requests parked on `w`'s flight) into `w.reqs` —
-  // this batch delivers them from here on. Once the build is done a
-  // joiner's build stage is done too: at the build's end, or at its own
-  // lookup when it joined after that.
-  std::vector<Request*> adopted;
-  std::chrono::steady_clock::time_point built{};
-  auto take = [&adopted, &built](Work& w, std::vector<Request*>& joiners) {
-    for (Request* req : joiners) {
-      if (built != std::chrono::steady_clock::time_point{}) {
-        req->tl.build_ns =
-            std::max(req->SinceSubmitNs(built), req->tl.lookup_ns);
-      }
-      w.reqs.push_back(req);
-      w.no_promote =
-          w.no_promote && req->cache_mode == CacheMode::kNoPromote;
-      adopted.push_back(req);
-    }
-    joiners.clear();
-  };
-  // Adopts `w`'s joiners so far. With `close` the flight is retired
-  // too, so later arrivals read the cache or build afresh. Caller holds
-  // cache_mu_.
-  auto adopt = [this, &take](Work& w, bool close) {
-    if (!w.owns_flight) return;
-    auto it = flights_.find(w.address);
-    take(w, it->second.joiners);
-    if (close) {
-      flights_.erase(it);
-      w.owns_flight = false;
-    }
-  };
-
-  // Stage boundary lookup -> build: the injected build fault (and any
-  // armed latency) lands here. Requests that joined this batch's builds
-  // so far cross the boundary with it, and a build fault retires every
-  // flight, so its joiners fail with the batch. Then every request is
-  // decided again if its deadline expired meanwhile — one that expired
-  // while queued behind the lookup never pays for graph construction —
-  // and units left with no requester are dropped whole: no speculative
-  // graph work on behalf of nobody.
-  const bool build_fault = faults.ShouldFail(kFaultBatchBuild);
-  if (!work.empty()) {
-    const auto now = SteadyClock::now();
-    std::vector<Request*> keep;
-    std::unique_lock<std::mutex> lock(cache_mu_);
-    for (Work& w : work) {
-      adopt(w, /*close=*/build_fault);
-      keep.clear();
-      for (Request* req : w.reqs) {
-        if (!req->expired(now)) {
-          keep.push_back(req);
-        } else if (LookupLocked(req, w.tx_count,
-                                &kExpiredBeforeConstruction)
-                       .outcome == LookupOutcome::kFallback) {
-          fallback_pending.push_back(req);
-        }
-      }
-      w.reqs.swap(keep);
-      if (w.reqs.empty()) adopt(w, /*close=*/true);
-    }
-    const auto idle = [](const Work& w) { return w.reqs.empty(); };
-    work.erase(std::remove_if(work.begin(), work.end(), idle), work.end());
-  }
-  for (Request* req : fallback_pending) AnswerFromFallback(req);
-  if (build_fault) {
-    const Status st = Status::Internal(std::string("injected fault at ") +
-                                       kFaultBatchBuild);
-    for (Work& w : work) {
-      for (Request* req : w.reqs) req->status = st;
-    }
-    work.clear();
-  }
-
-  // Stage 2 — graph construction + encoder forward for the tail slices
-  // of every miss, fanned out over the pool and this thread. The
-  // classifier's inference paths are const and share frozen weights, so
-  // threads may embed concurrently.
-  if (!work.empty()) {
-    BA_TRACE_SPAN("serve.batch.build_embed");
-    const core::GraphModel& model = classifier_->graph_model();
-    const bool int8 = options_.precision == Precision::kInt8;
-    pool_->ParallelFor(work.size(), [&](size_t i) {
-      Work& w = work[i];
-      core::GraphConstructor ctor(
-          classifier_->options().dataset.construction);
-      Stopwatch embed_sw;
-      const int num_slices = static_cast<int>(
-          (w.tx_count + static_cast<uint64_t>(slice_size_) - 1) /
-          static_cast<uint64_t>(slice_size_));
-      for (int begin = w.reuse_slices; begin < num_slices;
-           begin += kBuildWindowSlices) {
-        const std::vector<core::AddressGraph> graphs = ctor.BuildGraphsFrom(
-            snapshot, w.address, begin, begin + kBuildWindowSlices);
-        embed_sw.Start();
-        for (const core::AddressGraph& g : graphs) {
-          const core::GraphTensors gt =
-              core::PrepareGraphTensors(g, k_hops_);
-          const tensor::Tensor e =
-              int8 ? model.EmbedQuantized(gt) : model.Embed(gt);
-          std::vector<float> row(static_cast<size_t>(embed_dim_));
-          for (int64_t j = 0; j < embed_dim_; ++j) {
-            row[static_cast<size_t>(j)] = e.at(0, j);
-          }
-          w.rows.push_back(std::move(row));
-          ++w.built;
-        }
-        embed_sw.Stop();
-      }
-      stats_.build_seconds.AddSeconds(ctor.timings().TotalSeconds());
-      stats_.embed_seconds.AddSeconds(embed_sw.ElapsedSeconds());
-    });
-    built = SteadyClock::now();
-    for (Work& w : work) {
-      for (Request* req : w.reqs) {
-        req->tl.build_ns = req->SinceSubmitNs(built);
-      }
-    }
-  }
-
-  // Stage boundary build -> aggregate: injected aggregate fault, which
-  // fails the joiners of this batch's builds too.
-  if (!work.empty() && faults.ShouldFail(kFaultBatchAggregate)) {
-    const Status st = Status::Internal(std::string("injected fault at ") +
-                                       kFaultBatchAggregate);
-    {
-      std::unique_lock<std::mutex> lock(cache_mu_);
-      for (Work& w : work) adopt(w, /*close=*/true);
-    }
-    for (Work& w : work) {
-      for (Request* req : w.reqs) req->status = st;
-    }
-    work.clear();
-  }
-
-  // Stage 3 — scale + aggregate each full embedding sequence, publish
-  // results and refresh the cache (serial; the LSTM head is tiny next
-  // to stage 2). A deadline that expired during the build still yields
-  // the freshly computed answer — labeled degraded (late) when allowed,
-  // DeadlineExceeded otherwise — and the cache is refreshed either way:
-  // the work is done, future stale answers might as well benefit.
-  {
-    BA_TRACE_SPAN("serve.batch.aggregate");
-    Stopwatch agg_sw;
-    agg_sw.Start();
-    for (Work& w : work) {
-      stats_.slices_built.Increment(static_cast<uint64_t>(w.built));
-      stats_.slices_reused.Increment(static_cast<uint64_t>(w.reuse_slices));
-      int predicted = 0;
-      if (!w.rows.empty()) {
-        std::vector<core::EmbeddingSequence> seqs(1);
-        seqs[0].embeddings = tensor::Tensor(
-            {static_cast<int64_t>(w.rows.size()), embed_dim_});
-        for (size_t r = 0; r < w.rows.size(); ++r) {
-          for (int64_t j = 0; j < embed_dim_; ++j) {
-            seqs[0].embeddings.at(static_cast<int64_t>(r), j) =
-                w.rows[r][static_cast<size_t>(j)];
-          }
-        }
-        classifier_->scaler().Apply(&seqs);
-        predicted = classifier_->aggregator().Predict(seqs[0].embeddings);
-        CacheEntry entry;
-        entry.tx_count = w.tx_count;
-        entry.slice_embeddings = std::move(w.rows);
-        entry.predicted = predicted;
-        // Storing retires the flight in the same critical section, so
-        // the requests that joined during the build both get a say in
-        // no_promote and are adopted here.
-        std::vector<Request*> joiners;
-        StoreEntry(w.address, std::move(entry), w.no_promote,
-                   w.owns_flight ? &joiners : nullptr);
-        w.owns_flight = false;
-        take(w, joiners);
-      } else if (w.owns_flight) {
-        std::unique_lock<std::mutex> lock(cache_mu_);
-        adopt(w, /*close=*/true);
-      }
-      const auto now = SteadyClock::now();
-      for (Request* req : w.reqs) {
-        if (req->expired(now) && !req->allow_degraded) {
-          req->status = Status::DeadlineExceeded(
-              "InferenceEngine: deadline expired during embedding");
-          continue;
-        }
-        req->result.predicted = predicted;
-        req->result.slices_reused = w.reuse_slices;
-        req->result.slices_built = w.built;
-        req->result.tx_count = w.tx_count;
-        if (req->expired(now)) {
-          req->result.degraded = true;
-          req->result.epoch_lag = 0;
-          stats_.degraded_late.Increment();
-        }
-      }
-    }
-    const auto aggregated = SteadyClock::now();
-    for (Work& w : work) {
-      for (Request* req : w.reqs) {
-        req->tl.aggregate_ns = req->SinceSubmitNs(aggregated);
-      }
-    }
-    agg_sw.Stop();
-    stats_.aggregate_seconds.AddSeconds(agg_sw.ElapsedSeconds());
-  }
-  batch_sw.Stop();
-  stats_.batch_latency.Record(batch_sw.ElapsedSeconds());
-  backlog_gauge_->Set(static_cast<int64_t>(pool_->in_flight()));
-  queue_depth_gauge_->Set(queue_depth_.load(std::memory_order_relaxed));
-  batch.insert(batch.end(), adopted.begin(), adopted.end());
-  Deliver(batch);
 }
 
-void InferenceEngine::StoreEntry(chain::AddressId address, CacheEntry entry,
-                                 bool no_promote,
-                                 std::vector<Request*>* flight_joiners) {
+void InferenceEngine::BuildBoundary(Batch* batch) {
+  // The injected build fault (and any armed latency) lands here.
+  // Requests that joined this batch's builds so far cross the boundary
+  // with it, and a build fault retires every flight, so its joiners fail
+  // with the batch. Then every request is decided again if its deadline
+  // expired meanwhile — one that expired while queued behind the lookup
+  // never pays for graph construction — and misses left with no
+  // requester are dropped whole: no speculative graph work on behalf of
+  // nobody.
+  const bool fault =
+      util::FaultInjector::Instance().ShouldFail(kFaultBatchBuild);
+  if (!batch->misses.empty()) {
+    const auto now = SteadyClock::now();
+    std::vector<Request*> keep;
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    for (Miss& m : batch->misses) {
+      AdoptJoiners(batch, &m, /*close=*/fault);
+      keep.clear();
+      for (Request* req : m.reqs) {
+        if (!req->expired(now)) {
+          keep.push_back(req);
+        } else if (LookupLocked(req, m.tx_count, &kExpiredBeforeConstruction)
+                       .outcome == LookupOutcome::kFallback) {
+          batch->fallback_pending.push_back(req);
+        }
+      }
+      m.reqs.swap(keep);
+      if (m.reqs.empty()) AdoptJoiners(batch, &m, /*close=*/true);
+    }
+    std::erase_if(batch->misses, [](const Miss& m) { return m.reqs.empty(); });
+  }
+  for (Request* req : batch->fallback_pending) AnswerFromFallback(req);
+  if (fault) FailUndecided(batch, kFaultBatchBuild);
+}
+
+void InferenceEngine::BuildStage(Batch* batch) {
+  if (batch->misses.empty()) return;
+  // Fanned out over the pool and this thread. The classifier's inference
+  // paths are const and share frozen weights, so threads may embed
+  // concurrently.
+  BA_TRACE_SPAN("serve.batch.build_embed");
+  pool_->ParallelFor(batch->misses.size(), [this, batch](size_t i) {
+    Miss& miss = batch->misses[i];
+    for (int first = miss.reuse_slices;
+         first < static_cast<int>(miss.rows.size());
+         first += kBuildWindowSlices) {
+      BuildWindow(batch->snapshot, &miss, first);
+    }
+  });
+  batch->built = SteadyClock::now();
+  for (const Miss& m : batch->misses) {
+    for (Request* req : m.reqs) {
+      req->tl.build_ns = req->SinceSubmitNs(batch->built);
+    }
+  }
+}
+
+void InferenceEngine::BuildWindow(const chain::LedgerSnapshot& snapshot,
+                                  Miss* miss, int first_slice) {
+  core::GraphConstructor ctor(classifier_->options().dataset.construction);
+  const std::vector<core::AddressGraph> graphs = ctor.BuildGraphsFrom(
+      snapshot, miss->address, first_slice, first_slice + kBuildWindowSlices);
+  const core::GraphModel& model = classifier_->graph_model();
+  Stopwatch embed_sw;
+  embed_sw.Start();
+  for (const core::AddressGraph& g : graphs) {
+    const core::GraphTensors gt = core::PrepareGraphTensors(g, k_hops_);
+    const tensor::Tensor e = options_.precision == Precision::kInt8
+                                 ? model.EmbedQuantized(gt)
+                                 : model.Embed(gt);
+    std::vector<float>& row = miss->rows[static_cast<size_t>(g.slice_index)];
+    row.resize(static_cast<size_t>(embed_dim_));
+    for (int64_t j = 0; j < embed_dim_; ++j) {
+      row[static_cast<size_t>(j)] = e.at(0, j);
+    }
+  }
+  embed_sw.Stop();
+  stats_.build_seconds.AddSeconds(ctor.timings().TotalSeconds());
+  stats_.embed_seconds.AddSeconds(embed_sw.ElapsedSeconds());
+}
+
+void InferenceEngine::AggregateStage(Batch* batch) {
+  // Serial: the LSTM head is tiny next to stage 2. A deadline that
+  // expired during the build still yields the freshly computed answer —
+  // labeled degraded (late) when allowed, DeadlineExceeded otherwise —
+  // and the cache is refreshed either way: the work is done, future
+  // stale answers might as well benefit.
+  BA_TRACE_SPAN("serve.batch.aggregate");
+  Stopwatch agg_sw;
+  agg_sw.Start();
+  for (Miss& m : batch->misses) {
+    // A miss has at least one slice: the lookup settles empty histories.
+    const int num_slices = static_cast<int>(m.rows.size());
+    const int built = num_slices - m.reuse_slices;
+    stats_.slices_built.Increment(static_cast<uint64_t>(built));
+    stats_.slices_reused.Increment(static_cast<uint64_t>(m.reuse_slices));
+    std::vector<core::EmbeddingSequence> seqs(1);
+    seqs[0].embeddings = tensor::Tensor({num_slices, embed_dim_});
+    for (int r = 0; r < num_slices; ++r) {
+      for (int64_t j = 0; j < embed_dim_; ++j) {
+        seqs[0].embeddings.at(r, j) =
+            m.rows[static_cast<size_t>(r)][static_cast<size_t>(j)];
+      }
+    }
+    classifier_->scaler().Apply(&seqs);
+    const int predicted =
+        classifier_->aggregator().Predict(seqs[0].embeddings);
+    CacheEntry entry;
+    entry.tx_count = m.tx_count;
+    entry.slice_embeddings = std::move(m.rows);
+    entry.predicted = predicted;
+    StoreEntry(batch, &m, std::move(entry));
+    const auto now = SteadyClock::now();
+    for (Request* req : m.reqs) {
+      if (req->expired(now) && !req->allow_degraded) {
+        req->status = Status::DeadlineExceeded(
+            "InferenceEngine: deadline expired during embedding");
+        continue;
+      }
+      req->result.predicted = predicted;
+      req->result.slices_reused = m.reuse_slices;
+      req->result.slices_built = built;
+      req->result.tx_count = m.tx_count;
+      if (req->expired(now)) {
+        req->result.degraded = true;
+        req->result.epoch_lag = 0;
+        stats_.degraded_late.Increment();
+      }
+    }
+  }
+  const auto aggregated = SteadyClock::now();
+  for (const Miss& m : batch->misses) {
+    for (Request* req : m.reqs) {
+      req->tl.aggregate_ns = req->SinceSubmitNs(aggregated);
+    }
+  }
+  agg_sw.Stop();
+  stats_.aggregate_seconds.AddSeconds(agg_sw.ElapsedSeconds());
+}
+
+void InferenceEngine::DeliverBatch(Batch* batch) {
+  backlog_gauge_->Set(static_cast<int64_t>(pool_->in_flight()));
+  queue_depth_gauge_->Set(queue_depth_.load(std::memory_order_relaxed));
+  std::vector<Request*>& out = batch->requests;
+  out.insert(out.end(), batch->adopted.begin(), batch->adopted.end());
+  const int64_t async_done = std::count_if(
+      out.begin(), out.end(), [](const Request* req) { return req->async; });
+  // Blocking requests leave the backlog before their callers wake, so a
+  // caller's next submit never sees its own finished request.
+  const int64_t blocking_done = static_cast<int64_t>(out.size()) - async_done;
+  if (blocking_done > 0) {
+    blocking_backlog_.fetch_sub(blocking_done, std::memory_order_relaxed);
+  }
+  for (Request* req : out) FinishRequest(req);
+  if (async_done == 0) return;
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  inflight_requests_ -= async_done;
+  done_cv_.notify_all();
+}
+
+void InferenceEngine::AdoptJoiners(Batch* batch, Miss* miss, bool close) {
+  if (!miss->owns_flight) return;
+  auto it = flights_.find(miss->address);
+  for (Request* req : it->second.joiners) {
+    // Once the build is done a joiner's build stage is done too: at the
+    // build's end, or at its own lookup when it joined after that.
+    if (batch->built != std::chrono::steady_clock::time_point{}) {
+      req->tl.build_ns =
+          std::max(req->SinceSubmitNs(batch->built), req->tl.lookup_ns);
+    }
+    miss->reqs.push_back(req);
+    miss->no_promote =
+        miss->no_promote && req->cache_mode == CacheMode::kNoPromote;
+    batch->adopted.push_back(req);
+  }
+  it->second.joiners.clear();
+  if (close) {
+    flights_.erase(it);
+    miss->owns_flight = false;
+  }
+}
+
+void InferenceEngine::FailUndecided(Batch* batch, const char* point) {
+  const Status st = InjectedFault(point);
+  if (!batch->misses.empty()) {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    for (Miss& m : batch->misses) AdoptJoiners(batch, &m, /*close=*/true);
+  }
+  for (const Miss& m : batch->misses) {
+    for (Request* req : m.reqs) req->status = st;
+  }
+  batch->misses.clear();
+  // Failed before the lookup, they are delivered as the batch's own.
+  for (Request* req : batch->pending) req->status = st;
+  batch->requests.insert(batch->requests.end(), batch->pending.begin(),
+                         batch->pending.end());
+  batch->pending.clear();
+}
+
+void InferenceEngine::StoreEntry(Batch* batch, Miss* miss, CacheEntry entry) {
+  const chain::AddressId address = miss->address;
   std::vector<std::pair<uint64_t, chain::AddressId>> order;
   size_t want_evicted = 0;
   {
     std::unique_lock<std::mutex> lock(cache_mu_);
-    if (flight_joiners != nullptr) {
-      auto flight = flights_.find(address);
-      for (Request* req : flight->second.joiners) {
-        flight_joiners->push_back(req);
-        no_promote = no_promote && req->cache_mode == CacheMode::kNoPromote;
-      }
-      flights_.erase(flight);
-    }
-    if (no_promote) {
+    // Retiring the flight here lets the requests that joined during the
+    // build both get a say in no_promote and be delivered by this batch.
+    AdoptJoiners(batch, miss, /*close=*/true);
+    if (miss->no_promote) {
       // Sweep traffic: refresh an entry the hot set already earned
       // (same recency — reading it was not a working-set signal), but
       // never insert, so a full-chain scan cannot trigger eviction.
@@ -1053,8 +1047,7 @@ Status InferenceEngine::SaveCache() const {
 
 Status InferenceEngine::SaveCacheOnce() const {
   if (util::FaultInjector::Instance().ShouldFail(kFaultCacheSave)) {
-    return Status::Internal(std::string("injected fault at ") +
-                            kFaultCacheSave);
+    return InjectedFault(kFaultCacheSave);
   }
   // Snapshot under the lock, serialize and write outside it so queries
   // keep flowing during the (possibly slow) disk write.
@@ -1092,8 +1085,7 @@ Status InferenceEngine::SaveCacheOnce() const {
 
 Status InferenceEngine::LoadCacheFile(const std::string& path) {
   if (util::FaultInjector::Instance().ShouldFail(kFaultCacheLoad)) {
-    return Status::Internal(std::string("injected fault at ") +
-                            kFaultCacheLoad);
+    return InjectedFault(kFaultCacheLoad);
   }
   BA_ASSIGN_OR_RETURN(const std::string buf, util::ReadFileToString(path));
   if (buf.size() < sizeof(kCacheMagic) + sizeof(uint32_t)) {

@@ -532,20 +532,44 @@ class InferenceEngine {
   /// request metrics, fires the callback and frees it.
   void FinishRequest(Request* req);
 
-  /// Retires the blocking ones from `blocking_backlog_`, runs
-  /// FinishRequest for each of `requests`, then retires the async ones
-  /// from `inflight_requests_`.
-  void Deliver(const std::vector<Request*>& requests);
-
   /// Async leader loop: drains the queue in micro-batches until empty.
   /// Entered and left with `queue_mu_` held; batches run with the lock
   /// released.
   void RunLeader(std::unique_lock<std::mutex>* lock);
 
-  /// Executes one micro-batch (no queue lock held) and delivers every
-  /// request it decided: its own, except those that joined another
-  /// batch's build, plus those that joined one of its builds.
-  void ProcessBatch(std::vector<Request*> batch);
+  /// One micro-batch's state across its stages, and one address it
+  /// builds (both defined in the .cc).
+  struct Batch;
+  struct Miss;
+
+  /// Runs one micro-batch (no queue lock held) through the stages
+  /// below and delivers every request it decided: its own, except
+  /// those that joined another batch's build, plus the joiners of its
+  /// own builds.
+  void ProcessBatch(std::vector<Request*> requests);
+  /// Stage 1: the lookup decision per request; each missed address
+  /// becomes a `Miss`, which holds the address's flight.
+  void LookupStage(Batch* batch);
+  /// Lookup -> build: the build fault point, the deadline re-check and
+  /// the drop of misses nobody waits for.
+  void BuildBoundary(Batch* batch);
+  /// Stage 2: one pool task per miss, running its windows in order.
+  void BuildStage(Batch* batch);
+  /// Builds slices [first_slice, first_slice + kBuildWindowSlices) of
+  /// `miss` and writes each embedding at its slice index in its rows.
+  void BuildWindow(const chain::LedgerSnapshot& snapshot, Miss* miss,
+                   int first_slice);
+  /// Stage 3: scaler + LSTM head, cache store and answers per miss.
+  void AggregateStage(Batch* batch);
+  /// Refreshes the load gauges and completes every request decided.
+  void DeliverBatch(Batch* batch);
+  /// Moves the joiners parked on `miss`'s flight into the batch; with
+  /// `close` the flight is retired too. Caller holds cache_mu_.
+  void AdoptJoiners(Batch* batch, Miss* miss, bool close);
+  /// A stage fault fired at `point`: fails every request not yet
+  /// decided, retiring each miss's flight so its joiners fail too.
+  /// Caller must not hold cache_mu_.
+  void FailUndecided(Batch* batch, const char* point);
 
   /// Capped chronological tx count of `address` at the pinned epoch —
   /// the cache key.
@@ -557,14 +581,12 @@ class InferenceEngine {
   /// untouched) and a new address is not inserted at all — sweep
   /// traffic cannot trigger eviction. Candidate ordering for an
   /// eviction sweep runs outside `cache_mu_` so concurrent lookups
-  /// never stall behind the O(size) scan's nth_element. With
-  /// `flight_joiners` the address's flight is retired in the same
-  /// critical section as the store: its joiners are appended there (a
-  /// normal-mode joiner earns the entry a slot), so a lookup always
-  /// finds the flight or the entry. Caller must not hold `cache_mu_`.
-  void StoreEntry(chain::AddressId address, CacheEntry entry,
-                  bool no_promote,
-                  std::vector<Request*>* flight_joiners = nullptr);
+  /// never stall behind the O(size) scan's nth_element. The miss's
+  /// flight is retired in the same critical section as the store: its
+  /// joiners are adopted there (a normal-mode joiner earns the entry a
+  /// slot), so a lookup always finds the flight or the entry. Caller
+  /// must not hold `cache_mu_`.
+  void StoreEntry(Batch* batch, Miss* miss, CacheEntry entry);
 
   Status LoadCacheFile(const std::string& path);
 

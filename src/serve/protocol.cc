@@ -91,9 +91,8 @@ Status RequestTimeline::DecodeFrom(util::BufferReader* in,
   return Status::OK();
 }
 
-void ClassifyOptions::EncodeTo(std::string* out,
-                               std::chrono::steady_clock::time_point now,
-                               uint16_t version) const {
+void ClassifyOptions::EncodeTo(
+    std::string* out, std::chrono::steady_clock::time_point now) const {
   int64_t budget_micros = -1;
   if (has_deadline()) {
     // A deadline already behind `now` encodes as a negative budget and
@@ -105,15 +104,13 @@ void ClassifyOptions::EncodeTo(std::string* out,
   AppendPod(out, budget_micros);
   AppendPod(out, static_cast<uint8_t>(allow_degraded ? 1 : 0));
   AppendPod(out, static_cast<int32_t>(priority));
-  if (version >= 2) {
-    AppendPod(out, trace_id);
-    AppendPod(out, span_id);
-  }
+  AppendPod(out, trace_id);
+  AppendPod(out, span_id);
 }
 
 Status ClassifyOptions::DecodeFrom(
     util::BufferReader* in, std::chrono::steady_clock::time_point now,
-    ClassifyOptions* out, uint16_t version) {
+    ClassifyOptions* out) {
   int64_t budget_micros = 0;
   uint8_t allow = 0;
   int32_t priority = 0;
@@ -136,10 +133,9 @@ Status ClassifyOptions::DecodeFrom(
   }
   out->allow_degraded = allow != 0;
   out->priority = priority;
-  if (version >= 2 &&
-      (!in->ReadPod(&out->trace_id) || !in->ReadPod(&out->span_id))) {
+  if (!in->ReadPod(&out->trace_id) || !in->ReadPod(&out->span_id)) {
     return Status::InvalidArgument(
-        "truncated ClassifyOptions trace context (v2)");
+        "truncated ClassifyOptions trace context");
   }
   return Status::OK();
 }
@@ -181,24 +177,23 @@ Status ClassifyResult::DecodeFrom(util::BufferReader* in,
 }
 
 std::string ClassifyRequest::EncodePayload(
-    std::chrono::steady_clock::time_point now, uint16_t version) const {
+    std::chrono::steady_clock::time_point now) const {
   std::string payload;
   AppendPod(&payload, request_id);
   AppendPod(&payload, address);
-  options.EncodeTo(&payload, now, version);
+  options.EncodeTo(&payload, now);
   return payload;
 }
 
 Status ClassifyRequest::Decode(std::string_view payload,
                                std::chrono::steady_clock::time_point now,
-                               ClassifyRequest* out, uint16_t version) {
+                               ClassifyRequest* out) {
   util::BufferReader reader(payload.data(), payload.size());
   ClassifyRequest req;
   if (!reader.ReadPod(&req.request_id) || !reader.ReadPod(&req.address)) {
     return Status::InvalidArgument("truncated ClassifyRequest payload");
   }
-  BA_RETURN_NOT_OK(
-      ClassifyOptions::DecodeFrom(&reader, now, &req.options, version));
+  BA_RETURN_NOT_OK(ClassifyOptions::DecodeFrom(&reader, now, &req.options));
   if (reader.remaining() != 0) {
     return Status::InvalidArgument(
         "ClassifyRequest payload has " +
@@ -239,7 +234,7 @@ Result<ClassifyResult> ClassifyResponse::ToResult() const {
   return Status(static_cast<StatusCode>(code), message);
 }
 
-std::string ClassifyResponse::EncodePayload(uint16_t version) const {
+std::string ClassifyResponse::EncodePayload() const {
   std::string payload;
   AppendPod(&payload, request_id);
   AppendPod(&payload, code);
@@ -247,12 +242,12 @@ std::string ClassifyResponse::EncodePayload(uint16_t version) const {
   payload.append(message);
   AppendPod(&payload, static_cast<uint8_t>(has_result ? 1 : 0));
   if (has_result) result.EncodeTo(&payload);
-  if (version >= 2) timeline.EncodeTo(&payload);
+  timeline.EncodeTo(&payload);
   return payload;
 }
 
 Status ClassifyResponse::Decode(std::string_view payload,
-                                ClassifyResponse* out, uint16_t version) {
+                                ClassifyResponse* out) {
   util::BufferReader reader(payload.data(), payload.size());
   ClassifyResponse resp;
   uint32_t message_len = 0;
@@ -286,10 +281,8 @@ Status ClassifyResponse::Decode(std::string_view payload,
   if (resp.has_result) {
     BA_RETURN_NOT_OK(ClassifyResult::DecodeFrom(&reader, &resp.result));
   }
-  if (version >= 2) {
-    BA_RETURN_NOT_OK(RequestTimeline::DecodeFrom(&reader, &resp.timeline));
-    resp.result.timeline = resp.timeline;
-  }
+  BA_RETURN_NOT_OK(RequestTimeline::DecodeFrom(&reader, &resp.timeline));
+  resp.result.timeline = resp.timeline;
   if (reader.remaining() != 0) {
     return Status::InvalidArgument(
         "ClassifyResponse payload has " +
@@ -299,12 +292,11 @@ Status ClassifyResponse::Decode(std::string_view payload,
   return Status::OK();
 }
 
-std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint16_t version) {
+std::string EncodeFrame(MessageType type, std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
   frame.append(kWireMagic, sizeof(kWireMagic));
-  AppendPod(&frame, version);
+  AppendPod(&frame, kWireVersion);
   AppendPod(&frame, static_cast<uint16_t>(type));
   AppendPod(&frame, static_cast<uint32_t>(payload.size()));
   frame.append(payload.data(), payload.size());
@@ -339,11 +331,10 @@ Result<bool> FrameDecoder::Next(Frame* out) {
   uint16_t type = 0;
   std::memcpy(&version, head + 4, sizeof(version));
   std::memcpy(&type, head + 6, sizeof(type));
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     failed_ = Status::InvalidArgument(
         "frame decode: unsupported protocol version " +
         std::to_string(version) + " (this peer speaks " +
-        std::to_string(kMinWireVersion) + ".." +
         std::to_string(kWireVersion) + ")");
     return failed_;
   }
@@ -374,7 +365,6 @@ Result<bool> FrameDecoder::Next(Frame* out) {
         std::to_string(computed_crc) + ")");
     return failed_;
   }
-  out->version = version;
   out->type = static_cast<MessageType>(type);
   out->payload.assign(head + kFrameHeaderBytes, payload_len);
   pos_ += total;

@@ -35,21 +35,20 @@
 /// Frame layout (12-byte header + payload + 4-byte trailer):
 ///
 ///     magic   'BANP'      4 bytes
-///     version uint16      protocol version (kMinWireVersion..kWireVersion)
+///     version uint16      protocol version (kWireVersion)
 ///     type    uint16      MessageType
 ///     length  uint32      payload byte count (<= max payload)
 ///     payload ...         `length` bytes
 ///     crc32   uint32      util::Crc32 over header + payload
 ///
-/// Version history. v1 is the PR 7 layout. v2 adds request-scoped
-/// trace context: `ClassifyOptions` carries a client-generated 64-bit
-/// `trace_id`/`span_id` pair and every `ClassifyResponse` appends the
-/// server-side `RequestTimeline` for the request it answers. Decoders
-/// accept both versions (a v1 peer keeps classifying against a v2
-/// server — it just gets no timeline back); encoders take the version
-/// to speak, defaulting to the latest. Payload decoding is strict per
-/// version: v1 payloads must not carry the v2 tail and vice versa, so
-/// a mislabeled frame fails loudly instead of decoding garbage.
+/// One version is live. v2 added request-scoped trace context to the
+/// original v1 layout: `ClassifyOptions` carries a client-generated
+/// 64-bit `trace_id`/`span_id` pair and every `ClassifyResponse`
+/// appends the server-side `RequestTimeline` for the request it
+/// answers. v1 is retired: a frame declaring any version other than
+/// `kWireVersion` is rejected, naming the version. Payload decoding is
+/// strict: a payload short of the trace context or timeline, or one
+/// with trailing bytes, fails loudly instead of decoding garbage.
 ///
 /// The decoder (`FrameDecoder`) is an incremental reassembler for
 /// non-blocking sockets: feed it arbitrary byte chunks, poll frames
@@ -65,15 +64,9 @@ namespace ba::serve {
 /// First bytes of every frame.
 inline constexpr char kWireMagic[4] = {'B', 'A', 'N', 'P'};
 
-/// Protocol version carried in every frame header and spoken by
-/// default. Bump when any wire layout below changes; keep the old
-/// decode path alive and raise `kMinWireVersion` only when a version
-/// is truly retired.
+/// Protocol version carried in every frame header, the only one
+/// decoders accept. Bump when any wire layout below changes.
 inline constexpr uint16_t kWireVersion = 2;
-
-/// Oldest version decoders still accept. v1 frames (pre trace-context)
-/// decode and classify against a v2 server.
-inline constexpr uint16_t kMinWireVersion = 1;
 
 /// Default ceiling on a frame's declared payload length. A header
 /// claiming more is a protocol error, rejected before any buffering.
@@ -137,8 +130,8 @@ enum class CacheMode : uint8_t {
 /// a batch). Present
 /// stamps are monotone non-decreasing in stage order. The engine
 /// records every finished timeline into its flight recorder and
-/// returns it on `ClassifyResult`; v2 responses carry it back over the
-/// wire.
+/// returns it on `ClassifyResult`; every response carries it back over
+/// the wire.
 ///
 /// Wire layout: u64 trace_id, u64 span_id, i64 enqueue_ns,
 /// i64 batch_join_ns, i64 lookup_ns, i64 build_ns, i64 aggregate_ns,
@@ -168,12 +161,11 @@ struct RequestTimeline {
   static Status DecodeFrom(util::BufferReader* in, RequestTimeline* out);
 };
 
-/// \brief Per-request serving options (wire type; trace context is the
-/// v2 addition).
+/// \brief Per-request serving options (wire type).
 ///
 /// Wire layout: i64 deadline budget in microseconds (-1 = none, may be
-/// negative = already expired), u8 allow_degraded, i32 priority;
-/// v2 appends u64 trace_id, u64 span_id.
+/// negative = already expired), u8 allow_degraded, i32 priority,
+/// u64 trace_id, u64 span_id.
 struct ClassifyOptions {
   /// Hard per-request deadline; the epoch default means "none".
   /// Checked at submit, at cache lookup and between batch stages —
@@ -215,21 +207,18 @@ struct ClassifyOptions {
     return o;
   }
 
-  /// Appends the wire encoding for `version`, converting the absolute
-  /// deadline into a budget relative to `now`. v1 omits the trace
-  /// context.
-  void EncodeTo(std::string* out, std::chrono::steady_clock::time_point now,
-                uint16_t version = kWireVersion) const;
+  /// Appends the wire encoding, converting the absolute deadline into
+  /// a budget relative to `now`.
+  void EncodeTo(std::string* out,
+                std::chrono::steady_clock::time_point now) const;
 
-  /// Reads the `version` wire encoding, re-anchoring the budget
-  /// against `now`. Decoding v1 leaves the trace context zeroed.
+  /// Reads the wire encoding, re-anchoring the budget against `now`.
   static Status DecodeFrom(util::BufferReader* in,
                            std::chrono::steady_clock::time_point now,
-                           ClassifyOptions* out,
-                           uint16_t version = kWireVersion);
+                           ClassifyOptions* out);
 };
 
-/// \brief Outcome of one classification query (wire type, version 1).
+/// \brief Outcome of one classification query (wire type).
 ///
 /// Wire layout: i32 predicted, u8 cache_hit, i32 slices_reused,
 /// i32 slices_built, u64 tx_count, u8 degraded, u64 epoch_lag.
@@ -289,23 +278,20 @@ struct ClassifyRequest {
   uint64_t address = 0;
   ClassifyOptions options;
 
-  /// The full frame payload for this request, in the `version` layout.
-  std::string EncodePayload(std::chrono::steady_clock::time_point now,
-                            uint16_t version = kWireVersion) const;
-  /// Strict per-version decode: the dispatcher passes the version the
-  /// enclosing frame declared.
+  /// The full frame payload for this request.
+  std::string EncodePayload(std::chrono::steady_clock::time_point now) const;
+  /// Strict decode: a short payload or trailing bytes fail.
   static Status Decode(std::string_view payload,
                        std::chrono::steady_clock::time_point now,
-                       ClassifyRequest* out,
-                       uint16_t version = kWireVersion);
+                       ClassifyRequest* out);
 };
 
 /// \brief One classification response as sent over the wire.
 ///
 /// Wire layout: u64 request_id, i32 status code, string message
 /// (u32 length + bytes, <= kMaxWireMessage), u8 has_result,
-/// ClassifyResult fields when has_result; v2 appends the
-/// RequestTimeline fields — error outcomes (shed, deadline) carry
+/// ClassifyResult fields when has_result, then the RequestTimeline
+/// fields — error outcomes (shed, deadline) carry
 /// their timeline too, which is how the acceptance invariant "every
 /// wire completion yields a timeline matching its outcome" holds for
 /// inline sheds.
@@ -316,9 +302,9 @@ struct ClassifyResponse {
   std::string message;
   bool has_result = false;
   ClassifyResult result;
-  /// Server-side timeline for the request this answers (v2 only on
-  /// the wire; all stamps -1 for responses synthesized without one,
-  /// e.g. protocol errors). Decode mirrors it into `result.timeline`.
+  /// Server-side timeline for the request this answers (all stamps -1
+  /// for responses synthesized without one, e.g. protocol errors).
+  /// Decode mirrors it into `result.timeline`.
   RequestTimeline timeline;
 
   /// Builds a response from an engine outcome and its timeline (the
@@ -331,23 +317,19 @@ struct ClassifyResponse {
   /// returned it in process.
   Result<ClassifyResult> ToResult() const;
 
-  std::string EncodePayload(uint16_t version = kWireVersion) const;
-  static Status Decode(std::string_view payload, ClassifyResponse* out,
-                       uint16_t version = kWireVersion);
+  std::string EncodePayload() const;
+  static Status Decode(std::string_view payload, ClassifyResponse* out);
 };
 
 /// \brief One decoded frame.
 struct Frame {
-  uint16_t version = kWireVersion;
   MessageType type = MessageType::kError;
   std::string payload;
 };
 
 /// \brief Encodes a complete frame (header + payload + CRC trailer)
-/// declaring `version` — the payload must already be in that version's
-/// layout. Tests and legacy peers pass kMinWireVersion.
-std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint16_t version = kWireVersion);
+/// declaring `kWireVersion`.
+std::string EncodeFrame(MessageType type, std::string_view payload);
 
 /// \brief Incremental frame reassembler for a byte stream.
 ///

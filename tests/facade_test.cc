@@ -179,6 +179,10 @@ TEST(FacadeTest, FromCheckpointRejectsMissingAndBogusFiles) {
   const auto rejected = BaClassifier::FromCheckpoint(legacy.path());
   ASSERT_FALSE(rejected.ok());
   EXPECT_NE(rejected.status().message().find("legacy"), std::string::npos);
+  BaClassifier loader{BaClassifier::Options{}};
+  const Status load = loader.Load(legacy.path());
+  ASSERT_FALSE(load.ok());
+  EXPECT_NE(load.message().find("legacy"), std::string::npos);
 }
 
 }  // namespace

@@ -540,42 +540,6 @@ TEST_F(NetTest, PipelinedAndShedCompletionsAllCarryMatchingTimelines) {
   server->Stop();
 }
 
-TEST_F(NetTest, V1FramesStillDecodeAndClassifyAgainstV2Server) {
-  auto engine = MakeEngine();
-  auto server = MakeServer(engine.get());
-  Client client = Dial(*server);
-
-  // A pre-trace-context peer: hand-rolled v1 frame over the raw pipe.
-  // The server must decode it, classify, and answer in v1 — which the
-  // client decodes as a response with no timeline.
-  serve::ClassifyRequest req;
-  req.request_id = 11111;
-  req.address = (*watched_)[0].address;
-  const std::string frame = serve::EncodeFrame(
-      serve::MessageType::kClassifyRequest,
-      req.EncodePayload(std::chrono::steady_clock::now(), /*version=*/1),
-      /*version=*/1);
-  ASSERT_TRUE(client.SendRaw(frame).ok());
-
-  const auto resp = client.ReadResponse();
-  ASSERT_TRUE(resp.ok()) << resp.status().message();
-  EXPECT_EQ(resp.value().request_id, 11111u);
-  const auto outcome = resp.value().ToResult();
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  EXPECT_EQ(outcome.value().predicted,
-            engine->Classify(req.address).value().predicted);
-  // v1 responses carry no timeline; the decode leaves the default.
-  EXPECT_EQ(resp.value().timeline.deliver_ns, -1);
-
-  // The same connection can then speak v2 — versions are per frame.
-  ClassifyOptions traced;
-  traced.trace_id = 5555;
-  const auto v2 = client.Classify(req.address, traced);
-  ASSERT_TRUE(v2.ok()) << v2.status().message();
-  EXPECT_EQ(v2.value().timeline.trace_id, 5555u);
-  server->Stop();
-}
-
 TEST_F(NetTest, AdminSlowlogAndTimelineAnswerJson) {
   serve::InferenceEngineOptions options;
   options.flight_recorder_capacity = 64;

@@ -354,44 +354,21 @@ TEST(ProtocolTest, TraceContextRoundTripsInV2Request) {
   EXPECT_EQ(back.options.span_id, req.options.span_id);
 }
 
-TEST(ProtocolTest, V1RequestDropsTraceContext) {
-  // A v1 peer never sends trace context; encoding v1 omits it and
-  // decoding v1 leaves it zeroed — the request is simply untraced.
-  const auto now = Clock::now();
-  ClassifyRequest req;
-  req.request_id = 8;
-  req.address = 100;
-  req.options.trace_id = 0xFFFF;
-  req.options.span_id = 0xEEEE;
-  req.options.allow_degraded = true;
-
-  const std::string v1 = req.EncodePayload(now, /*version=*/1);
-  const std::string v2 = req.EncodePayload(now, /*version=*/2);
-  EXPECT_EQ(v2.size(), v1.size() + 16) << "v2 appends two u64 trace ids";
-
-  ClassifyRequest back;
-  ASSERT_TRUE(ClassifyRequest::Decode(v1, now, &back, /*version=*/1).ok());
-  EXPECT_EQ(back.request_id, req.request_id);
-  EXPECT_TRUE(back.options.allow_degraded);
-  EXPECT_EQ(back.options.trace_id, 0u);
-  EXPECT_EQ(back.options.span_id, 0u);
-}
-
 TEST(ProtocolTest, RequestDecodeIsStrictPerVersion) {
-  // The dispatcher passes the version the enclosing frame declared;
-  // payload and version must agree in both directions.
+  // The payload must be exactly the live version's layout.
   const auto now = Clock::now();
   ClassifyRequest req;
   req.request_id = 9;
   req.address = 5;
+  const std::string payload = req.EncodePayload(now);
   ClassifyRequest back;
-  // v1 payload read as v2: the decoder wants trace ids that never came.
-  EXPECT_FALSE(ClassifyRequest::Decode(req.EncodePayload(now, 1), now,
-                                       &back, /*version=*/2)
+  // Short of the trace ids: the decoder wants bytes that never came.
+  EXPECT_FALSE(ClassifyRequest::Decode(payload.substr(0, payload.size() - 16),
+                                       now, &back)
                    .ok());
-  // v2 payload read as v1: 16 trailing bytes nobody consumed.
-  const auto got = ClassifyRequest::Decode(req.EncodePayload(now, 2), now,
-                                           &back, /*version=*/1);
+  // Trailing bytes nobody consumed.
+  const auto got = ClassifyRequest::Decode(payload + std::string(16, '\0'),
+                                           now, &back);
   ASSERT_FALSE(got.ok());
   EXPECT_NE(got.message().find("trailing"), std::string::npos);
 }
@@ -455,19 +432,16 @@ TEST(ProtocolTest, ResponseCarriesTimelineOnlyInV2) {
   // The decode mirrors the wire timeline into the in-process result.
   ExpectSameTimeline(back.result.timeline, SampleTimeline());
 
-  // v1 encoding is strictly shorter and round-trips with a default
-  // (all -1) timeline.
-  const std::string v1 = resp.EncodePayload(/*version=*/1);
-  EXPECT_LT(v1.size(), v2.size());
-  ClassifyResponse old;
-  ASSERT_TRUE(ClassifyResponse::Decode(v1, &old, /*version=*/1).ok());
-  EXPECT_EQ(old.timeline.trace_id, 0u);
-  EXPECT_EQ(old.timeline.deliver_ns, -1);
-  ExpectSameResult(old.result, resp.result);
-
-  // Cross-version strictness mirrors the request side.
-  EXPECT_FALSE(ClassifyResponse::Decode(v1, &back, /*version=*/2).ok());
-  EXPECT_FALSE(ClassifyResponse::Decode(v2, &back, /*version=*/1).ok());
+  // Strictness mirrors the request side: a payload without its
+  // timeline, or with trailing bytes, is rejected.
+  std::string no_timeline;
+  RequestTimeline().EncodeTo(&no_timeline);
+  EXPECT_FALSE(ClassifyResponse::Decode(
+                   v2.substr(0, v2.size() - no_timeline.size()), &back)
+                   .ok());
+  const auto got = ClassifyResponse::Decode(v2 + "x", &back);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.message().find("trailing"), std::string::npos);
 }
 
 TEST(ProtocolTest, ErrorResponseStillCarriesItsTimeline) {
@@ -491,35 +465,22 @@ TEST(ProtocolTest, ErrorResponseStillCarriesItsTimeline) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(ProtocolTest, DecoderAcceptsBothLiveVersions) {
-  // A v1 frame (pre trace-context peer) still decodes; the frame
-  // reports which version it declared so the dispatcher can answer in
-  // kind.
-  FrameDecoder decoder;
-  decoder.Append(
-      EncodeFrame(MessageType::kClassifyRequest, "old", /*version=*/1));
-  decoder.Append(EncodeFrame(MessageType::kClassifyRequest, "new"));
-  Frame frame;
-  auto got = decoder.Next(&frame);
-  ASSERT_TRUE(got.ok() && got.value());
-  EXPECT_EQ(frame.version, 1);
-  EXPECT_EQ(frame.payload, "old");
-  got = decoder.Next(&frame);
-  ASSERT_TRUE(got.ok() && got.value());
-  EXPECT_EQ(frame.version, serve::kWireVersion);
-  EXPECT_EQ(frame.payload, "new");
-}
-
 TEST(ProtocolTest, FutureVersionIsRejected) {
-  std::string bytes = EncodeFrame(MessageType::kClassifyRequest, "v3");
+  // The retired v1 and a future v3 alike: one version is live.
   const uint16_t future = serve::kWireVersion + 1;
-  std::memcpy(bytes.data() + 4, &future, sizeof(future));
-  FrameDecoder decoder;
-  decoder.Append(bytes);
-  Frame frame;
-  const auto got = decoder.Next(&frame);
-  ASSERT_FALSE(got.ok());
-  EXPECT_NE(got.status().message().find("version"), std::string::npos);
+  for (const uint16_t version : {uint16_t{1}, future}) {
+    std::string bytes = EncodeFrame(MessageType::kClassifyRequest, "v?");
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    FrameDecoder decoder;
+    decoder.Append(bytes);
+    Frame frame;
+    const auto got = decoder.Next(&frame);
+    ASSERT_FALSE(got.ok()) << "version " << version;
+    EXPECT_NE(
+        got.status().message().find("version " + std::to_string(version)),
+        std::string::npos)
+        << got.status().message();
+  }
 }
 
 }  // namespace

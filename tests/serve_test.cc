@@ -23,6 +23,7 @@
 #include "datagen/dataset.h"
 #include "datagen/simulator.h"
 #include "obs/metrics.h"
+#include "predict_at_epoch.h"
 #include "serve/inference_engine.h"
 #include "serve/sweep_detector.h"
 #include "util/fs.h"
@@ -320,6 +321,86 @@ TEST_F(ServeTest, LedgerGrowthInvalidatesOnlyTheTail) {
   const InferenceMetricsSnapshot m = engine->Metrics();
   EXPECT_EQ(m.partial_hits, 1u);
   EXPECT_GT(m.slices_reused, 0u);
+}
+
+TEST_F(ServeTest, MultiWindowPartialRebuildMatchesAColdEngine) {
+  // A history of more than two build windows, cached at a complete-slice
+  // count that is not a window multiple, then grown by more than a
+  // window: the rebuild starts mid-window and spans two windows, and
+  // every slice row must land at its slice index.
+  constexpr int kWindow = 8;  // slices a miss builds at a time
+  const int slice_size =
+      classifier_->options().dataset.construction.slice_size;
+  chain::Ledger* ledger = simulator_->mutable_ledger();
+  datagen::LabeledAddress target = (*test_)[0];
+  for (const auto& a : *test_) {
+    if (ledger->TransactionsOf(a.address).size() >
+        ledger->TransactionsOf(target.address).size()) {
+      target = a;
+    }
+  }
+  chain::Timestamp t = ledger->block(ledger->height() - 1).timestamp;
+  auto grow_to = [&](size_t tx_count) {
+    while (ledger->TransactionsOf(target.address).size() < tx_count) {
+      t += 600;
+      ASSERT_TRUE(ledger->ApplyCoinbase(t, target.address).ok());
+      ASSERT_TRUE(ledger->SealBlock(t).ok());
+    }
+  };
+  // 17 complete slices plus half a slice: 18 slices over three windows.
+  grow_to(static_cast<size_t>((2 * kWindow + 1) * slice_size +
+                              slice_size / 2));
+  const uint64_t before = ledger->TransactionsOf(target.address).size();
+  const int complete = static_cast<int>(before) / slice_size;
+  ASSERT_GE(complete, 2 * kWindow + 1);
+  ASSERT_NE(complete % kWindow, 0);
+
+  TempFile warm_file("multiwindow_warm");
+  InferenceEngineOptions warm_options;
+  warm_options.cache_path = warm_file.path();
+  auto engine = MakeEngine(warm_options);
+  auto first = engine->Classify(target.address);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  EXPECT_EQ(first.value().tx_count, before);
+  EXPECT_EQ(first.value().predicted,
+            testutil::PredictAtEpoch(*classifier_, *ledger, target.address,
+                                     before));
+
+  // Grow by more than one window, so the rebuild spans two.
+  grow_to(before + static_cast<size_t>((kWindow + 2) * slice_size + 3));
+  const uint64_t after = ledger->TransactionsOf(target.address).size();
+  const int num_slices =
+      static_cast<int>((after + static_cast<uint64_t>(slice_size) - 1) /
+                       static_cast<uint64_t>(slice_size));
+  auto second = engine->Classify(target.address);
+  ASSERT_TRUE(second.ok()) << second.status().message();
+  const ClassifyResult r = second.value();
+  EXPECT_EQ(r.tx_count, after);
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_EQ(r.slices_reused, complete);
+  EXPECT_EQ(r.slices_built, num_slices - complete);
+  EXPECT_GT(r.slices_built, kWindow);
+  EXPECT_EQ(r.predicted, testutil::PredictAtEpoch(*classifier_, *ledger,
+                                                  target.address, after));
+
+  // The grown entry equals a cold engine's, byte for byte: BASV holds
+  // every slice row and no LRU tick.
+  TempFile cold_file("multiwindow_cold");
+  InferenceEngineOptions cold_options;
+  cold_options.cache_path = cold_file.path();
+  auto cold = MakeEngine(cold_options);
+  auto from_scratch = cold->Classify(target.address);
+  ASSERT_TRUE(from_scratch.ok()) << from_scratch.status().message();
+  EXPECT_EQ(from_scratch.value().slices_built, num_slices);
+  ASSERT_EQ(engine->CacheSize(), 1u);
+  ASSERT_EQ(cold->CacheSize(), 1u);
+  ASSERT_TRUE(engine->SaveCache().ok());
+  ASSERT_TRUE(cold->SaveCache().ok());
+  const auto warm_image = util::ReadFileToString(warm_file.path());
+  const auto cold_image = util::ReadFileToString(cold_file.path());
+  ASSERT_TRUE(warm_image.ok() && cold_image.ok());
+  EXPECT_TRUE(warm_image.value() == cold_image.value())
+      << "partially rebuilt cache entry differs from a cold build";
 }
 
 TEST_F(ServeTest, MetricsAreConsistent) {
