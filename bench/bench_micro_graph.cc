@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: SFE,
-// centrality measures, sparse products, normalized adjacency, and the
-// individual construction stages on a fixed economy.
+// centrality measures, sparse products, normalized adjacency, the
+// individual construction stages on a fixed economy, and the two
+// inference layers of a cold miss (GFN embed, LSTM aggregate).
 
 #include <benchmark/benchmark.h>
 
 #include "chain/ledger.h"
+#include "core/aggregator.h"
 #include "core/gfn_features.h"
 #include "core/graph_builder.h"
+#include "core/graph_model.h"
 #include "core/sfe.h"
 #include "datagen/simulator.h"
 #include "graph/centrality.h"
@@ -100,6 +103,39 @@ void BM_SpmmDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpmmDense)->Arg(256)->Arg(2048);
+
+/// GraphModel::Embed on an untrained default GFN (k = 2) over n nodes
+/// of random X^G. GFN reads only X^G, so the other tensors stay empty.
+/// Node counts are the graph fixtures' (16 from BM_Sfe, the rest from
+/// the centrality benchmarks).
+void BM_GfnEmbed(benchmark::State& state) {
+  const ba::core::GraphModelOptions options;
+  const ba::core::GraphModel model(options);
+  ba::Rng rng(8);
+  ba::core::GraphTensors gt;
+  gt.augmented = ba::tensor::Tensor::RandomNormal(
+      {state.range(0), ba::core::AugmentedDim(options.k_hops)}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.Embed(gt));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GfnEmbed)->Arg(16)->Arg(64)->Arg(256)->Arg(512);
+
+/// AggregatorModel::Predict on an untrained default LSTM head over T
+/// slice embeddings. T = 1, 4, 12 are the slices a cold_scan miss
+/// builds at p50, p90 and p99.
+void BM_AggregatorPredict(benchmark::State& state) {
+  const ba::core::AggregatorOptions options;
+  const ba::core::AggregatorModel model(options);
+  ba::Rng rng(9);
+  const ba::tensor::Tensor seq = ba::tensor::Tensor::RandomNormal(
+      {state.range(0), options.embed_dim}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.Predict(seq));
+  }
+}
+BENCHMARK(BM_AggregatorPredict)->Arg(1)->Arg(4)->Arg(12);
 
 /// Fixture economy shared by the stage benchmarks.
 class StageFixture : public benchmark::Fixture {

@@ -149,6 +149,9 @@ tensor::Var AggregatorModel::Logits(
 }
 
 int AggregatorModel::Predict(const tensor::Tensor& embeddings) const {
+  // Tape-free, as in GraphModel::PredictGraph. Train's Logits calls
+  // keep their tape; its eval pass comes through here.
+  tensor::NoGradScope no_grad;
   const tensor::Var logits = Logits(embeddings);
   int best = 0;
   for (int c = 1; c < options_.num_classes; ++c) {

@@ -166,7 +166,15 @@ tensor::Var GraphModel::Logits(const GraphTensors& gt) const {
   return LogitsImpl(gt, /*training=*/false, /*rng=*/nullptr);
 }
 
+// The inference entry points below run the training forward under a
+// NoGradScope: same values, no tape. The scope covers only this
+// thread's own call. GEMMs inside may fan row panels out over the pool,
+// but those helpers compute values and never make autograd nodes, and
+// ParallelFor's caller claims only its own chunks, so no other caller's
+// work runs on this thread while the scope is open.
+
 int GraphModel::PredictGraph(const GraphTensors& gt) const {
+  tensor::NoGradScope no_grad;
   const tensor::Var logits = Logits(gt);
   int best = 0;
   for (int c = 1; c < options_.num_classes; ++c) {
@@ -176,6 +184,7 @@ int GraphModel::PredictGraph(const GraphTensors& gt) const {
 }
 
 tensor::Tensor GraphModel::Embed(const GraphTensors& gt) const {
+  tensor::NoGradScope no_grad;
   switch (options_.encoder) {
     case GraphEncoderKind::kGfn:
       return gfn_->Embed(tensor::Constant(gt.augmented))->value;
@@ -216,13 +225,8 @@ Status GraphModel::Quantize(const std::vector<AddressSample>& calibration) {
 
 tensor::Tensor GraphModel::EmbedQuantized(const GraphTensors& gt) const {
   BA_CHECK(quantized_node_mlp_ != nullptr);
-  const tensor::Tensor h = quantized_node_mlp_->Forward(gt.augmented);
-  // SUM readout (Eq. 15) in fp32, exactly like the fp32 path.
-  tensor::Tensor out({1, h.dim(1)});
-  for (int64_t i = 0; i < h.dim(0); ++i) {
-    for (int64_t j = 0; j < h.dim(1); ++j) out.at(0, j) += h.at(i, j);
-  }
-  return out;
+  // SUM readout (Eq. 15) in fp32: the fp32 path's own column sum.
+  return tensor::SumRowsValue(quantized_node_mlp_->Forward(gt.augmented));
 }
 
 Status GraphModel::Train(const std::vector<AddressSample>& train,

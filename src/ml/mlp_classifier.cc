@@ -52,6 +52,7 @@ int MlpClassifier::Predict(const std::vector<float>& row) const {
   BA_CHECK(mlp_ != nullptr);
   tensor::Tensor x({1, dim_});
   for (int64_t j = 0; j < dim_; ++j) x.at(0, j) = row[static_cast<size_t>(j)];
+  tensor::NoGradScope no_grad;
   const tensor::Var logits = mlp_->Forward(tensor::Constant(x));
   int best = 0;
   for (int c = 1; c < num_classes_; ++c) {

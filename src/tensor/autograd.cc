@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <unordered_set>
+#include <utility>
 
 namespace ba::tensor {
 
@@ -17,41 +19,65 @@ void Node::AccumulateGrad(const Tensor& g) {
   grad.AddInPlace(g);
 }
 
-Var Constant(Tensor value) {
-  auto node = std::make_shared<Node>();
-  node->value = std::move(value);
-  node->requires_grad = false;
-  return node;
-}
-
-Var Param(Tensor value) {
-  auto node = std::make_shared<Node>();
-  node->value = std::move(value);
-  node->requires_grad = true;
-  return node;
-}
-
 namespace {
 
+/// Set while a NoGradScope is open on this thread.
+thread_local bool t_no_grad = false;
+
 /// Creates an op node whose requires_grad is inherited from parents.
-Var MakeOp(Tensor value, std::vector<Var> parents,
-           std::function<void(Node&)> backward) {
-  auto node = std::make_shared<Node>();
-  node->value = std::move(value);
-  node->parents = std::move(parents);
+/// Under a NoGradScope the node keeps only its value: the parents are
+/// never copied and the closure is never wrapped in a std::function.
+template <typename It, typename BackwardFn>
+Var MakeOpFrom(Tensor value, It first, It last, BackwardFn&& backward) {
+  auto node = std::make_shared<Node>(std::move(value));
+  if (t_no_grad) return node;
+  node->parents.assign(first, last);
   for (const auto& p : node->parents) {
     if (p->requires_grad) {
       node->requires_grad = true;
       break;
     }
   }
-  if (node->requires_grad) node->backward = std::move(backward);
+  if (node->requires_grad) {
+    node->backward = std::forward<BackwardFn>(backward);
+  }
   return node;
+}
+
+template <typename BackwardFn>
+Var MakeOp(Tensor value, std::initializer_list<Var> parents,
+           BackwardFn&& backward) {
+  return MakeOpFrom(std::move(value), parents.begin(), parents.end(),
+                    std::forward<BackwardFn>(backward));
+}
+
+template <typename BackwardFn>
+Var MakeOp(Tensor value, const std::vector<Var>& parents,
+           BackwardFn&& backward) {
+  return MakeOpFrom(std::move(value), parents.begin(), parents.end(),
+                    std::forward<BackwardFn>(backward));
 }
 
 }  // namespace
 
+NoGradScope::NoGradScope() : outer_(t_no_grad) { t_no_grad = true; }
+
+NoGradScope::~NoGradScope() { t_no_grad = outer_; }
+
+Var Constant(Tensor value) {
+  auto node = std::make_shared<Node>(std::move(value));
+  node->requires_grad = false;
+  return node;
+}
+
+Var Param(Tensor value) {
+  auto node = std::make_shared<Node>(std::move(value));
+  node->requires_grad = true;
+  return node;
+}
+
 void Backward(const Var& root) {
+  BA_CHECK(root->requires_grad);
   BA_CHECK_EQ(root->value.numel(), 1);
   // Iterative post-order DFS to get a topological order.
   std::vector<Node*> topo;
@@ -385,12 +411,8 @@ Var ConcatCols(const std::vector<Var>& parts) {
 }
 
 Var SumRows(const Var& a) {
-  BA_CHECK_EQ(a->value.rank(), 2);
+  Tensor value = SumRowsValue(a->value);
   const int64_t m = a->value.dim(0), n = a->value.dim(1);
-  Tensor value({1, n});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) value.at(0, j) += a->value.at(i, j);
-  }
   return MakeOp(std::move(value), {a}, [m, n](Node& node) {
     Tensor g({m, n});
     for (int64_t i = 0; i < m; ++i) {

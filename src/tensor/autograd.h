@@ -11,11 +11,15 @@
 /// \file autograd.h
 /// \brief Tape-based reverse-mode automatic differentiation.
 ///
-/// Every differentiable operation builds a `Node` holding its value,
-/// its parents and a backward closure; `Backward(root)` runs a reverse
+/// Outside a `NoGradScope`, a differentiable operation with a parent
+/// that requires gradients builds a `Node` holding its value, its
+/// parents and a backward closure; `Backward(root)` runs a reverse
 /// topological sweep accumulating gradients into parameter nodes. This
 /// is the training engine behind GFN, GCN, DiffPool, the LSTM
-/// classifier and the MLP baselines.
+/// classifier and the MLP baselines. Inference runs the same ops under
+/// a `NoGradScope`: each op then returns a node holding only its value,
+/// so no tape is recorded and every intermediate is freed as soon as
+/// the next op has consumed it.
 
 namespace ba::tensor {
 
@@ -41,6 +45,28 @@ class Node {
   void AccumulateGrad(const Tensor& g);
 };
 
+/// \brief RAII guard that stops ops on the calling thread from
+/// recording a tape (torch's `NoGradGuard`).
+///
+/// While any scope is open on a thread, every op that thread runs
+/// returns a node with its value only: no parents, no backward closure,
+/// `requires_grad` false. Values are bit-identical to the taped
+/// forward. The flag is thread-local, so ops on other threads keep
+/// their tape, and a scope restores the previous state on exit, so
+/// scopes nest. Open it only around work the thread does for its own
+/// caller: a pool thread that ran someone else's task under an open
+/// scope would drop that task's tape.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool outer_;
+};
+
 /// Wraps a value that never receives gradients (inputs, labels).
 Var Constant(Tensor value);
 
@@ -49,7 +75,9 @@ Var Param(Tensor value);
 
 /// \brief Runs reverse-mode differentiation from a scalar root.
 /// Seeds d(root)/d(root) = 1 and sweeps the tape once. Gradients
-/// accumulate across calls until ZeroGrad.
+/// accumulate across calls until ZeroGrad. The root must require
+/// gradients: a constant, or any value made under a NoGradScope, has
+/// no tape to sweep and is a checked error.
 void Backward(const Var& root);
 
 /// Marks the given nodes' gradients cleared. Their grad storage is

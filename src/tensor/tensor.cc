@@ -50,6 +50,16 @@ std::string Tensor::ToString(int64_t max_elems) const {
   return os.str();
 }
 
+Tensor SumRowsValue(const Tensor& a) {
+  BA_CHECK_EQ(a.rank(), 2);
+  const int64_t m = a.dim(0), n = a.dim(1);
+  Tensor out({1, n});
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) out.at(0, j) += a.at(i, j);
+  }
+  return out;
+}
+
 // The three matmul entry points delegate to the blocked kernel layer
 // in gemm.cc (register-tiled, ISA-dispatched, row-panel threaded for
 // large shapes). Layout differences are absorbed here: strides for the

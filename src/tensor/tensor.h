@@ -156,6 +156,11 @@ class Tensor {
   std::vector<float> data_;
 };
 
+/// Column sums of a rank-2 tensor: (m,n) -> (1,n). Rows accumulate in
+/// ascending order, so every caller (the autograd SumRows op and the
+/// int8 embed's SUM readout, Eq. 15) gets the same bits.
+Tensor SumRowsValue(const Tensor& a);
+
 /// Dense matrix product C = A·B for rank-2 tensors (m,k)x(k,n).
 Tensor MatMulValue(const Tensor& a, const Tensor& b);
 

@@ -1,12 +1,14 @@
 // Reverse-mode autograd correctness: every differentiable op is checked
 // against central-difference numeric gradients, plus optimizer
-// convergence tests.
+// convergence tests and the NoGradScope semantics (no tape under the
+// scope, nesting, thread-locality, Backward without a tape).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <thread>
 
 #include "tensor/autograd.h"
 #include "tensor/optimizer.h"
@@ -103,6 +105,80 @@ TEST(AutogradTest, ReusedNodeReceivesSummedGradient) {
   Backward(loss);
   EXPECT_FLOAT_EQ(a->grad.at(0, 0), 1.0f);
   EXPECT_FLOAT_EQ(a->grad.at(0, 1), 1.0f);
+}
+
+TEST(AutogradTest, BackwardOnAConstantRootIsACheckedError) {
+  const Var c = MeanAll(Constant(Tensor::Ones({2, 2})));
+  ASSERT_FALSE(c->requires_grad);
+  EXPECT_DEATH(Backward(c), "requires_grad");
+}
+
+TEST(AutogradTest, BackwardOnAValueMadeUnderTheScopeIsACheckedError) {
+  const Var w = Param(Tensor::Ones({2, 2}));
+  Var loss;
+  {
+    NoGradScope no_grad;
+    loss = MeanAll(Mul(w, w));
+  }
+  ASSERT_FALSE(loss->requires_grad);
+  EXPECT_DEATH(Backward(loss), "requires_grad");
+}
+
+TEST(NoGradScopeTest, NodeMadeUnderTheScopeHoldsOnlyItsValue) {
+  Rng rng(21);
+  const Var x = Constant(Tensor::RandomNormal({3, 4}, &rng));
+  const Var w = Param(Tensor::RandomNormal({4, 2}, &rng));
+  const Var taped = Tanh(MatMul(x, w));
+  EXPECT_TRUE(taped->requires_grad);
+  EXPECT_EQ(taped->parents.size(), 1u);
+  EXPECT_TRUE(static_cast<bool>(taped->backward));
+
+  NoGradScope no_grad;
+  const Var bare = Tanh(MatMul(x, w));
+  EXPECT_FALSE(bare->requires_grad);
+  EXPECT_TRUE(bare->parents.empty());
+  EXPECT_FALSE(static_cast<bool>(bare->backward));
+  ASSERT_TRUE(bare->value.SameShape(taped->value));
+  EXPECT_EQ(std::memcmp(bare->value.data(), taped->value.data(),
+                        sizeof(float) *
+                            static_cast<size_t>(taped->value.numel())),
+            0);
+  // Param and Constant are leaves, not ops: the scope leaves them be.
+  EXPECT_TRUE(Param(Tensor::Ones({1, 1}))->requires_grad);
+}
+
+TEST(NoGradScopeTest, NestedScopesRestoreTheOuterState) {
+  const Var w = Param(Tensor::Ones({1, 2}));
+  const auto taped = [&w] { return !Scale(w, 2.0f)->parents.empty(); };
+  EXPECT_TRUE(taped());
+  {
+    NoGradScope outer;
+    EXPECT_FALSE(taped());
+    {
+      NoGradScope inner;
+      EXPECT_FALSE(taped());
+    }
+    EXPECT_FALSE(taped()) << "closing the inner scope reopened the tape";
+  }
+  EXPECT_TRUE(taped());
+  EXPECT_TRUE(Scale(w, 2.0f)->requires_grad);
+}
+
+TEST(NoGradScopeTest, TheFlagIsThreadLocal) {
+  NoGradScope no_grad;
+  bool other_requires_grad = false;
+  size_t other_parents = 0;
+  std::thread other([&] {
+    const Var w = Param(Tensor::Ones({2, 2}));
+    const Var y = Relu(Scale(w, 3.0f));
+    other_requires_grad = y->requires_grad;
+    other_parents = y->parents.size();
+  });
+  other.join();
+  EXPECT_TRUE(other_requires_grad);
+  EXPECT_EQ(other_parents, 1u);
+  // This thread still holds its scope.
+  EXPECT_TRUE(Scale(Param(Tensor::Ones({1, 1})), 2.0f)->parents.empty());
 }
 
 TEST(GradCheckTest, MatMul) {
