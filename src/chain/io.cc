@@ -1,7 +1,5 @@
 #include "chain/io.h"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,15 +10,7 @@ namespace ba::chain {
 
 namespace {
 
-constexpr char kHeaderV1[] = "# ba-ledger v1,";
-constexpr char kHeaderV2[] = "# ba-ledger v2,";
-constexpr char kCrcTrailerPrefix[] = "# crc32,";
-
-std::string CrcHex(uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return buf;
-}
+constexpr char kHeader[] = "# ba-ledger v2,";
 
 std::string JoinOutputs(const std::vector<TxOut>& outs) {
   std::ostringstream os;
@@ -65,7 +55,7 @@ Status ExportLedgerCsv(const Ledger& ledger, const std::string& path) {
   BA_RETURN_NOT_OK(out.Open());
   {
     std::ostringstream header;
-    header << kHeaderV2 << ledger.options().block_subsidy << ","
+    header << kHeader << ledger.options().block_subsidy << ","
            << ledger.num_addresses() << "\n";
     BA_RETURN_NOT_OK(out.Append(header.str()));
   }
@@ -84,31 +74,29 @@ Status ExportLedgerCsv(const Ledger& ledger, const std::string& path) {
     }
     BA_RETURN_NOT_OK(out.Append(os.str()));
   }
-  // Integrity trailer: CRC32 of every byte above this line.
-  BA_RETURN_NOT_OK(
-      out.Append(kCrcTrailerPrefix + CrcHex(out.crc()) + "\n"));
+  BA_RETURN_NOT_OK(util::AppendCrcTrailerLine(&out));
   return out.Commit();
 }
 
 Result<Ledger> ImportLedgerCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open: " + path);
+  util::SealedLineReader in;
+  BA_RETURN_NOT_OK(in.Open(path));
+  auto fail = [&in](const std::string& why) { return in.LineError(why); };
 
   std::string header;
-  if (!std::getline(in, header)) {
-    return Status::InvalidArgument("line 1: empty file (missing header)");
+  if (!in.Next(&header)) {
+    return Status::InvalidArgument("line 1: empty file (missing header): " +
+                                   path);
   }
-  const bool v2 = header.rfind(kHeaderV2, 0) == 0;
-  if (!v2 && header.rfind(kHeaderV1, 0) != 0) {
-    return Status::InvalidArgument("line 1: missing ba-ledger header");
+  if (header.rfind(kHeader, 0) != 0) {
+    return fail("missing ba-ledger header (expected '" +
+                std::string(kHeader) + "', got '" + header.substr(0, 40) +
+                "')");
   }
-  // Running CRC over every byte of the file before the trailer line,
-  // exactly as the exporter wrote them (trailing '\n' included).
-  uint32_t crc = util::Crc32(header + "\n");
   Amount subsidy = 0;
   size_t num_addresses = 0;
   {
-    std::stringstream ss(header.substr(sizeof(kHeaderV1) - 1));
+    std::stringstream ss(header.substr(sizeof(kHeader) - 1));
     std::string field;
     try {
       if (!std::getline(ss, field, ',')) throw std::invalid_argument("");
@@ -116,20 +104,18 @@ Result<Ledger> ImportLedgerCsv(const std::string& path) {
       if (!std::getline(ss, field, ',')) throw std::invalid_argument("");
       num_addresses = std::stoull(field);
     } catch (const std::exception&) {
-      return Status::InvalidArgument("line 1: malformed header: " + header);
+      return fail("malformed header: " + header);
     }
   }
   // Validate header values before acting on them: a corrupted subsidy
   // or address count must fail here, not abort in the Ledger ctor or
   // drive an enormous allocation.
   if (subsidy <= 0) {
-    return Status::InvalidArgument("line 1: invalid block subsidy " +
-                                   std::to_string(subsidy));
+    return fail("invalid block subsidy " + std::to_string(subsidy));
   }
   constexpr size_t kMaxAddresses = size_t{1} << 26;  // ~67M, corpus is ~2M
   if (num_addresses > kMaxAddresses) {
-    return Status::InvalidArgument("line 1: implausible address count " +
-                                   std::to_string(num_addresses));
+    return fail("implausible address count " + std::to_string(num_addresses));
   }
 
   LedgerOptions options;
@@ -140,33 +126,17 @@ Result<Ledger> ImportLedgerCsv(const std::string& path) {
   std::string line;
   Timestamp block_time = 0;
   bool in_block = false;
-  bool saw_trailer = false;
-  int line_no = 1;
-  auto fail = [&line_no](const std::string& why) {
-    return Status::InvalidArgument("line " + std::to_string(line_no) + ": " +
-                                   why);
+  auto seal_block = [&]() -> Status {
+    const Status sealed = ledger.SealBlock(block_time);
+    return sealed.ok() ? sealed : fail(sealed.message());
   };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (saw_trailer) return fail("content after crc32 trailer");
-    if (line.rfind(kCrcTrailerPrefix, 0) == 0) {
-      const std::string stored = line.substr(sizeof(kCrcTrailerPrefix) - 1);
-      const std::string computed = CrcHex(crc);
-      if (stored != computed) {
-        return fail("crc32 mismatch over lines 1-" +
-                    std::to_string(line_no - 1) + " (stored " + stored +
-                    ", computed " + computed + "): file corrupted");
-      }
-      saw_trailer = true;
-      continue;
-    }
-    crc = util::Crc32(line + "\n", crc);
+  while (in.Next(&line)) {
     if (line.empty()) continue;
     std::stringstream ss(line);
     std::string kind;
     if (!std::getline(ss, kind, ',')) return fail("empty record");
     if (kind == "B") {
-      if (in_block) BA_RETURN_NOT_OK(ledger.SealBlock(block_time));
+      if (in_block) BA_RETURN_NOT_OK(seal_block());
       std::string height_s, ts_s;
       if (!std::getline(ss, height_s, ',') || !std::getline(ss, ts_s, ',')) {
         return fail("malformed block record");
@@ -228,13 +198,10 @@ Result<Ledger> ImportLedgerCsv(const std::string& path) {
       return fail("unknown record kind: " + kind);
     }
   }
-  if (v2 && !saw_trailer) {
-    return Status::InvalidArgument(
-        "line " + std::to_string(line_no) +
-        ": truncated file (missing crc32 trailer)");
-  }
-  if (in_block) BA_RETURN_NOT_OK(ledger.SealBlock(block_time));
-  BA_RETURN_NOT_OK(ledger.CheckConservation());
+  BA_RETURN_NOT_OK(in.Finish());
+  if (in_block) BA_RETURN_NOT_OK(seal_block());
+  const Status conserved = ledger.CheckConservation();
+  if (!conserved.ok()) return fail(conserved.message());
   return ledger;
 }
 

@@ -19,9 +19,10 @@
 ///   # crc32,<8-hex>                                        (trailer)
 /// Addresses are dense ids; every id below the header's address count
 /// exists. Files are written atomically (tmp + rename); the trailing
-/// CRC32 covers every byte above it and is verified on import, so a
-/// truncated or bit-flipped release fails with a line-numbered error
-/// instead of loading silently. v1 files (no trailer) still import.
+/// CRC32 covers every byte above it and is verified on import
+/// (util::SealedLineReader), so a truncated or bit-flipped release fails
+/// with a line-numbered error naming the file instead of loading
+/// silently.
 
 namespace ba::chain {
 

@@ -36,16 +36,19 @@ std::vector<AggregatorKind> AllAggregators() {
 }
 
 Status AggregatorOptions::Validate() const {
-  if (embed_dim <= 0 || hidden_dim <= 0 || mlp_hidden <= 0) {
-    return Status::InvalidArgument(
-        "aggregator dims must be positive (embed_dim " +
-        std::to_string(embed_dim) + ", hidden_dim " +
-        std::to_string(hidden_dim) + ", mlp_hidden " +
-        std::to_string(mlp_hidden) + ")");
+  for (const int64_t dim : {embed_dim, hidden_dim, mlp_hidden}) {
+    if (dim <= 0 || dim > kMaxModelWidth) {
+      return Status::InvalidArgument(
+          "aggregator dims must be in [1, " + std::to_string(kMaxModelWidth) +
+          "] (embed_dim " + std::to_string(embed_dim) + ", hidden_dim " +
+          std::to_string(hidden_dim) + ", mlp_hidden " +
+          std::to_string(mlp_hidden) + ")");
+    }
   }
-  if (num_classes < 2) {
+  if (num_classes < 2 || num_classes > kMaxModelWidth) {
     return Status::InvalidArgument(
-        "aggregator.num_classes must be >= 2 (got " +
+        "aggregator.num_classes must be in [2, " +
+        std::to_string(kMaxModelWidth) + "] (got " +
         std::to_string(num_classes) + ")");
   }
   if (epochs < 1 || batch_size < 1) {

@@ -1,115 +1,61 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "tensor/serialize.h"
 #include "util/fs.h"
 
 namespace ba::core {
 
 namespace {
 
-constexpr char kMagic[4] = {'B', 'A', 'C', 'K'};
-constexpr uint32_t kVersion = 1;
+constexpr util::SealedFormat kBack{{'B', 'A', 'C', 'K'}, 1,
+                                   "training checkpoint"};
 
-// Plausibility bounds for header values read from disk — a corrupted
-// count must fail with a message, never drive a huge allocation.
-constexpr uint64_t kMaxTensors = 1u << 20;
-constexpr uint32_t kMaxRank = 8;
-constexpr int64_t kMaxDim = int64_t{1} << 32;
-
-template <typename T>
-Status WritePod(util::AtomicFileWriter* out, const T& value) {
-  return out->Write(&value, sizeof(T));
+Status WriteTensor(util::SealedFileWriter* out, const tensor::Tensor& t) {
+  std::string record;
+  tensor::AppendTensorRecord(&record, t);
+  return out->Append(record);
 }
 
-Status WriteTensor(util::AtomicFileWriter* out, const tensor::Tensor& t) {
-  BA_RETURN_NOT_OK(WritePod(out, static_cast<uint32_t>(t.rank())));
-  for (int64_t d = 0; d < t.rank(); ++d) {
-    BA_RETURN_NOT_OK(WritePod(out, t.dim(d)));
+Status WriteMoments(
+    util::SealedFileWriter* out,
+    const std::vector<std::pair<uint64_t, tensor::Tensor>>& moments) {
+  BA_RETURN_NOT_OK(out->WritePod(static_cast<uint64_t>(moments.size())));
+  for (const auto& [index, t] : moments) {
+    BA_RETURN_NOT_OK(out->WritePod(index));
+    BA_RETURN_NOT_OK(WriteTensor(out, t));
   }
-  return out->Write(t.data(),
-                    static_cast<size_t>(t.numel()) * sizeof(float));
-}
-
-/// Reads one tensor (shape header + payload) with full validation.
-Status ReadTensor(util::BufferReader* r, const std::string& what,
-                  tensor::Tensor* out) {
-  uint32_t rank = 0;
-  if (!r->ReadPod(&rank)) {
-    return Status::InvalidArgument(what + ": truncated tensor header");
-  }
-  if (rank > kMaxRank) {
-    return Status::InvalidArgument(what + ": implausible rank " +
-                                   std::to_string(rank));
-  }
-  std::vector<int64_t> shape(rank);
-  int64_t numel = 1;
-  for (uint32_t d = 0; d < rank; ++d) {
-    if (!r->ReadPod(&shape[d])) {
-      return Status::InvalidArgument(what + ": truncated tensor header");
-    }
-    if (shape[d] < 0 || shape[d] > kMaxDim) {
-      return Status::InvalidArgument(what + ": implausible dim " +
-                                     std::to_string(shape[d]));
-    }
-    numel *= shape[d];
-    if (numel > kMaxDim) {
-      return Status::InvalidArgument(what + ": implausible element count");
-    }
-  }
-  // Reject before allocating anything the remaining bytes cannot back.
-  const size_t payload = static_cast<size_t>(numel) * sizeof(float);
-  if (payload > r->remaining()) {
-    return Status::InvalidArgument(what + ": truncated payload (" +
-                                   std::to_string(payload) + " bytes needed, " +
-                                   std::to_string(r->remaining()) + " left)");
-  }
-  tensor::Tensor t(std::move(shape));
-  if (!r->ReadBytes(t.data(), payload)) {
-    return Status::InvalidArgument(what + ": truncated payload");
-  }
-  *out = std::move(t);
   return Status::OK();
 }
 
-Status ReadMoments(util::BufferReader* r, const std::string& what,
+Status ReadMoments(util::SealedBody* in, const std::string& what,
                    uint64_t param_count,
                    std::vector<std::pair<uint64_t, tensor::Tensor>>* out) {
   uint64_t entries = 0;
-  if (!r->ReadPod(&entries)) {
-    return Status::InvalidArgument(what + ": truncated entry count");
+  if (!in->ReadPod(&entries)) {
+    return in->Corrupt(what + ": truncated entry count");
   }
-  if (entries > param_count) {
-    return Status::InvalidArgument(what + ": implausible entry count " +
-                                   std::to_string(entries));
+  if (entries > param_count ||
+      !in->CanHold(entries,
+                   sizeof(uint64_t) + tensor::kMinTensorRecordBytes)) {
+    return in->Corrupt(what + ": implausible entry count " +
+                       std::to_string(entries));
   }
   out->reserve(entries);
   for (uint64_t e = 0; e < entries; ++e) {
     uint64_t index = 0;
-    if (!r->ReadPod(&index)) {
-      return Status::InvalidArgument(what + ": truncated entry index");
+    if (!in->ReadPod(&index)) {
+      return in->Corrupt(what + ": truncated entry index");
     }
     if (index >= param_count) {
-      return Status::InvalidArgument(what + ": entry index " +
-                                     std::to_string(index) +
-                                     " out of range");
+      return in->Corrupt(what + ": entry index " + std::to_string(index) +
+                         " out of range");
     }
     tensor::Tensor t;
-    BA_RETURN_NOT_OK(
-        ReadTensor(r, what + " entry " + std::to_string(e), &t));
+    BA_RETURN_NOT_OK(tensor::ReadTensorRecord(
+        in, what + " entry " + std::to_string(e), &t));
     out->emplace_back(index, std::move(t));
-  }
-  return Status::OK();
-}
-
-Status WriteMoments(
-    util::AtomicFileWriter* out,
-    const std::vector<std::pair<uint64_t, tensor::Tensor>>& moments) {
-  BA_RETURN_NOT_OK(WritePod(out, static_cast<uint64_t>(moments.size())));
-  for (const auto& [index, t] : moments) {
-    BA_RETURN_NOT_OK(WritePod(out, index));
-    BA_RETURN_NOT_OK(WriteTensor(out, t));
   }
   return Status::OK();
 }
@@ -144,99 +90,61 @@ TrainingCheckpoint CaptureTrainingCheckpoint(
 
 Status SaveTrainingCheckpoint(const TrainingCheckpoint& ckpt,
                               const std::string& path) {
-  util::AtomicFileWriter out(path);
+  util::SealedFileWriter out(path, kBack);
   BA_RETURN_NOT_OK(out.Open());
-  BA_RETURN_NOT_OK(out.Write(kMagic, sizeof(kMagic)));
-  BA_RETURN_NOT_OK(WritePod(&out, kVersion));
-  BA_RETURN_NOT_OK(WritePod(&out, static_cast<int32_t>(ckpt.epoch)));
-  for (uint64_t s : ckpt.rng.s) BA_RETURN_NOT_OK(WritePod(&out, s));
+  BA_RETURN_NOT_OK(out.WritePod(static_cast<int32_t>(ckpt.epoch)));
+  for (uint64_t s : ckpt.rng.s) BA_RETURN_NOT_OK(out.WritePod(s));
   BA_RETURN_NOT_OK(
-      WritePod(&out, static_cast<uint8_t>(ckpt.rng.gaussian_cached)));
-  BA_RETURN_NOT_OK(WritePod(&out, ckpt.rng.gaussian_cache));
-  BA_RETURN_NOT_OK(WritePod(&out, static_cast<int32_t>(ckpt.adam_step)));
-  BA_RETURN_NOT_OK(WritePod(&out, static_cast<uint64_t>(ckpt.params.size())));
+      out.WritePod(static_cast<uint8_t>(ckpt.rng.gaussian_cached)));
+  BA_RETURN_NOT_OK(out.WritePod(ckpt.rng.gaussian_cache));
+  BA_RETURN_NOT_OK(out.WritePod(static_cast<int32_t>(ckpt.adam_step)));
+  BA_RETURN_NOT_OK(out.WritePod(static_cast<uint64_t>(ckpt.params.size())));
   for (const auto& t : ckpt.params) BA_RETURN_NOT_OK(WriteTensor(&out, t));
   BA_RETURN_NOT_OK(WriteMoments(&out, ckpt.adam_m));
   BA_RETURN_NOT_OK(WriteMoments(&out, ckpt.adam_v));
-  // Integrity trailer: CRC32 of every preceding byte.
-  const uint32_t crc = out.crc();
-  BA_RETURN_NOT_OK(WritePod(&out, crc));
   return out.Commit();
 }
 
 Result<TrainingCheckpoint> LoadTrainingCheckpoint(const std::string& path) {
   BA_ASSIGN_OR_RETURN(const std::string buf, util::ReadFileToString(path));
-  util::BufferReader r(buf);
-
-  char magic[4];
-  if (!r.ReadBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a BACK training checkpoint: " + path);
-  }
-  uint32_t version = 0;
-  if (!r.ReadPod(&version) || version != kVersion) {
-    return Status::InvalidArgument("unsupported training checkpoint version: " +
-                                   path);
-  }
-  if (buf.size() < r.position() + sizeof(uint32_t)) {
-    return Status::InvalidArgument("truncated checkpoint (no crc32): " + path);
-  }
-  uint32_t stored = 0;
-  std::memcpy(&stored, buf.data() + buf.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  const uint32_t computed =
-      util::Crc32(buf.data(), buf.size() - sizeof(uint32_t));
-  if (stored != computed) {
-    return Status::InvalidArgument(
-        "crc32 mismatch (stored " + std::to_string(stored) + ", computed " +
-        std::to_string(computed) + "): corrupted checkpoint " + path);
-  }
-  r.Truncate(buf.size() - sizeof(uint32_t));
-
+  BA_ASSIGN_OR_RETURN(util::SealedBody body,
+                      util::OpenSealed(buf, kBack, path));
   TrainingCheckpoint ckpt;
   int32_t epoch = 0;
-  if (!r.ReadPod(&epoch) || epoch < 0) {
-    return Status::InvalidArgument("truncated or invalid epoch: " + path);
+  if (!body.ReadPod(&epoch) || epoch < 0) {
+    return body.Corrupt("truncated or invalid epoch");
   }
   ckpt.epoch = epoch;
-  for (uint64_t& s : ckpt.rng.s) {
-    if (!r.ReadPod(&s)) {
-      return Status::InvalidArgument("truncated rng state: " + path);
-    }
-  }
   uint8_t gaussian_cached = 0;
-  if (!r.ReadPod(&gaussian_cached) ||
-      !r.ReadPod(&ckpt.rng.gaussian_cache)) {
-    return Status::InvalidArgument("truncated rng state: " + path);
+  if (!body.ReadPod(&ckpt.rng.s) || !body.ReadPod(&gaussian_cached) ||
+      !body.ReadPod(&ckpt.rng.gaussian_cache)) {
+    return body.Corrupt("truncated rng state");
   }
   ckpt.rng.gaussian_cached = gaussian_cached != 0;
   int32_t adam_step = 0;
-  if (!r.ReadPod(&adam_step) || adam_step < 0) {
-    return Status::InvalidArgument("truncated or invalid adam step: " + path);
+  if (!body.ReadPod(&adam_step) || adam_step < 0) {
+    return body.Corrupt("truncated or invalid adam step");
   }
   ckpt.adam_step = adam_step;
 
   uint64_t param_count = 0;
-  if (!r.ReadPod(&param_count)) {
-    return Status::InvalidArgument("truncated parameter count: " + path);
+  if (!body.ReadPod(&param_count)) {
+    return body.Corrupt("truncated parameter count");
   }
-  if (param_count > kMaxTensors) {
-    return Status::InvalidArgument("implausible parameter count " +
-                                   std::to_string(param_count) + ": " + path);
+  if (!body.CanHold(param_count, tensor::kMinTensorRecordBytes)) {
+    return body.Corrupt("implausible parameter count " +
+                        std::to_string(param_count));
   }
   ckpt.params.reserve(param_count);
   for (uint64_t i = 0; i < param_count; ++i) {
     tensor::Tensor t;
-    BA_RETURN_NOT_OK(ReadTensor(&r, "param " + std::to_string(i), &t));
+    BA_RETURN_NOT_OK(
+        tensor::ReadTensorRecord(&body, "param " + std::to_string(i), &t));
     ckpt.params.push_back(std::move(t));
   }
-  BA_RETURN_NOT_OK(ReadMoments(&r, "adam m", param_count, &ckpt.adam_m));
-  BA_RETURN_NOT_OK(ReadMoments(&r, "adam v", param_count, &ckpt.adam_v));
-  if (r.remaining() != 0) {
-    return Status::InvalidArgument(
-        "trailing garbage (" + std::to_string(r.remaining()) +
-        " bytes) after checkpoint body: " + path);
-  }
+  BA_RETURN_NOT_OK(ReadMoments(&body, "adam m", param_count, &ckpt.adam_m));
+  BA_RETURN_NOT_OK(ReadMoments(&body, "adam v", param_count, &ckpt.adam_v));
+  BA_RETURN_NOT_OK(body.ExpectEnd());
   return ckpt;
 }
 

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
+#include <limits>
 #include <map>
+#include <type_traits>
 
 #include "obs/trace.h"
 #include "tensor/serialize.h"
@@ -209,264 +209,119 @@ Status BaClassifier::EvaluateSamples(const std::vector<AddressSample>& test,
 
 namespace {
 
-std::string FormatFloat(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+constexpr int EnumMax(GraphEncoderKind) {
+  return static_cast<int>(GraphEncoderKind::kGat);
 }
-
-void AddKv(std::string* s, const char* key, const std::string& value) {
-  s->append(key);
-  s->push_back('=');
-  s->append(value);
-  s->push_back('\n');
-}
-
-void AddKv(std::string* s, const char* key, int64_t value) {
-  AddKv(s, key, std::to_string(value));
-}
-
-void AddKv(std::string* s, const char* key, uint64_t value) {
-  AddKv(s, key, std::to_string(value));
-}
-
-void AddKv(std::string* s, const char* key, bool value) {
-  AddKv(s, key, std::string(value ? "1" : "0"));
-}
-
-void AddKvF(std::string* s, const char* key, double value) {
-  AddKv(s, key, FormatFloat(value));
-}
-
-/// One settable field of the options block: parses `value` into its
-/// destination, or explains why it cannot.
-using FieldParser = std::function<Status(const std::string& value)>;
-
-Status ParseInt(const std::string& key, const std::string& value,
-                int64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("options field " + key +
-                                   ": not an integer: '" + value + "'");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-Status ParseU64(const std::string& key, const std::string& value,
-                uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("options field " + key +
-                                   ": not an unsigned integer: '" + value +
-                                   "'");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-Status ParseDouble(const std::string& key, const std::string& value,
-                   double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("options field " + key +
-                                   ": not a number: '" + value + "'");
-  }
-  *out = v;
-  return Status::OK();
+constexpr int EnumMax(AggregatorKind) {
+  return static_cast<int>(AggregatorKind::kSelfAttention);
 }
 
 template <typename T>
-FieldParser IntField(const std::string& key, T* dst) {
-  return [key, dst](const std::string& value) {
-    int64_t v = 0;
-    BA_RETURN_NOT_OK(ParseInt(key, value, &v));
-    *dst = static_cast<T>(v);
-    return Status::OK();
-  };
+std::string FormatValue(T value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "1" : "0";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(value));
+    return buf;
+  } else if constexpr (std::is_enum_v<T>) {
+    return std::to_string(static_cast<int64_t>(value));
+  } else {
+    return std::to_string(value);
+  }
 }
 
-FieldParser U64Field(const std::string& key, uint64_t* dst) {
-  return [key, dst](const std::string& value) {
-    return ParseU64(key, value, dst);
-  };
+/// Parses `text` with `parse` (strtoll, strtoull or strtod), which must
+/// consume all of it.
+template <typename V, typename Parse>
+Status ParseNumber(const char* key, const std::string& text, Parse parse,
+                   const char* what, V* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = parse(text.c_str(), &end);
+  if (errno != 0 || end == text.c_str() || *end != '\0') {
+    return Status::InvalidArgument(std::string("options field ") + key +
+                                   ": not " + what + ": '" + text + "'");
+  }
+  return Status::OK();
 }
 
-FieldParser BoolField(const std::string& key, bool* dst) {
-  return [key, dst](const std::string& value) {
-    if (value != "0" && value != "1") {
-      return Status::InvalidArgument("options field " + key +
-                                     ": not a bool (0/1): '" + value + "'");
+/// Parses one option value into `dst`, the inverse of FormatValue.
+template <typename T>
+Status ParseValue(const char* key, const std::string& text, T* dst) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (text != "0" && text != "1") {
+      return Status::InvalidArgument(std::string("options field ") + key +
+                                     ": not a bool (0/1): '" + text + "'");
     }
-    *dst = value == "1";
-    return Status::OK();
-  };
-}
-
-template <typename T>
-FieldParser FloatField(const std::string& key, T* dst) {
-  return [key, dst](const std::string& value) {
+    *dst = text == "1";
+  } else if constexpr (std::is_floating_point_v<T>) {
     double v = 0.0;
-    BA_RETURN_NOT_OK(ParseDouble(key, value, &v));
+    BA_RETURN_NOT_OK(ParseNumber(
+        key, text, [](const char* p, char** e) { return std::strtod(p, e); },
+        "a number", &v));
     *dst = static_cast<T>(v);
-    return Status::OK();
-  };
-}
-
-template <typename E>
-FieldParser EnumField(const std::string& key, E* dst, int max_value) {
-  return [key, dst, max_value](const std::string& value) {
-    int64_t v = 0;
-    BA_RETURN_NOT_OK(ParseInt(key, value, &v));
-    if (v < 0 || v > max_value) {
-      return Status::InvalidArgument("options field " + key +
-                                     ": enum value out of range: " +
+  } else if constexpr (std::is_unsigned_v<T>) {
+    unsigned long long v = 0;
+    BA_RETURN_NOT_OK(ParseNumber(
+        key, text,
+        [](const char* p, char** e) { return std::strtoull(p, e, 10); },
+        "an unsigned integer", &v));
+    *dst = static_cast<T>(v);
+  } else {
+    long long v = 0;
+    BA_RETURN_NOT_OK(ParseNumber(
+        key, text,
+        [](const char* p, char** e) { return std::strtoll(p, e, 10); },
+        "an integer", &v));
+    if constexpr (std::is_enum_v<T>) {
+      if (v < 0 || v > EnumMax(T{})) {
+        return Status::InvalidArgument(std::string("options field ") + key +
+                                       ": enum value out of range: " +
+                                       std::to_string(v));
+      }
+    } else if (v < std::numeric_limits<T>::min() ||
+               v > std::numeric_limits<T>::max()) {
+      return Status::InvalidArgument(std::string("options field ") + key +
+                                     ": integer out of range: " +
                                      std::to_string(v));
     }
-    *dst = static_cast<E>(v);
-    return Status::OK();
-  };
+    *dst = static_cast<T>(v);
+  }
+  return Status::OK();
 }
 
-std::map<std::string, FieldParser> OptionFields(BaClassifier::Options* o) {
-  std::map<std::string, FieldParser> f;
-  auto& c = o->dataset.construction;
-  f["dataset.construction.slice_size"] =
-      IntField("dataset.construction.slice_size", &c.slice_size);
-  f["dataset.construction.similarity_threshold"] = FloatField(
-      "dataset.construction.similarity_threshold", &c.similarity_threshold);
-  f["dataset.construction.sigma"] =
-      IntField("dataset.construction.sigma", &c.sigma);
-  f["dataset.construction.max_txs_per_address"] = IntField(
-      "dataset.construction.max_txs_per_address", &c.max_txs_per_address);
-  f["dataset.construction.enable_single_compression"] =
-      BoolField("dataset.construction.enable_single_compression",
-                &c.enable_single_compression);
-  f["dataset.construction.enable_multi_compression"] =
-      BoolField("dataset.construction.enable_multi_compression",
-                &c.enable_multi_compression);
-  f["dataset.construction.enable_augmentation"] = BoolField(
-      "dataset.construction.enable_augmentation", &c.enable_augmentation);
-  f["dataset.construction.use_sparse_similarity"] = BoolField(
-      "dataset.construction.use_sparse_similarity", &c.use_sparse_similarity);
-  f["dataset.k_hops"] = IntField("dataset.k_hops", &o->dataset.k_hops);
-  f["dataset.num_threads"] =
-      IntField("dataset.num_threads", &o->dataset.num_threads);
+/// Parses one option value into its field of `o`.
+using FieldParser = Status (*)(const std::string& value,
+                               BaClassifier::Options* o);
 
-  auto& g = o->graph_model;
-  f["graph_model.encoder"] = EnumField(
-      "graph_model.encoder", &g.encoder,
-      static_cast<int>(GraphEncoderKind::kGat));
-  f["graph_model.num_classes"] =
-      IntField("graph_model.num_classes", &g.num_classes);
-  f["graph_model.k_hops"] = IntField("graph_model.k_hops", &g.k_hops);
-  f["graph_model.hidden_dim"] =
-      IntField("graph_model.hidden_dim", &g.hidden_dim);
-  f["graph_model.embed_dim"] = IntField("graph_model.embed_dim", &g.embed_dim);
-  f["graph_model.diffpool_clusters"] =
-      IntField("graph_model.diffpool_clusters", &g.diffpool_clusters);
-  f["graph_model.dropout"] = FloatField("graph_model.dropout", &g.dropout);
-  f["graph_model.epochs"] = IntField("graph_model.epochs", &g.epochs);
-  f["graph_model.batch_size"] =
-      IntField("graph_model.batch_size", &g.batch_size);
-  f["graph_model.learning_rate"] =
-      FloatField("graph_model.learning_rate", &g.learning_rate);
-  f["graph_model.weight_decay"] =
-      FloatField("graph_model.weight_decay", &g.weight_decay);
-  f["graph_model.seed"] = U64Field("graph_model.seed", &g.seed);
-  f["graph_model.checkpoint_every"] =
-      IntField("graph_model.checkpoint_every", &g.checkpoint_every);
-
-  auto& a = o->aggregator;
-  f["aggregator.kind"] = EnumField(
-      "aggregator.kind", &a.kind,
-      static_cast<int>(AggregatorKind::kSelfAttention));
-  f["aggregator.embed_dim"] = IntField("aggregator.embed_dim", &a.embed_dim);
-  f["aggregator.hidden_dim"] =
-      IntField("aggregator.hidden_dim", &a.hidden_dim);
-  f["aggregator.mlp_hidden"] =
-      IntField("aggregator.mlp_hidden", &a.mlp_hidden);
-  f["aggregator.num_classes"] =
-      IntField("aggregator.num_classes", &a.num_classes);
-  f["aggregator.epochs"] = IntField("aggregator.epochs", &a.epochs);
-  f["aggregator.batch_size"] =
-      IntField("aggregator.batch_size", &a.batch_size);
-  f["aggregator.learning_rate"] =
-      FloatField("aggregator.learning_rate", &a.learning_rate);
-  f["aggregator.seed"] = U64Field("aggregator.seed", &a.seed);
-
-  f["seed"] = U64Field("seed", &o->seed);
-  return f;
+const std::map<std::string, FieldParser>& OptionFields() {
+  static const auto* fields = new std::map<std::string, FieldParser>{
+#define BA_OPTION_FIELD_PARSER(field)                                  \
+  {#field, [](const std::string& value, BaClassifier::Options* o) {    \
+     return ParseValue(#field, value, &o->field);                      \
+   }},
+      BA_CLASSIFIER_OPTION_FIELDS(BA_OPTION_FIELD_PARSER)
+#undef BA_OPTION_FIELD_PARSER
+  };
+  return *fields;
 }
 
 }  // namespace
 
 std::string EncodeClassifierOptions(const BaClassifier::Options& o) {
   std::string s;
-  const auto& c = o.dataset.construction;
-  AddKv(&s, "dataset.construction.slice_size",
-        static_cast<int64_t>(c.slice_size));
-  AddKvF(&s, "dataset.construction.similarity_threshold",
-         c.similarity_threshold);
-  AddKv(&s, "dataset.construction.sigma", static_cast<int64_t>(c.sigma));
-  AddKv(&s, "dataset.construction.max_txs_per_address",
-        static_cast<int64_t>(c.max_txs_per_address));
-  AddKv(&s, "dataset.construction.enable_single_compression",
-        c.enable_single_compression);
-  AddKv(&s, "dataset.construction.enable_multi_compression",
-        c.enable_multi_compression);
-  AddKv(&s, "dataset.construction.enable_augmentation",
-        c.enable_augmentation);
-  AddKv(&s, "dataset.construction.use_sparse_similarity",
-        c.use_sparse_similarity);
-  AddKv(&s, "dataset.k_hops", static_cast<int64_t>(o.dataset.k_hops));
-  AddKv(&s, "dataset.num_threads",
-        static_cast<int64_t>(o.dataset.num_threads));
-
-  const auto& g = o.graph_model;
-  AddKv(&s, "graph_model.encoder", static_cast<int64_t>(g.encoder));
-  AddKv(&s, "graph_model.num_classes", static_cast<int64_t>(g.num_classes));
-  AddKv(&s, "graph_model.k_hops", static_cast<int64_t>(g.k_hops));
-  AddKv(&s, "graph_model.hidden_dim", static_cast<int64_t>(g.hidden_dim));
-  AddKv(&s, "graph_model.embed_dim", static_cast<int64_t>(g.embed_dim));
-  AddKv(&s, "graph_model.diffpool_clusters",
-        static_cast<int64_t>(g.diffpool_clusters));
-  AddKvF(&s, "graph_model.dropout", g.dropout);
-  AddKv(&s, "graph_model.epochs", static_cast<int64_t>(g.epochs));
-  AddKv(&s, "graph_model.batch_size", static_cast<int64_t>(g.batch_size));
-  AddKvF(&s, "graph_model.learning_rate", g.learning_rate);
-  AddKvF(&s, "graph_model.weight_decay", g.weight_decay);
-  AddKv(&s, "graph_model.seed", g.seed);
-  AddKv(&s, "graph_model.checkpoint_every",
-        static_cast<int64_t>(g.checkpoint_every));
-
-  const auto& a = o.aggregator;
-  AddKv(&s, "aggregator.kind", static_cast<int64_t>(a.kind));
-  AddKv(&s, "aggregator.embed_dim", static_cast<int64_t>(a.embed_dim));
-  AddKv(&s, "aggregator.hidden_dim", static_cast<int64_t>(a.hidden_dim));
-  AddKv(&s, "aggregator.mlp_hidden", static_cast<int64_t>(a.mlp_hidden));
-  AddKv(&s, "aggregator.num_classes", static_cast<int64_t>(a.num_classes));
-  AddKv(&s, "aggregator.epochs", static_cast<int64_t>(a.epochs));
-  AddKv(&s, "aggregator.batch_size", static_cast<int64_t>(a.batch_size));
-  AddKvF(&s, "aggregator.learning_rate", a.learning_rate);
-  AddKv(&s, "aggregator.seed", a.seed);
-
-  AddKv(&s, "seed", o.seed);
+#define BA_ENCODE_OPTION_FIELD(field) \
+  s += #field "=" + FormatValue(o.field) + "\n";
+  BA_CLASSIFIER_OPTION_FIELDS(BA_ENCODE_OPTION_FIELD)
+#undef BA_ENCODE_OPTION_FIELD
   return s;
 }
 
 Status DecodeClassifierOptions(const std::string& text,
                                BaClassifier::Options* options) {
-  // Note `graph_model.checkpoint_dir` is deliberately absent from the
-  // codec: it is a machine-local path, not part of the architecture.
   BaClassifier::Options decoded;
-  auto fields = OptionFields(&decoded);
+  const auto& fields = OptionFields();
   size_t pos = 0;
   int line_no = 0;
   while (pos < text.size()) {
@@ -489,7 +344,7 @@ Status DecodeClassifierOptions(const std::string& text,
                                      std::to_string(line_no) +
                                      ": unknown field '" + key + "'");
     }
-    BA_RETURN_NOT_OK(it->second(line.substr(eq + 1)));
+    BA_RETURN_NOT_OK(it->second(line.substr(eq + 1), &decoded));
   }
   *options = decoded;
   return Status::OK();
@@ -499,12 +354,9 @@ Status DecodeClassifierOptions(const std::string& text,
 
 namespace {
 
-constexpr char kContainerMagic[4] = {'B', 'A', 'C', 'L'};
+constexpr util::SealedFormat kBacl{{'B', 'A', 'C', 'L'}, 1,
+                                   "classifier checkpoint"};
 constexpr char kLegacyMagic[4] = {'B', 'A', 'T', 'N'};
-constexpr uint32_t kContainerVersion = 1;
-/// Plausibility bound on the embedded sections; a corrupted length
-/// field must never drive a huge allocation.
-constexpr uint64_t kMaxSectionBytes = uint64_t{1} << 34;
 
 /// The checkpointed tensor list: encoder weights, aggregator weights,
 /// then the scaler's mean and stddev rows.
@@ -526,74 +378,36 @@ tensor::Var RowTensor(const std::vector<float>& values) {
   return tensor::Param(std::move(t));
 }
 
+/// The two length-prefixed sections of a BACL body.
 struct ContainerParts {
   std::string options_text;
   std::string params_image;
 };
 
-/// Splits a BACL buffer into its options and parameter sections after
-/// verifying magic, version and the outer CRC trailer. A bare BATN
-/// weights file (no embedded options) is named as such.
-Result<ContainerParts> ParseContainer(const std::string& buf,
-                                      const std::string& path) {
-  util::BufferReader r(buf);
-  char magic[4];
-  const bool has_magic = r.ReadBytes(magic, sizeof(magic));
-  if (has_magic && std::memcmp(magic, kLegacyMagic, sizeof(magic)) == 0) {
+/// Reads the BACL file at `path` and splits its body into sections. A
+/// bare BATN weights file (no embedded options) is named as such.
+Result<ContainerParts> ReadContainer(const std::string& path) {
+  BA_ASSIGN_OR_RETURN(const std::string buf, util::ReadFileToString(path));
+  if (buf.compare(0, sizeof(kLegacyMagic), kLegacyMagic,
+                  sizeof(kLegacyMagic)) == 0) {
     return Status::InvalidArgument(
         "legacy weights-only BATN checkpoint (no embedded options): " +
         path);
   }
-  if (!has_magic || std::memcmp(magic, kContainerMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("not a BACL classifier checkpoint: " +
-                                   path);
-  }
-  uint32_t version = 0;
-  if (!r.ReadPod(&version)) {
-    return Status::InvalidArgument("truncated BACL header (no version): " +
-                                   path);
-  }
-  if (version != kContainerVersion) {
-    return Status::InvalidArgument("unsupported BACL version " +
-                                   std::to_string(version) + ": " + path);
-  }
-  if (buf.size() < r.position() + sizeof(uint32_t)) {
-    return Status::InvalidArgument("truncated BACL checkpoint (no crc32): " +
-                                   path);
-  }
-  uint32_t stored = 0;
-  std::memcpy(&stored, buf.data() + buf.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  const uint32_t computed =
-      util::Crc32(buf.data(), buf.size() - sizeof(uint32_t));
-  if (stored != computed) {
-    return Status::InvalidArgument(
-        "crc32 mismatch (stored " + std::to_string(stored) + ", computed " +
-        std::to_string(computed) + "): corrupted checkpoint " + path);
-  }
-  r.Truncate(buf.size() - sizeof(uint32_t));
-
+  BA_ASSIGN_OR_RETURN(util::SealedBody body,
+                      util::OpenSealed(buf, kBacl, path));
   ContainerParts parts;
   for (auto* section : {&parts.options_text, &parts.params_image}) {
     uint64_t len = 0;
-    if (!r.ReadPod(&len)) {
-      return Status::InvalidArgument("truncated BACL section header: " +
-                                     path);
-    }
-    if (len > kMaxSectionBytes || len > r.remaining()) {
-      return Status::InvalidArgument("implausible BACL section length " +
-                                     std::to_string(len) + ": " + path);
+    if (!body.ReadPod(&len)) return body.Corrupt("truncated section header");
+    if (!body.CanHold(len, 1)) {
+      return body.Corrupt("implausible section length " +
+                          std::to_string(len));
     }
     section->resize(static_cast<size_t>(len));
-    if (!r.ReadBytes(section->data(), static_cast<size_t>(len))) {
-      return Status::InvalidArgument("truncated BACL section: " + path);
-    }
+    body.ReadBytes(section->data(), section->size());
   }
-  if (r.remaining() != 0) {
-    return Status::InvalidArgument(
-        "trailing garbage (" + std::to_string(r.remaining()) +
-        " bytes) after BACL body: " + path);
-  }
+  BA_RETURN_NOT_OK(body.ExpectEnd());
   return parts;
 }
 
@@ -608,17 +422,12 @@ Status BaClassifier::Save(const std::string& path) const {
       CheckpointTensors(*graph_model_, *aggregator_, RowTensor(scaler_.mean),
                         RowTensor(scaler_.stddev)));
 
-  util::AtomicFileWriter out(path);
+  util::SealedFileWriter out(path, kBacl);
   BA_RETURN_NOT_OK(out.Open());
-  BA_RETURN_NOT_OK(out.Write(kContainerMagic, sizeof(kContainerMagic)));
-  BA_RETURN_NOT_OK(out.Write(&kContainerVersion, sizeof(kContainerVersion)));
   for (const std::string* section : {&options_text, &params_image}) {
-    const uint64_t len = section->size();
-    BA_RETURN_NOT_OK(out.Write(&len, sizeof(len)));
+    BA_RETURN_NOT_OK(out.WritePod(static_cast<uint64_t>(section->size())));
     BA_RETURN_NOT_OK(out.Append(*section));
   }
-  const uint32_t crc = out.crc();
-  BA_RETURN_NOT_OK(out.Write(&crc, sizeof(crc)));
   return out.Commit();
 }
 
@@ -643,18 +452,20 @@ Status BaClassifier::InstallParameters(const std::string& image,
 }
 
 Status BaClassifier::Load(const std::string& path) {
-  BA_ASSIGN_OR_RETURN(const std::string buf, util::ReadFileToString(path));
-  BA_ASSIGN_OR_RETURN(const ContainerParts parts, ParseContainer(buf, path));
+  BA_ASSIGN_OR_RETURN(const ContainerParts parts, ReadContainer(path));
   return InstallParameters(parts.params_image, path);
 }
 
 Result<std::unique_ptr<BaClassifier>> BaClassifier::FromCheckpoint(
     const std::string& path) {
-  BA_ASSIGN_OR_RETURN(const std::string buf, util::ReadFileToString(path));
-  BA_ASSIGN_OR_RETURN(const ContainerParts parts, ParseContainer(buf, path));
+  BA_ASSIGN_OR_RETURN(const ContainerParts parts, ReadContainer(path));
   BaClassifier::Options options;
-  BA_RETURN_NOT_OK(DecodeClassifierOptions(parts.options_text, &options));
-  BA_RETURN_NOT_OK(options.Validate());
+  Status decoded = DecodeClassifierOptions(parts.options_text, &options);
+  if (decoded.ok()) decoded = options.Validate();
+  if (!decoded.ok()) {
+    return Status::InvalidArgument(decoded.message() + ": " + kBacl.Name() +
+                                   " " + path);
+  }
   auto clf = std::make_unique<BaClassifier>(options);
   BA_RETURN_NOT_OK(clf->InstallParameters(parts.params_image, path));
   return clf;

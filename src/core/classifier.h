@@ -171,6 +171,48 @@ class BaClassifier {
   bool trained_ = false;
 };
 
+/// \brief Every field of the BACL options block, declared once as
+/// `X(field)` in encoding order. `field` is the member path within
+/// `BaClassifier::Options` and, stringized, the field's key; its C++
+/// type picks how the value is written and parsed. The encoder and the
+/// decoder's field table both expand from this list.
+/// `graph_model.checkpoint_dir` is deliberately absent: it is a
+/// machine-local path, not part of the architecture.
+#define BA_CLASSIFIER_OPTION_FIELDS(X)                  \
+  X(dataset.construction.slice_size)                    \
+  X(dataset.construction.similarity_threshold)          \
+  X(dataset.construction.sigma)                         \
+  X(dataset.construction.max_txs_per_address)           \
+  X(dataset.construction.enable_single_compression)     \
+  X(dataset.construction.enable_multi_compression)      \
+  X(dataset.construction.enable_augmentation)           \
+  X(dataset.construction.use_sparse_similarity)         \
+  X(dataset.k_hops)                                     \
+  X(dataset.num_threads)                                \
+  X(graph_model.encoder)                                \
+  X(graph_model.num_classes)                            \
+  X(graph_model.k_hops)                                 \
+  X(graph_model.hidden_dim)                             \
+  X(graph_model.embed_dim)                              \
+  X(graph_model.diffpool_clusters)                      \
+  X(graph_model.dropout)                                \
+  X(graph_model.epochs)                                 \
+  X(graph_model.batch_size)                             \
+  X(graph_model.learning_rate)                          \
+  X(graph_model.weight_decay)                           \
+  X(graph_model.seed)                                   \
+  X(graph_model.checkpoint_every)                       \
+  X(aggregator.kind)                                    \
+  X(aggregator.embed_dim)                               \
+  X(aggregator.hidden_dim)                              \
+  X(aggregator.mlp_hidden)                              \
+  X(aggregator.num_classes)                             \
+  X(aggregator.epochs)                                  \
+  X(aggregator.batch_size)                              \
+  X(aggregator.learning_rate)                           \
+  X(aggregator.seed)                                    \
+  X(seed)
+
 /// \brief Renders `options` as the line-oriented `key=value` text block
 /// embedded in BACL checkpoints (stable across versions; exposed for
 /// tests and tooling).

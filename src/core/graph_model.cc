@@ -32,19 +32,28 @@ Status GraphModelOptions::Validate() const {
         "graph_model.num_classes must be >= 2 (got " +
         std::to_string(num_classes) + ")");
   }
-  if (k_hops < 0) {
-    return Status::InvalidArgument("graph_model.k_hops must be >= 0 (got " +
+  if (num_classes > kMaxModelWidth) {
+    return Status::InvalidArgument(
+        "graph_model.num_classes must be <= " +
+        std::to_string(kMaxModelWidth) + " (got " +
+        std::to_string(num_classes) + ")");
+  }
+  if (k_hops < 0 || k_hops > kMaxKHops) {
+    return Status::InvalidArgument("graph_model.k_hops must be in [0, " +
+                                   std::to_string(kMaxKHops) + "] (got " +
                                    std::to_string(k_hops) + ")");
   }
-  if (hidden_dim <= 0 || embed_dim <= 0) {
+  if (hidden_dim <= 0 || embed_dim <= 0 || hidden_dim > kMaxModelWidth ||
+      embed_dim > kMaxModelWidth) {
     return Status::InvalidArgument(
-        "graph_model dims must be positive (hidden_dim " +
-        std::to_string(hidden_dim) + ", embed_dim " +
+        "graph_model dims must be in [1, " + std::to_string(kMaxModelWidth) +
+        "] (hidden_dim " + std::to_string(hidden_dim) + ", embed_dim " +
         std::to_string(embed_dim) + ")");
   }
-  if (diffpool_clusters <= 0) {
+  if (diffpool_clusters <= 0 || diffpool_clusters > kMaxModelWidth) {
     return Status::InvalidArgument(
-        "graph_model.diffpool_clusters must be positive (got " +
+        "graph_model.diffpool_clusters must be in [1, " +
+        std::to_string(kMaxModelWidth) + "] (got " +
         std::to_string(diffpool_clusters) + ")");
   }
   if (dropout < 0.0f || dropout >= 1.0f) {

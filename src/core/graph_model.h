@@ -40,6 +40,14 @@ struct EpochStat {
   double eval_f1 = -1.0;
 };
 
+/// Ceiling on every layer width and class count a model's options may
+/// name (the repo's largest is the 1024-wide int8 bench). Validate()
+/// enforces it, so options decoded from a corrupt checkpoint fail
+/// before they size any allocation.
+inline constexpr int64_t kMaxModelWidth = 4096;
+/// Ceiling on k_hops, which sets the GFN input width (largest used: 4).
+inline constexpr int kMaxKHops = 64;
+
 /// \brief Training options shared by the three encoders.
 struct GraphModelOptions {
   GraphEncoderKind encoder = GraphEncoderKind::kGfn;

@@ -1,8 +1,6 @@
 #include "datagen/dataset.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <unordered_set>
@@ -106,76 +104,41 @@ std::vector<ActivityPoint> ActiveAddressSeries(const chain::Ledger& ledger,
 
 namespace ba::datagen {
 
-namespace {
-
-constexpr char kCrcTrailerPrefix[] = "# crc32,";
-
-std::string CrcHex(uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return buf;
-}
-
-}  // namespace
+constexpr char kLabelsHeader[] = "address,label";
 
 Status ExportLabelsCsv(const std::vector<LabeledAddress>& labels,
                        const std::string& path) {
   util::AtomicFileWriter out(path);
   BA_RETURN_NOT_OK(out.Open());
-  BA_RETURN_NOT_OK(out.Append("address,label\n"));
   std::ostringstream body;
+  body << kLabelsHeader << "\n";
   for (const auto& a : labels) {
     body << a.address << "," << BehaviorName(a.label) << "\n";
   }
   BA_RETURN_NOT_OK(out.Append(body.str()));
-  // Integrity trailer over every byte above this line.
-  BA_RETURN_NOT_OK(out.Append(kCrcTrailerPrefix + CrcHex(out.crc()) + "\n"));
+  BA_RETURN_NOT_OK(util::AppendCrcTrailerLine(&out));
   return out.Commit();
 }
 
 Result<std::vector<LabeledAddress>> ImportLabelsCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open: " + path);
+  util::SealedLineReader in;
+  BA_RETURN_NOT_OK(in.Open(path));
   std::string line;
-  if (!std::getline(in, line) || line != "address,label") {
-    return Status::InvalidArgument("line 1: missing labels header");
+  if (!in.Next(&line) || line != kLabelsHeader) {
+    return Status::InvalidArgument("line 1: missing labels header: " + path);
   }
-  uint32_t crc = util::Crc32(line + "\n");
   const auto names = BehaviorNames();
   std::vector<LabeledAddress> out;
-  int line_no = 1;
-  bool saw_trailer = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (saw_trailer) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": content after crc32 trailer");
-    }
-    if (line.rfind(kCrcTrailerPrefix, 0) == 0) {
-      const std::string stored = line.substr(sizeof(kCrcTrailerPrefix) - 1);
-      const std::string computed = CrcHex(crc);
-      if (stored != computed) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) + ": crc32 mismatch (stored " +
-            stored + ", computed " + computed + "): file corrupted");
-      }
-      saw_trailer = true;
-      continue;
-    }
-    crc = util::Crc32(line + "\n", crc);
+  while (in.Next(&line)) {
     if (line.empty()) continue;
     const auto comma = line.find(',');
-    if (comma == std::string::npos) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": missing comma");
-    }
+    if (comma == std::string::npos) return in.LineError("missing comma");
     LabeledAddress entry;
     try {
       entry.address = static_cast<chain::AddressId>(
           std::stoul(line.substr(0, comma)));
     } catch (const std::exception&) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": bad address");
+      return in.LineError("bad address");
     }
     const std::string label = line.substr(comma + 1);
     bool found = false;
@@ -186,12 +149,10 @@ Result<std::vector<LabeledAddress>> ImportLabelsCsv(const std::string& path) {
         break;
       }
     }
-    if (!found) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": unknown label " + label);
-    }
+    if (!found) return in.LineError("unknown label " + label);
     out.push_back(entry);
   }
+  BA_RETURN_NOT_OK(in.Finish());
   return out;
 }
 

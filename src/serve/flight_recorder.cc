@@ -29,30 +29,22 @@ void FlightRecorder::Record(uint64_t address,
 
 std::vector<FlightRecorder::Entry> FlightRecorder::Snapshot(
     size_t max_entries) const {
+  // Only the newest `max_entries` slots can hold the answer, so walk
+  // back from the head over those alone: an admin query for 32 entries
+  // costs 32 slot visits however big the ring is.
+  const uint64_t head = head_.load(std::memory_order_relaxed);
+  const size_t n = static_cast<size_t>(
+      std::min<uint64_t>({max_entries, head, capacity_}));
   std::vector<Entry> entries;
-  // The collection loop visits every slot regardless of max_entries, so
-  // reserve for the worst case — reserving min(capacity, max_entries)
-  // would just reallocate mid-loop on a full ring. Only the top
-  // max_entries by seq are wanted; partial_sort stops ordering there
-  // instead of fully sorting all `capacity_` entries for an admin query
-  // that asked for 32.
-  entries.reserve(capacity_);
-  for (size_t i = 0; i < capacity_; ++i) {
-    const Slot& slot = slots_[i];
+  entries.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Slot& slot = slots_[(head - 1 - i) % capacity_];
     std::lock_guard<std::mutex> lock(slot.mu);
     if (slot.filled) entries.push_back(slot.entry);
   }
-  const auto newer = [](const Entry& a, const Entry& b) {
-    return a.seq > b.seq;
-  };
-  if (entries.size() > max_entries) {
-    std::partial_sort(entries.begin(),
-                      entries.begin() + static_cast<ptrdiff_t>(max_entries),
-                      entries.end(), newer);
-    entries.resize(max_entries);
-  } else {
-    std::sort(entries.begin(), entries.end(), newer);
-  }
+  // Writers racing the walk may have refilled a slot with a newer seq.
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.seq > b.seq; });
   return entries;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -16,25 +15,19 @@
 namespace ba::serve {
 namespace {
 
-constexpr char kCacheMagic[4] = {'B', 'A', 'S', 'V'};
 /// v2 added the precision byte: fp32 and int8 embeddings differ, so a
 /// cache built under one path must not warm-start an engine on the
 /// other. v1 files are rejected (a cold start, not data loss).
-constexpr uint32_t kCacheVersion = 2;
-/// Ceiling on per-entry slice counts accepted from a cache file, so a
-/// corrupted length can never drive a huge allocation.
-constexpr uint32_t kMaxSlicesPerEntry = 1u << 20;
+constexpr util::SealedFormat kCacheFormat{{'B', 'A', 'S', 'V'}, 2,
+                                          "serve cache"};
+/// Bytes of one cache entry's fixed fields: address, tx_count,
+/// predicted label and slice count.
+constexpr size_t kCacheEntryHeaderBytes = 8 + 8 + 4 + 4;
 /// Slices a miss builds and embeds at a time. A 2000-tx history at
 /// slice size 20 has 100 slices; building them window by window keeps
 /// one window's graphs alive instead of all of them, bounding a miss's
 /// memory however many threads build at once.
 constexpr int kBuildWindowSlices = 8;
-
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
 
 /// Timeline outcome label of a non-OK delivery. Derived from the
 /// Status actually handed to the callback, so the recorded outcome
@@ -1056,9 +1049,8 @@ Status InferenceEngine::SaveCacheOnce() const {
     std::unique_lock<std::mutex> lock(cache_mu_);
     entries.assign(cache_.begin(), cache_.end());
   }
+  using util::AppendPod;
   std::string body;
-  body.append(kCacheMagic, sizeof(kCacheMagic));
-  AppendPod(&body, kCacheVersion);
   AppendPod(&body, static_cast<int32_t>(slice_size_));
   AppendPod(&body, static_cast<int32_t>(k_hops_));
   AppendPod(&body, static_cast<int64_t>(embed_dim_));
@@ -1075,11 +1067,9 @@ Status InferenceEngine::SaveCacheOnce() const {
                   row.size() * sizeof(float));
     }
   }
-  util::AtomicFileWriter out(options_.cache_path);
+  util::SealedFileWriter out(options_.cache_path, kCacheFormat);
   BA_RETURN_NOT_OK(out.Open());
   BA_RETURN_NOT_OK(out.Append(body));
-  const uint32_t crc = out.crc();
-  BA_RETURN_NOT_OK(out.Write(&crc, sizeof(crc)));
   return out.Commit();
 }
 
@@ -1088,96 +1078,62 @@ Status InferenceEngine::LoadCacheFile(const std::string& path) {
     return InjectedFault(kFaultCacheLoad);
   }
   BA_ASSIGN_OR_RETURN(const std::string buf, util::ReadFileToString(path));
-  if (buf.size() < sizeof(kCacheMagic) + sizeof(uint32_t)) {
-    return Status::InvalidArgument("truncated serve cache: " + path);
-  }
-  const uint32_t stored_crc = [&] {
-    uint32_t v = 0;
-    std::memcpy(&v, buf.data() + buf.size() - sizeof(v), sizeof(v));
-    return v;
-  }();
-  const uint32_t computed_crc =
-      util::Crc32(buf.data(), buf.size() - sizeof(uint32_t));
-  if (stored_crc != computed_crc) {
-    return Status::InvalidArgument(
-        "serve cache crc32 mismatch (stored " + std::to_string(stored_crc) +
-        ", computed " + std::to_string(computed_crc) + "): " + path);
-  }
-  util::BufferReader reader(buf);
-  reader.Truncate(buf.size() - sizeof(uint32_t));
-  char magic[4];
-  if (!reader.ReadBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kCacheMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("not a serve cache (bad magic): " + path);
-  }
-  uint32_t version = 0;
-  if (!reader.ReadPod(&version) || version != kCacheVersion) {
-    return Status::InvalidArgument(
-        "unsupported serve cache version " + std::to_string(version) +
-        ": " + path);
-  }
+  BA_ASSIGN_OR_RETURN(util::SealedBody body,
+                      util::OpenSealed(buf, kCacheFormat, path));
   int32_t slice_size = 0;
   int32_t k_hops = 0;
   int64_t embed_dim = 0;
   uint8_t precision = 0;
   uint64_t count = 0;
-  if (!reader.ReadPod(&slice_size) || !reader.ReadPod(&k_hops) ||
-      !reader.ReadPod(&embed_dim) || !reader.ReadPod(&precision) ||
-      !reader.ReadPod(&count)) {
-    return Status::InvalidArgument("truncated serve cache header: " + path);
+  if (!body.ReadPod(&slice_size) || !body.ReadPod(&k_hops) ||
+      !body.ReadPod(&embed_dim) || !body.ReadPod(&precision) ||
+      !body.ReadPod(&count)) {
+    return body.Corrupt("truncated header");
   }
   if (precision != static_cast<uint8_t>(options_.precision)) {
-    return Status::InvalidArgument(
-        "serve cache was built under a different precision (cache " +
+    return body.Corrupt(
+        "built under a different precision (cache " +
         std::to_string(precision) + ", engine " +
         std::string(PrecisionName(options_.precision)) +
-        "); fp32 and int8 embeddings must not mix: " + path);
+        "); fp32 and int8 embeddings must not mix");
   }
   if (slice_size != slice_size_ || k_hops != k_hops_ ||
       embed_dim != embed_dim_) {
-    return Status::InvalidArgument(
-        "serve cache was built under different options (slice_size=" +
+    return body.Corrupt(
+        "built under different options (slice_size=" +
         std::to_string(slice_size) + ", k_hops=" + std::to_string(k_hops) +
         ", embed_dim=" + std::to_string(embed_dim) + "; engine has " +
         std::to_string(slice_size_) + ", " + std::to_string(k_hops_) +
-        ", " + std::to_string(embed_dim_) + "): " + path);
+        ", " + std::to_string(embed_dim_) + ")");
   }
+  if (!body.CanHold(count, kCacheEntryHeaderBytes)) {
+    return body.Corrupt("implausible entry count " + std::to_string(count));
+  }
+  const size_t row_bytes = static_cast<size_t>(embed_dim_) * sizeof(float);
   std::unordered_map<chain::AddressId, CacheEntry> loaded;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t address = 0;
     CacheEntry entry;
     int32_t predicted = 0;
     uint32_t num_slices = 0;
-    if (!reader.ReadPod(&address) || !reader.ReadPod(&entry.tx_count) ||
-        !reader.ReadPod(&predicted) || !reader.ReadPod(&num_slices)) {
-      return Status::InvalidArgument(
-          "truncated serve cache entry " + std::to_string(i) + ": " + path);
+    if (!body.ReadPod(&address) || !body.ReadPod(&entry.tx_count) ||
+        !body.ReadPod(&predicted) || !body.ReadPod(&num_slices)) {
+      return body.Corrupt("truncated entry " + std::to_string(i));
     }
-    if (num_slices > kMaxSlicesPerEntry) {
-      return Status::InvalidArgument(
-          "serve cache entry " + std::to_string(i) +
-          " claims an absurd slice count " + std::to_string(num_slices) +
-          ": " + path);
+    if (!body.CanHold(num_slices, row_bytes)) {
+      return body.Corrupt("entry " + std::to_string(i) + " claims " +
+                          std::to_string(num_slices) +
+                          " slices, more than the remaining bytes hold");
     }
     entry.predicted = predicted;
     entry.slice_embeddings.resize(num_slices);
-    for (uint32_t s = 0; s < num_slices; ++s) {
-      entry.slice_embeddings[s].resize(static_cast<size_t>(embed_dim_));
-      if (!reader.ReadBytes(entry.slice_embeddings[s].data(),
-                            static_cast<size_t>(embed_dim_) *
-                                sizeof(float))) {
-        return Status::InvalidArgument(
-            "truncated serve cache entry " + std::to_string(i) + ": " +
-            path);
-      }
+    for (std::vector<float>& row : entry.slice_embeddings) {
+      row.resize(static_cast<size_t>(embed_dim_));
+      body.ReadBytes(row.data(), row_bytes);
     }
     loaded[static_cast<chain::AddressId>(address)] = std::move(entry);
   }
-  if (reader.remaining() != 0) {
-    return Status::InvalidArgument(
-        "serve cache has " + std::to_string(reader.remaining()) +
-        " trailing bytes: " + path);
-  }
+  BA_RETURN_NOT_OK(body.ExpectEnd());
   std::unique_lock<std::mutex> lock(cache_mu_);
   for (auto& [address, entry] : loaded) {
     entry.last_used = ++lru_tick_;

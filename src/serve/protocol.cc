@@ -5,11 +5,7 @@
 namespace ba::serve {
 namespace {
 
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
+using util::AppendPod;
 
 using Micros = std::chrono::microseconds;
 

@@ -1,152 +1,100 @@
 #include "tensor/serialize.h"
 
-#include <cstring>
-
-#include "util/fs.h"
-
 namespace ba::tensor {
 
 namespace {
 
-constexpr char kMagic[4] = {'B', 'A', 'T', 'N'};
-constexpr uint32_t kVersionV1 = 1;
-constexpr uint32_t kVersionV2 = 2;
+constexpr util::SealedFormat kBatn{{'B', 'A', 'T', 'N'}, 2, "checkpoint"};
 
-// Plausibility bounds checked before any header value is trusted. A
-// corrupted header must produce a descriptive error, never a huge
-// allocation or an out-of-bounds read.
-constexpr uint64_t kMaxTensors = 1u << 20;
+// Plausibility bounds on a record's shape, checked before the shape is
+// trusted. The element count is further bounded by the bytes left.
 constexpr uint32_t kMaxRank = 8;
 constexpr int64_t kMaxDim = int64_t{1} << 32;
 
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}  // namespace
+
+void AppendTensorRecord(std::string* out, const Tensor& t) {
+  util::AppendPod(out, static_cast<uint32_t>(t.rank()));
+  for (int64_t d = 0; d < t.rank(); ++d) util::AppendPod(out, t.dim(d));
+  out->append(reinterpret_cast<const char*>(t.data()),
+              static_cast<size_t>(t.numel()) * sizeof(float));
 }
 
-std::string TensorLabel(size_t i) { return "tensor " + std::to_string(i); }
-
-/// Parses the per-tensor records of a checkpoint body into `params`,
-/// validating every header field against the expected shapes before it
-/// is used.
-Status ParseTensors(util::BufferReader* r, const std::vector<Var>& params,
-                    const std::string& path) {
-  uint64_t count = 0;
-  if (!r->ReadPod(&count)) {
-    return Status::InvalidArgument("truncated header (no tensor count): " +
-                                   path);
+Status ReadTensorRecord(util::SealedBody* in, const std::string& what,
+                        Tensor* out) {
+  uint32_t rank = 0;
+  if (!in->ReadPod(&rank)) return in->Corrupt(what + ": truncated header");
+  if (rank > kMaxRank) {
+    return in->Corrupt(what + ": implausible rank " + std::to_string(rank));
   }
-  if (count > kMaxTensors) {
-    return Status::InvalidArgument("implausible tensor count " +
-                                   std::to_string(count) + ": " + path);
+  if (!in->CanHold(rank, sizeof(int64_t))) {
+    return in->Corrupt(what + ": truncated header");
   }
-  if (count != params.size()) {
-    return Status::InvalidArgument(
-        "checkpoint holds " + std::to_string(count) + " tensors, model has " +
-        std::to_string(params.size()));
+  std::vector<int64_t> shape(rank);
+  int64_t numel = 1;
+  for (int64_t& dim : shape) {
+    in->ReadPod(&dim);
+    if (dim < 0 || dim > kMaxDim) {
+      return in->Corrupt(what + ": implausible dim " + std::to_string(dim));
+    }
+    if (dim != 0 && numel > kMaxDim / dim) {
+      return in->Corrupt(what + ": implausible element count");
+    }
+    numel *= dim;
   }
-  for (size_t i = 0; i < params.size(); ++i) {
-    Tensor& t = params[i]->value;
-    uint32_t rank = 0;
-    if (!r->ReadPod(&rank)) {
-      return Status::InvalidArgument(TensorLabel(i) + ": truncated header");
-    }
-    if (rank > kMaxRank) {
-      return Status::InvalidArgument(TensorLabel(i) + ": implausible rank " +
-                                     std::to_string(rank));
-    }
-    if (rank != static_cast<uint32_t>(t.rank())) {
-      return Status::InvalidArgument(TensorLabel(i) + ": rank mismatch (" +
-                                     std::to_string(rank) + " vs " +
-                                     std::to_string(t.rank()) + ")");
-    }
-    for (int64_t d = 0; d < t.rank(); ++d) {
-      int64_t dim = 0;
-      if (!r->ReadPod(&dim)) {
-        return Status::InvalidArgument(TensorLabel(i) + ": truncated header");
-      }
-      if (dim < 0 || dim > kMaxDim) {
-        return Status::InvalidArgument(TensorLabel(i) + ": implausible dim " +
-                                       std::to_string(dim));
-      }
-      if (dim != t.dim(d)) {
-        return Status::InvalidArgument(TensorLabel(i) + ": shape mismatch");
-      }
-    }
-    const size_t payload = static_cast<size_t>(t.numel()) * sizeof(float);
-    if (!r->ReadBytes(t.data(), payload)) {
-      return Status::InvalidArgument(TensorLabel(i) + ": truncated payload");
-    }
+  if (!in->CanHold(static_cast<uint64_t>(numel), sizeof(float))) {
+    return in->Corrupt(what + ": truncated payload (" +
+                       std::to_string(numel * sizeof(float)) +
+                       " bytes needed, " + std::to_string(in->remaining()) +
+                       " left)");
   }
+  Tensor t(std::move(shape));
+  in->ReadBytes(t.data(), static_cast<size_t>(numel) * sizeof(float));
+  *out = std::move(t);
   return Status::OK();
 }
 
-}  // namespace
-
 std::string SerializeParameters(const std::vector<Var>& params) {
-  std::string image;
-  image.append(kMagic, sizeof(kMagic));
-  AppendPod(&image, kVersionV2);
-  AppendPod(&image, static_cast<uint64_t>(params.size()));
-  for (const auto& p : params) {
-    const Tensor& t = p->value;
-    AppendPod(&image, static_cast<uint32_t>(t.rank()));
-    for (int64_t d = 0; d < t.rank(); ++d) {
-      AppendPod(&image, t.dim(d));
-    }
-    image.append(reinterpret_cast<const char*>(t.data()),
-                 static_cast<size_t>(t.numel()) * sizeof(float));
-  }
-  // Integrity trailer: CRC32 of every preceding byte.
-  const uint32_t crc = util::Crc32(image);
-  AppendPod(&image, crc);
-  return image;
+  std::string body;
+  util::AppendPod(&body, static_cast<uint64_t>(params.size()));
+  for (const auto& p : params) AppendTensorRecord(&body, p->value);
+  return util::SealImage(kBatn, body);
 }
 
 Status DeserializeParameters(const std::vector<Var>& params,
                              const std::string& image,
                              const std::string& context) {
-  util::BufferReader r(image);
-
-  char magic[4];
-  if (!r.ReadBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a BATN checkpoint: " + context);
+  BA_ASSIGN_OR_RETURN(util::SealedBody body,
+                      util::OpenSealed(image, kBatn, context));
+  uint64_t count = 0;
+  if (!body.ReadPod(&count)) {
+    return body.Corrupt("truncated header (no tensor count)");
   }
-  uint32_t version = 0;
-  if (!r.ReadPod(&version)) {
-    return Status::InvalidArgument("truncated header (no version): " +
-                                   context);
-  }
-  if (version != kVersionV1 && version != kVersionV2) {
-    return Status::InvalidArgument("unsupported checkpoint version " +
-                                   std::to_string(version) + ": " + context);
-  }
-  if (version == kVersionV2) {
-    // The final 4 bytes are the CRC32 of everything before them.
-    if (image.size() < r.position() + sizeof(uint32_t)) {
-      return Status::InvalidArgument("truncated checkpoint (no crc32): " +
-                                     context);
+  // Nothing is allocated per counted tensor: each record is bounded as
+  // it is read, so the count only has to match the model.
+  if (count != params.size()) {
+    if (!body.CanHold(count, kMinTensorRecordBytes)) {
+      return body.Corrupt("implausible tensor count " +
+                          std::to_string(count));
     }
-    uint32_t stored = 0;
-    std::memcpy(&stored, image.data() + image.size() - sizeof(uint32_t),
-                sizeof(uint32_t));
-    const uint32_t computed =
-        util::Crc32(image.data(), image.size() - sizeof(uint32_t));
-    if (stored != computed) {
-      return Status::InvalidArgument(
-          "crc32 mismatch (stored " + std::to_string(stored) + ", computed " +
-          std::to_string(computed) + "): corrupted checkpoint " + context);
+    return body.Corrupt("checkpoint holds " + std::to_string(count) +
+                        " tensors, model has " +
+                        std::to_string(params.size()));
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    const std::string what = "tensor " + std::to_string(i);
+    Tensor t;
+    BA_RETURN_NOT_OK(ReadTensorRecord(&body, what, &t));
+    Tensor& dst = params[i]->value;
+    if (t.rank() != dst.rank()) {
+      return body.Corrupt(what + ": rank mismatch (" +
+                          std::to_string(t.rank()) + " vs " +
+                          std::to_string(dst.rank()) + ")");
     }
-    r.Truncate(image.size() - sizeof(uint32_t));
+    if (!t.SameShape(dst)) return body.Corrupt(what + ": shape mismatch");
+    dst = std::move(t);
   }
-  BA_RETURN_NOT_OK(ParseTensors(&r, params, context));
-  if (r.remaining() != 0) {
-    return Status::InvalidArgument(
-        "trailing garbage (" + std::to_string(r.remaining()) +
-        " bytes) after checkpoint body: " + context);
-  }
-  return Status::OK();
+  return body.ExpectEnd();
 }
 
 Status SaveParameters(const std::vector<Var>& params,

@@ -25,6 +25,20 @@ std::array<uint32_t, 256> BuildCrcTable() {
   return table;
 }
 
+constexpr char kCrcTrailerPrefix[] = "# crc32,";
+
+std::string CrcHex(uint32_t crc) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08x", crc);
+  return buf;
+}
+
+std::string SealHeader(const SealedFormat& format) {
+  std::string header(format.magic, sizeof(format.magic));
+  AppendPod(&header, format.version);
+  return header;
+}
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
@@ -228,9 +242,123 @@ void AtomicFileWriter::Abort() {
 
 bool BufferReader::ReadBytes(void* out, size_t len) {
   if (len > remaining()) return false;
+  if (len == 0) return true;  // `out` may be null (an empty tensor)
   std::memcpy(out, data_ + pos_, len);
   pos_ += len;
   return true;
+}
+
+Status SealedFileWriter::Open() {
+  BA_RETURN_NOT_OK(out_.Open());
+  return out_.Append(SealHeader(format_));
+}
+
+Status SealedFileWriter::Commit() {
+  const uint32_t crc = out_.crc();
+  BA_RETURN_NOT_OK(out_.Write(&crc, sizeof(crc)));
+  return out_.Commit();
+}
+
+std::string SealImage(const SealedFormat& format, const std::string& body) {
+  std::string image = SealHeader(format);
+  image += body;
+  AppendPod(&image, Crc32(image));
+  return image;
+}
+
+Status SealedBody::Corrupt(const std::string& why) const {
+  return Status::InvalidArgument(why + ": " + name_ + " " + path_);
+}
+
+Status SealedBody::ExpectEnd() const {
+  if (remaining() == 0) return Status::OK();
+  return Corrupt("trailing garbage (" + std::to_string(remaining()) +
+                 " bytes) after the body");
+}
+
+Result<SealedBody> OpenSealed(const std::string& image,
+                              const SealedFormat& format,
+                              const std::string& path) {
+  SealedBody header(image.data(), image.size(), format, path);
+  char magic[sizeof(format.magic)];
+  if (!header.ReadBytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, format.magic, sizeof(magic)) != 0) {
+    return Status::InvalidArgument("not a " + format.Name() + ": " + path);
+  }
+  uint32_t version = 0;
+  if (!header.ReadPod(&version)) {
+    return header.Corrupt("truncated header (no version)");
+  }
+  if (version != format.version) {
+    return header.Corrupt("unsupported " + std::string(format.kind) +
+                          " version " + std::to_string(version) +
+                          " (expected " + std::to_string(format.version) +
+                          ")");
+  }
+  if (header.remaining() < sizeof(uint32_t)) {
+    return header.Corrupt("truncated file (no crc32 trailer)");
+  }
+  const size_t body_end = image.size() - sizeof(uint32_t);
+  uint32_t stored = 0;
+  std::memcpy(&stored, image.data() + body_end, sizeof(stored));
+  const uint32_t computed = Crc32(image.data(), body_end);
+  if (stored != computed) {
+    return header.Corrupt("crc32 mismatch (stored " + std::to_string(stored) +
+                          ", computed " + std::to_string(computed) + ")");
+  }
+  return SealedBody(image.data() + header.position(),
+                    body_end - header.position(), format, path);
+}
+
+Status AppendCrcTrailerLine(AtomicFileWriter* out) {
+  return out->Append(kCrcTrailerPrefix + CrcHex(out->crc()) + "\n");
+}
+
+Status SealedLineReader::Open(const std::string& path) {
+  path_ = path;
+  in_.open(path);
+  if (!in_) return Status::NotFound("cannot open: " + path);
+  return Status::OK();
+}
+
+bool SealedLineReader::Next(std::string* line) {
+  if (!error_.ok()) return false;
+  while (std::getline(in_, *line)) {
+    ++line_no_;
+    if (saw_trailer_) {
+      error_ = LineError("content after crc32 trailer");
+      return false;
+    }
+    if (line->rfind(kCrcTrailerPrefix, 0) != 0) {
+      // The CRC covers each line exactly as written, '\n' included.
+      crc_ = Crc32(line->data(), line->size(), crc_);
+      crc_ = Crc32("\n", 1, crc_);
+      return true;
+    }
+    const std::string stored = line->substr(sizeof(kCrcTrailerPrefix) - 1);
+    const std::string computed = CrcHex(crc_);
+    if (stored != computed) {
+      error_ = LineError("crc32 mismatch over lines 1-" +
+                         std::to_string(line_no_ - 1) + " (stored " + stored +
+                         ", computed " + computed + "): file corrupted");
+      return false;
+    }
+    saw_trailer_ = true;
+  }
+  return false;
+}
+
+Status SealedLineReader::Finish() const {
+  if (!error_.ok()) return error_;
+  if (!saw_trailer_) {
+    return LineError("truncated file (missing crc32 trailer)");
+  }
+  return Status::OK();
+}
+
+Status SealedLineReader::LineError(const std::string& why) const {
+  return Status::InvalidArgument("line " + std::to_string(line_no_) + ": " +
+                                 why + ": " + path_);
 }
 
 }  // namespace ba::util

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <type_traits>
@@ -12,17 +13,23 @@
 #include "util/status.h"
 
 /// \file fs.h
-/// \brief Crash-safe file persistence: atomic writes, CRC32 integrity,
-/// bounds-checked parsing and a test-only fault injector.
+/// \brief Crash-safe file persistence: atomic writes, the sealed
+/// container every on-disk format shares, bounds-checked parsing and a
+/// test-only fault injector.
 ///
-/// Every artifact this project releases (checkpoints, ledger CSVs,
-/// label CSVs) is written through `AtomicFileWriter`: content goes to
-/// `<path>.tmp`, is flushed and fsync'd, and only then renamed over the
-/// destination. A reader therefore sees either the complete old file or
-/// the complete new file — never a torn write. Writers accumulate a
-/// CRC32 of everything written so formats can append an integrity
-/// trailer, and readers re-verify it so a bit-flip fails loudly instead
-/// of loading silently.
+/// Every artifact this project releases (checkpoints, serve caches,
+/// ledger CSVs, label CSVs) is written through `AtomicFileWriter`:
+/// content goes to a private temporary, is flushed and fsync'd, and only
+/// then renamed over the destination. A reader therefore sees either
+/// the complete old file or the complete new file — never a torn write.
+///
+/// Each artifact is also *sealed* with a CRC32 of every preceding byte,
+/// so a bit-flip or a truncation fails loudly instead of loading
+/// silently. The binary formats (BATN, BACK, BACL, BASV) share one
+/// layout, `magic[4] | u32 version | body | u32 crc32`, written by
+/// `SealedFileWriter` (or `SealImage` in memory) and checked by
+/// `OpenSealed`. The text formats end in one `# crc32,<8-hex>` line,
+/// written by `AppendCrcTrailerLine` and checked by `SealedLineReader`.
 ///
 /// `FaultInjector` lets tests kill a save at any registered fault point
 /// (`fs.open`, `fs.write`, `fs.flush`, `fs.rename`), proving the
@@ -139,14 +146,15 @@ class FaultInjector {
 /// would truncate another's half-written scratch and a racing Commit
 /// could rename torn bytes into place.)
 ///
-/// The writer maintains a running CRC32 of every byte written, so
-/// formats can close with an integrity trailer:
+/// The writer maintains a running CRC32 of every byte written, which
+/// the sealed formats close with (`SealedFileWriter` for binary files,
+/// `AppendCrcTrailerLine` for text):
 /// \code
 ///   AtomicFileWriter w(path);
 ///   BA_RETURN_NOT_OK(w.Open());
-///   BA_RETURN_NOT_OK(w.Append(body));
-///   const uint32_t crc = w.crc();           // CRC of the body only
-///   BA_RETURN_NOT_OK(w.Write(&crc, sizeof(crc)));
+///   BA_RETURN_NOT_OK(w.Append("address,label\n"));
+///   BA_RETURN_NOT_OK(w.Append(rows));
+///   BA_RETURN_NOT_OK(AppendCrcTrailerLine(&w));  // CRC of every line above
 ///   return w.Commit();
 /// \endcode
 class AtomicFileWriter {
@@ -202,6 +210,14 @@ class AtomicFileWriter {
   bool committed_ = false;
 };
 
+/// \brief Appends the bytes of a trivially-copyable value to `out`: the
+/// write side of `BufferReader::ReadPod`.
+template <typename T>
+void AppendPod(std::string* out, const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
 /// \brief Bounds-checked cursor over an in-memory buffer — the load
 /// side of the durability layer. Every read checks remaining bytes, so
 /// a truncated or corrupted header can never drive an out-of-bounds
@@ -230,10 +246,126 @@ class BufferReader {
     if (new_size < size_) size_ = new_size;
   }
 
+  /// True when `count` items of at least `min_item_bytes` each could
+  /// still fit in the remaining bytes. Loaders check every count read
+  /// from disk with it before allocating for that many items.
+  bool CanHold(uint64_t count, size_t min_item_bytes) const {
+    return count <= remaining() / min_item_bytes;
+  }
+
  private:
   const char* data_;
   size_t size_;
   size_t pos_ = 0;
+};
+
+/// \brief Identity of one sealed binary format. The file is
+/// `magic[4] | u32 version | body | u32 crc32`, the CRC32 over every
+/// preceding byte. Load errors name the format as "<magic> <kind>",
+/// e.g. "BATN checkpoint".
+struct SealedFormat {
+  char magic[4];
+  uint32_t version;
+  const char* kind;
+
+  std::string Name() const { return std::string(magic, 4) + " " + kind; }
+};
+
+/// \brief Writer half of the sealed container. `Open()` writes magic
+/// and version; the caller streams the body field by field; `Commit()`
+/// appends the CRC32 of every preceding byte and renames the file into
+/// place atomically. Every write passes the `AtomicFileWriter` fault
+/// points.
+class SealedFileWriter {
+ public:
+  SealedFileWriter(std::string path, const SealedFormat& format)
+      : out_(std::move(path)), format_(format) {}
+
+  Status Open();
+  Status Append(const std::string& s) { return out_.Append(s); }
+  template <typename T>
+  Status WritePod(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return out_.Write(&value, sizeof(T));
+  }
+  Status Commit();
+
+ private:
+  AtomicFileWriter out_;
+  SealedFormat format_;
+};
+
+/// \brief The in-memory form of the writer half: the sealed image of
+/// `body`, byte for byte what a `SealedFileWriter` writes for it.
+std::string SealImage(const SealedFormat& format, const std::string& body);
+
+/// \brief A verified sealed body: a reader over the bytes between the
+/// version and the CRC32 trailer. Errors raised while parsing it name
+/// the format and the path, like those of `OpenSealed`.
+class SealedBody : public BufferReader {
+ public:
+  SealedBody(const char* data, size_t size, const SealedFormat& format,
+             std::string path)
+      : BufferReader(data, size), name_(format.Name()), path_(std::move(path)) {}
+
+  /// InvalidArgument "<why>: <magic> <kind> <path>".
+  Status Corrupt(const std::string& why) const;
+
+  /// OK once the whole body was read, else a "trailing garbage" error.
+  Status ExpectEnd() const;
+
+ private:
+  std::string name_;
+  std::string path_;
+};
+
+/// \brief Reader half of the sealed container: checks magic, version,
+/// trailer presence and CRC32 of `image` (the content of `path`, or an
+/// image embedded in another file) and returns a reader over its body.
+/// Every failure is InvalidArgument naming the format and `path`.
+/// `image` must outlive the returned body.
+Result<SealedBody> OpenSealed(const std::string& image,
+                              const SealedFormat& format,
+                              const std::string& path);
+
+/// \brief Closes a sealed text file: appends the line
+/// `# crc32,<8-hex>\n` holding the CRC32 of every byte written so far.
+Status AppendCrcTrailerLine(AtomicFileWriter* out);
+
+/// \brief Line reader for sealed text files: keeps the CRC32 of every
+/// line before the `# crc32,` trailer line and verifies it there.
+/// \code
+///   SealedLineReader in;
+///   BA_RETURN_NOT_OK(in.Open(path));
+///   while (in.Next(&line)) { ... in.LineError("bad record") ... }
+///   BA_RETURN_NOT_OK(in.Finish());
+/// \endcode
+/// `Next` returns false at the end of the file or at the first error:
+/// a CRC mismatch on the trailer or a line after it. `Finish` then
+/// reports that error, or a truncated file when no trailer was seen.
+/// Errors start with "line N:" and end with the path.
+class SealedLineReader {
+ public:
+  /// NotFound when `path` cannot be opened.
+  Status Open(const std::string& path);
+
+  /// Reads the next line above the trailer into `line` (no '\n').
+  bool Next(std::string* line);
+
+  /// OK only if the verified trailer was the last line of the file.
+  Status Finish() const;
+
+  /// InvalidArgument "line <N>: <why>: <path>", N being the number of
+  /// the line `Next` returned last.
+  Status LineError(const std::string& why) const;
+
+ private:
+  std::ifstream in_;
+  std::string path_;
+  uint32_t crc_ = 0;
+  int line_no_ = 0;
+  bool saw_trailer_ = false;
+  Status error_;
 };
 
 }  // namespace ba::util

@@ -325,10 +325,10 @@ TEST(LedgerIoTest, BadHeaderNamesLineOne) {
 }
 
 TEST(LedgerIoTest, GarbageLineNamesItsLineNumber) {
-  // Legacy v1 content (no trailer required) with a garbage third line.
+  // A garbage third line fails before the missing trailer is noticed.
   TempFile file("ledger_garbage_line");
   Spew(file.path(),
-       "# ba-ledger v1,1000000000,2\n"
+       "# ba-ledger v2,1000000000,2\n"
        "B,1,100\n"
        "Z,this is not a record\n");
   const auto imported = ImportLedgerCsv(file.path());
@@ -343,7 +343,7 @@ TEST(LedgerIoTest, ConservationViolationNamesItsLineNumber) {
   // The spend on line 5 emits twice its input value.
   TempFile file("ledger_conservation");
   Spew(file.path(),
-       "# ba-ledger v1,1000000000,2\n"
+       "# ba-ledger v2,1000000000,2\n"
        "B,1,100\n"
        "C,100,0:1000000000\n"
        "B,2,200\n"
@@ -354,18 +354,20 @@ TEST(LedgerIoTest, ConservationViolationNamesItsLineNumber) {
       << imported.status().ToString();
 }
 
-TEST(LedgerIoTest, LegacyV1WithoutTrailerStillImports) {
+TEST(LedgerIoTest, RetiredV1HeaderIsRejected) {
+  // v1 (no CRC trailer) is no longer written or read.
   TempFile file("ledger_v1");
   Spew(file.path(),
        "# ba-ledger v1,1000000000,2\n"
        "B,1,100\n"
-       "C,100,0:1000000000\n"
-       "B,2,200\n"
-       "T,200,0:0,1:1000000000\n");
+       "C,100,0:1000000000\n");
   const auto imported = ImportLedgerCsv(file.path());
-  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
-  EXPECT_EQ(imported->num_transactions(), 2u);
-  EXPECT_EQ(imported->BalanceOf(1), 1000000000);
+  ASSERT_EQ(imported.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = imported.status().message();
+  EXPECT_NE(message.find("line 1:"), std::string::npos) << message;
+  EXPECT_NE(message.find("# ba-ledger v2,"), std::string::npos) << message;
+  EXPECT_NE(message.find("# ba-ledger v1,"), std::string::npos) << message;
+  EXPECT_NE(message.find(file.path()), std::string::npos) << message;
 }
 
 TEST(LedgerIoTest, ExportIsAtomicUnderFaultInjection) {
@@ -423,6 +425,24 @@ TEST(LabelsIoTest, EverySingleByteFlipIsDetected) {
     EXPECT_FALSE(datagen::ImportLabelsCsv(bad_file.path()).ok())
         << "flip at byte " << i << " imported silently";
   }
+}
+
+TEST(LabelsIoTest, MissingTrailerReportsTruncation) {
+  std::vector<datagen::LabeledAddress> labels{
+      {1, datagen::BehaviorLabel::kExchange},
+      {7, datagen::BehaviorLabel::kMining}};
+  TempFile file("labels_trunc");
+  ASSERT_TRUE(datagen::ExportLabelsCsv(labels, file.path()).ok());
+  std::string text = Slurp(file.path());
+  // Drop the trailer line: the file now ends at a row boundary.
+  const auto last_nl = text.rfind('\n', text.size() - 2);
+  text.resize(last_nl + 1);
+  Spew(file.path(), text);
+  const auto imported = datagen::ImportLabelsCsv(file.path());
+  ASSERT_FALSE(imported.ok());
+  EXPECT_NE(imported.status().message().find("missing crc32 trailer"),
+            std::string::npos)
+      << imported.status().ToString();
 }
 
 TEST(LabelsIoTest, ContentAfterTrailerRejected) {

@@ -158,6 +158,16 @@ TEST(FacadeTest, OptionsCodecRejectsUnknownKeys) {
   EXPECT_NE(s.message().find("nonsense_key"), std::string::npos);
 }
 
+TEST(FacadeTest, OptionsCodecRejectsIntegersTheFieldCannotHold) {
+  // 2^32 + 2 must not wrap to k_hops = 2 and load as a valid option.
+  BaClassifier::Options decoded;
+  const Status s =
+      DecodeClassifierOptions("graph_model.k_hops=4294967298\n", &decoded);
+  ASSERT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("out of range"), std::string::npos)
+      << s.ToString();
+}
+
 TEST(FacadeTest, FromCheckpointRejectsMissingAndBogusFiles) {
   const auto missing = BaClassifier::FromCheckpoint("/tmp/ba_no_such_file");
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);

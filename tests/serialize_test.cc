@@ -124,13 +124,15 @@ void AppendPod(std::string* out, T v) {
 }
 
 /// Hand-written checkpoint bytes: magic + version + count, then caller-
-/// provided tensor records. Lets corruption tests forge any header.
+/// provided tensor records, sealed with a valid CRC32 trailer. Lets
+/// corruption tests forge any header and still reach the body parser.
 std::string ForgeCheckpoint(uint32_t version, uint64_t count,
                             const std::string& body) {
   std::string out = "BATN";
   AppendPod(&out, version);
   AppendPod(&out, count);
   out += body;
+  AppendPod(&out, util::Crc32(out));
   return out;
 }
 
@@ -146,20 +148,21 @@ std::string TensorRecord(uint32_t rank, const std::vector<int64_t>& dims,
   return out;
 }
 
-TEST(SerializeTest, LegacyV1FormatStillLoads) {
-  // A v1 file has no CRC trailer; the loader must accept it unchanged.
-  const std::string bytes =
-      ForgeCheckpoint(1, 2,
-                      TensorRecord(2, {2, 3}, 6, 1.0f) +
-                          TensorRecord(1, {4}, 4, 100.0f));
-  TempFile file("v1_compat");
+TEST(SerializeTest, RetiredV1HeaderIsRejected) {
+  // Version 1 (no CRC trailer) is no longer written or read.
+  std::string bytes = "BATN";
+  AppendPod(&bytes, uint32_t{1});
+  AppendPod(&bytes, uint64_t{2});
+  bytes += TensorRecord(2, {2, 3}, 6, 1.0f) + TensorRecord(1, {4}, 4, 100.0f);
+  TempFile file("v1_retired");
   Spew(file.path(), bytes);
   auto params = SmallCheckpointParams();
   const Status st = LoadParameters(params, file.path());
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_FLOAT_EQ(params[0]->value.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(params[0]->value.at(1, 2), 1.0f + 0.5f * 5);
-  EXPECT_FLOAT_EQ(params[1]->value[3], 100.0f + 0.5f * 3);
+  ASSERT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find(file.path()), std::string::npos);
 }
 
 TEST(SerializeTest, EverySingleByteFlipIsRejected) {
@@ -188,8 +191,9 @@ TEST(SerializeTest, TruncationAtEveryLengthRejected) {
 }
 
 TEST(SerializeTest, CorruptHeadersRejectedWithDescriptiveErrors) {
-  // Forged v1 files (no CRC) exercise the plausibility bounds directly:
-  // a bogus header value must fail by validation, not by allocation.
+  // Forged files, re-sealed with a valid CRC, exercise the plausibility
+  // bounds directly: a bogus header value must fail by validation, not
+  // by allocation.
   const std::string valid_body =
       TensorRecord(2, {2, 3}, 6, 0.0f) + TensorRecord(1, {4}, 4, 0.0f);
   struct Case {
@@ -198,40 +202,40 @@ TEST(SerializeTest, CorruptHeadersRejectedWithDescriptiveErrors) {
     const char* expect;  // substring of the error message
   };
   const Case cases[] = {
-      {"bad magic", "XXXX" + ForgeCheckpoint(1, 2, valid_body).substr(4),
+      {"bad magic", "XXXX" + ForgeCheckpoint(2, 2, valid_body).substr(4),
        "not a BATN checkpoint"},
       {"unsupported version", ForgeCheckpoint(7, 2, valid_body),
        "unsupported checkpoint version"},
       {"absurd tensor count",
-       ForgeCheckpoint(1, uint64_t{1} << 40, valid_body),
+       ForgeCheckpoint(2, uint64_t{1} << 40, valid_body),
        "implausible tensor count"},
-      {"tensor count mismatch", ForgeCheckpoint(1, 1, valid_body),
+      {"tensor count mismatch", ForgeCheckpoint(2, 1, valid_body),
        "1 tensors, model has 2"},
       {"absurd rank",
-       ForgeCheckpoint(1, 2, TensorRecord(200, {2, 3}, 6, 0.0f)),
+       ForgeCheckpoint(2, 2, TensorRecord(200, {2, 3}, 6, 0.0f)),
        "implausible rank"},
       {"rank mismatch",
-       ForgeCheckpoint(1, 2, TensorRecord(3, {2, 3, 1}, 6, 0.0f) +
+       ForgeCheckpoint(2, 2, TensorRecord(3, {2, 3, 1}, 6, 0.0f) +
                                  TensorRecord(1, {4}, 4, 0.0f)),
        "rank mismatch"},
       {"absurd dim",
-       ForgeCheckpoint(1, 2,
+       ForgeCheckpoint(2, 2,
                        TensorRecord(2, {2, int64_t{1} << 40}, 6, 0.0f)),
        "implausible dim"},
       {"negative dim",
-       ForgeCheckpoint(1, 2, TensorRecord(2, {2, -3}, 6, 0.0f)),
+       ForgeCheckpoint(2, 2, TensorRecord(2, {2, -3}, 6, 0.0f)),
        "implausible dim"},
       {"shape mismatch",
-       ForgeCheckpoint(1, 2, TensorRecord(2, {3, 2}, 6, 0.0f) +
+       ForgeCheckpoint(2, 2, TensorRecord(2, {3, 2}, 6, 0.0f) +
                                  TensorRecord(1, {4}, 4, 0.0f)),
        "shape mismatch"},
       {"truncated payload",
-       ForgeCheckpoint(1, 2, TensorRecord(2, {2, 3}, 3, 0.0f)),
+       ForgeCheckpoint(2, 2, TensorRecord(2, {2, 3}, 3, 0.0f)),
        "truncated payload"},
       {"truncated mid-header",
-       ForgeCheckpoint(1, 2, valid_body.substr(0, 6)), "truncated header"},
+       ForgeCheckpoint(2, 2, valid_body.substr(0, 6)), "truncated header"},
       {"trailing garbage",
-       ForgeCheckpoint(1, 2, valid_body + "extra bytes"),
+       ForgeCheckpoint(2, 2, valid_body + "extra bytes"),
        "trailing garbage"},
   };
   TempFile file("forged");
