@@ -4,7 +4,8 @@
 # must pass with zero sanitizer findings.
 #
 # Four configurations:
-#   address (default)  ASan + UBSan over the full suite.
+#   address (default)  ASan + UBSan over the full suite; a UBSan report
+#                      aborts its test (-fno-sanitize-recover=undefined).
 #   thread             TSan over the concurrency-sensitive tests
 #                      (serve_test drives the batched inference engine
 #                      from multiple client threads; snapshot_test

@@ -41,9 +41,14 @@ struct GraphConstructorOptions {
   /// Stage 3 similarity backend. `false` (default) computes the dense
   /// all-pairs S = A·Aᵀ, M = S·D⁻¹, Q = ReLU(M − Ψ·I) exactly as
   /// Eq. 3-5 describe — the cost profile the paper's Table V reports.
-  /// `true` enables this library's sparse-incidence optimization, which
-  /// produces identical merge groups at a fraction of the cost (see
-  /// bench_ablation_compression).
+  /// `true` uses this library's sparse-incidence product, which
+  /// produces identical merge groups but is not faster on this
+  /// repository's graphs. On a 4-vCPU Xeon, bench_ablation_compression
+  /// (400 addresses, slice 100) read 0.22-0.29 s of construction for
+  /// both backends, within 0.02 s of each other in each of 4 runs; over
+  /// bench_profile's labels at slice 20, sparse took 0.235 s against
+  /// dense's 0.152 s. Dense is the default and never the slower
+  /// backend here; the option stays because BACL checkpoints record it.
   bool use_sparse_similarity = false;
 
   /// \brief Returns OK when every field is usable, or a descriptive
@@ -61,6 +66,14 @@ struct StageTimings {
   double TotalSeconds() const {
     return extract_seconds + single_compress_seconds +
            multi_compress_seconds + augment_seconds;
+  }
+
+  StageTimings& operator+=(const StageTimings& other) {
+    extract_seconds += other.extract_seconds;
+    single_compress_seconds += other.single_compress_seconds;
+    multi_compress_seconds += other.multi_compress_seconds;
+    augment_seconds += other.augment_seconds;
+    return *this;
   }
 };
 

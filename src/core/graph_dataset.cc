@@ -1,8 +1,5 @@
 #include "core/graph_dataset.h"
 
-#include <atomic>
-#include <memory>
-
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -40,55 +37,31 @@ std::vector<AddressSample> GraphDatasetBuilder::Build(
   // while construction runs.
   const chain::LedgerSnapshot snapshot = ledger.Snapshot();
 
-  auto build_one = [&](GraphConstructor* constructor, size_t i) {
+  // One constructor per address: it holds nothing but its timings, so
+  // each address's stage times land in their own slot and fold in
+  // address order whatever thread built them.
+  std::vector<StageTimings> address_timings(n);
+  auto build_one = [&](size_t i) {
+    GraphConstructor constructor(options_.construction);
     AddressSample& sample = samples[i];
     sample.address = addresses[i].address;
     sample.label = static_cast<int>(addresses[i].label);
-    sample.graphs = constructor->BuildGraphs(snapshot, addresses[i].address);
+    sample.graphs = constructor.BuildGraphs(snapshot, addresses[i].address);
     sample.tensors.reserve(sample.graphs.size());
     for (const auto& g : sample.graphs) {
       sample.tensors.push_back(PrepareGraphTensors(g, options_.k_hops));
     }
+    address_timings[i] = constructor.timings();
   };
-
-  if (options_.num_threads == 1) {
-    GraphConstructor constructor(options_.construction);
-    for (size_t i = 0; i < n; ++i) build_one(&constructor, i);
-    const StageTimings& t = constructor.timings();
-    timings_.extract_seconds += t.extract_seconds;
-    timings_.single_compress_seconds += t.single_compress_seconds;
-    timings_.multi_compress_seconds += t.multi_compress_seconds;
-    timings_.augment_seconds += t.augment_seconds;
+  // The caller builds alongside num_threads - 1 workers, so at most
+  // num_threads threads build at once; one thread needs no pool.
+  if (options_.num_threads > 1) {
+    ThreadPool pool(static_cast<size_t>(options_.num_threads - 1));
+    pool.ParallelFor(n, build_one);
   } else {
-    // One constructor per worker; timings summed afterwards.
-    const size_t workers = static_cast<size_t>(options_.num_threads);
-    std::vector<std::unique_ptr<GraphConstructor>> constructors;
-    constructors.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      constructors.push_back(
-          std::make_unique<GraphConstructor>(options_.construction));
-    }
-    ThreadPool pool(workers);
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < workers; ++w) {
-      const bool accepted = pool.Submit([&, w] {
-        for (;;) {
-          const size_t i = next.fetch_add(1);
-          if (i >= n) break;
-          build_one(constructors[w].get(), i);
-        }
-      });
-      BA_CHECK(accepted);  // freshly constructed pool cannot be shut down
-    }
-    pool.Wait();
-    for (const auto& c : constructors) {
-      const StageTimings& t = c->timings();
-      timings_.extract_seconds += t.extract_seconds;
-      timings_.single_compress_seconds += t.single_compress_seconds;
-      timings_.multi_compress_seconds += t.multi_compress_seconds;
-      timings_.augment_seconds += t.augment_seconds;
-    }
+    for (size_t i = 0; i < n; ++i) build_one(i);
   }
+  for (const StageTimings& t : address_timings) timings_ += t;
 
   // Drop empty histories.
   std::vector<AddressSample> out;

@@ -87,7 +87,6 @@ Status GraphModelOptions::Validate() const {
         "graph_model.num_threads must be >= 0 (got " +
         std::to_string(num_threads) + ")");
   }
-  BA_RETURN_NOT_OK(checkpoint_retry.Validate());
   return Status::OK();
 }
 
@@ -352,15 +351,9 @@ Status GraphModel::Train(const std::vector<AddressSample>& train,
       const int done = epoch + 1;
       const int every = std::max(options_.checkpoint_every, 1);
       if (done % every == 0 || done == options_.epochs) {
-        BA_RETURN_NOT_OK(util::RetryWithBackoff(
-            options_.checkpoint_retry, "checkpoint save (epoch " +
-                std::to_string(done) + ")",
-            [&] {
-              return SaveTrainingCheckpoint(
-                  CaptureTrainingCheckpoint(Parameters(), *optimizer_, rng_,
-                                            done),
-                  ckpt_path);
-            }));
+        BA_RETURN_NOT_OK(SaveTrainingCheckpoint(
+            CaptureTrainingCheckpoint(Parameters(), *optimizer_, rng_, done),
+            ckpt_path));
       }
     }
   }

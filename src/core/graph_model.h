@@ -7,7 +7,6 @@
 
 #include "core/graph_dataset.h"
 #include "metrics/classification.h"
-#include "util/retry.h"
 #include "nn/diffpool.h"
 #include "nn/gcn.h"
 #include "nn/gat.h"
@@ -70,10 +69,6 @@ struct GraphModelOptions {
   /// Checkpoint cadence in epochs (only with checkpoint_dir set); the
   /// final epoch is always checkpointed.
   int checkpoint_every = 1;
-  /// Retry policy for checkpoint saves. The default (max_attempts = 1)
-  /// fails the epoch on the first save error; a multi-attempt policy
-  /// rides out transient I/O failures without losing training progress.
-  util::RetryPolicy checkpoint_retry;
   /// Training lanes: 1 = serial (default), 0 = use the shared pool's
   /// size (`util::SharedPoolThreads()`), N = N lanes. Each batch fans
   /// per-example forward/backward across the lanes with a fixed-order

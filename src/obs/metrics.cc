@@ -290,10 +290,4 @@ Status MetricsRegistry::SaveJson(const std::string& path) const {
   return out.Commit();
 }
 
-Status MetricsRegistry::SaveJson(const std::string& path,
-                                 const util::RetryPolicy& retry) const {
-  return util::RetryWithBackoff(retry, "metrics SaveJson(" + path + ")",
-                                [this, &path] { return SaveJson(path); });
-}
-
 }  // namespace ba::obs

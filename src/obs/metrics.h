@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "util/retry.h"
 #include "util/status.h"
 
 /// \file metrics.h
@@ -204,12 +203,6 @@ class MetricsRegistry {
   /// Writes `JsonExposition()` atomically (AtomicFileWriter, CRC-less —
   /// the artifact is for humans/Perfetto-side tooling, not reload).
   Status SaveJson(const std::string& path) const;
-
-  /// SaveJson under a retry policy: transient write failures are
-  /// retried with backoff (util::RetryWithBackoff); each attempt
-  /// re-serializes, so the file that lands reflects the last attempt.
-  Status SaveJson(const std::string& path,
-                  const util::RetryPolicy& retry) const;
 
   /// Registered instrument names, sorted (tests and tooling).
   std::vector<std::string> Names() const;

@@ -19,8 +19,8 @@
 /// the admitted work keeps its latency profile.
 ///
 /// Three-state machine, driven by the caller-supplied backlog signal
-/// (for the inference engine: queued requests + thread-pool tasks in
-/// flight — the live generalization of the snapshot-only
+/// (for the inference engine: undelivered blocking requests + thread-pool
+/// tasks in flight — the live generalization of the snapshot-only
 /// `pool_backlog` metric):
 ///
 ///   kAccepting --backlog >= high_watermark--> kShedding

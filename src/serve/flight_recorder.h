@@ -24,7 +24,7 @@
 ///
 /// Concurrency: writers never share a lock. `Record` claims a slot
 /// with a relaxed fetch_add on the head counter and takes only that
-/// slot's mutex, so concurrent deliveries from different batch leaders
+/// slot's mutex, so concurrent deliveries from different batches
 /// proceed in parallel; the per-slot mutex exists solely to keep an
 /// admin snapshot from reading a half-written entry (and stays
 /// TSan-clean, unlike a seqlock over plain fields). A reader walking

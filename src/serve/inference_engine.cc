@@ -75,11 +75,6 @@ Status InferenceEngineOptions::Validate() const {
         "InferenceEngineOptions.max_batch_size must be >= 1, got " +
         std::to_string(max_batch_size));
   }
-  if (max_batch_leaders < 1) {
-    return Status::InvalidArgument(
-        "InferenceEngineOptions.max_batch_leaders must be >= 1, got " +
-        std::to_string(max_batch_leaders));
-  }
   if (num_threads < 0) {
     return Status::InvalidArgument(
         "InferenceEngineOptions.num_threads must be >= 0 (0 = shared "
@@ -138,13 +133,11 @@ InferenceEngine::InferenceEngine(const core::BaClassifier* classifier,
       slice_size_(classifier->options().dataset.construction.slice_size),
       k_hops_(classifier->options().dataset.k_hops),
       embed_dim_(classifier->graph_model().embed_dim()),
-      owned_pool_(options_.pool == nullptr && options_.num_threads >= 1
+      owned_pool_(options_.num_threads >= 1
                       ? std::make_unique<ThreadPool>(
                             static_cast<size_t>(options_.num_threads))
                       : nullptr),
-      pool_(options_.pool != nullptr  ? options_.pool
-            : owned_pool_ != nullptr ? owned_pool_.get()
-                                     : &util::SharedPool()),
+      pool_(owned_pool_ != nullptr ? owned_pool_.get() : &util::SharedPool()),
       sweep_(options_.sweep_miss_streak) {
   // Unique per process so several engines (tests, A/B deployments) can
   // coexist in one registry scrape.
@@ -181,10 +174,10 @@ InferenceEngine::~InferenceEngine() {
       registry_provider_name_);
   // Drain: async callers hold no handle to wait on — the engine owns
   // every in-flight request, so teardown blocks until the last
-  // callback has returned.
-  std::unique_lock<std::mutex> lock(queue_mu_);
+  // callback and the last miss task have returned.
+  std::unique_lock<std::mutex> lock(drain_mu_);
   done_cv_.wait(lock, [this] {
-    return queue_.empty() && active_leaders_ == 0 && inflight_requests_ == 0;
+    return inflight_tasks_ == 0 && inflight_requests_ == 0;
   });
 }
 
@@ -393,31 +386,35 @@ void InferenceEngine::RecordDelivery(chain::AddressId address,
   }
 }
 
-void InferenceEngine::Enqueue(Request* req) {
+void InferenceEngine::SubmitMiss(Request* req) {
   req->tl.enqueue_ns = req->SinceSubmitNs(SteadyClock::now());
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  ++inflight_requests_;
-  queue_.push_back(req);
-  queue_depth_.fetch_add(1, std::memory_order_relaxed);
-  if (active_leaders_ >= options_.max_batch_leaders) return;
-  ++active_leaders_;
-  // A shut-down pool rejects the leader; drain inline rather than
-  // strand queued requests.
-  if (!pool_->Submit([this] {
-        std::unique_lock<std::mutex> leader_lock(queue_mu_);
-        RunLeader(&leader_lock);
-      })) {
-    RunLeader(&lock);
+  {
+    std::lock_guard<std::mutex> lock(drain_mu_);
+    ++inflight_requests_;
+    ++inflight_tasks_;
   }
+  queue_depth_.fetch_add(1, std::memory_order_relaxed);
+  auto task = [this, req] {
+    queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+    req->tl.batch_join_ns = req->SinceSubmitNs(SteadyClock::now());
+    ProcessBatch({req});
+    std::lock_guard<std::mutex> lock(drain_mu_);
+    --inflight_tasks_;
+    done_cv_.notify_all();
+  };
+  // A shut-down pool rejects the task; run it inline rather than strand
+  // the request.
+  if (!pool_->Submit(task)) task();
 }
 
 void InferenceEngine::RunOwnBatches(const std::vector<Request*>& requests) {
-  // Admission must still see blocking traffic though it never queues:
-  // these requests count in the backlog until Deliver retires them.
+  // Admission must still see blocking traffic though it runs no pool
+  // task: these requests count in the backlog until Deliver retires
+  // them.
   blocking_backlog_.fetch_add(static_cast<int64_t>(requests.size()),
                               std::memory_order_relaxed);
   // One clock read stamps the whole submit — timelines must not tax the
-  // submit path with a syscall per request. There is no queue to wait
+  // submit path with a syscall per request. There is nothing to wait
   // in, so the first batch joins at the enqueue stamp.
   const auto now = SteadyClock::now();
   for (Request* r : requests) r->tl.enqueue_ns = r->SinceSubmitNs(now);
@@ -462,9 +459,9 @@ void InferenceEngine::ClassifyAsync(chain::AddressId address,
   req->async = true;
   // The lookup runs here, on the submitting thread. What it settles is
   // delivered before this returns; a request whose answer is being
-  // built joins that build, and only a miss queues — so nothing is ever
-  // built here. Its fault point reports a verdict but never sleeps: the
-  // submitting thread may be an event loop.
+  // built joins that build, and only a miss becomes a pool task — so
+  // nothing is ever built here. Its fault point reports a verdict but
+  // never sleeps: the submitting thread may be an event loop.
   if (util::FaultInjector::Instance().ShouldFail(kFaultBatchLookup,
                                                  /*inject_latency=*/false)) {
     req->status = InjectedFault(kFaultBatchLookup);
@@ -486,9 +483,9 @@ void InferenceEngine::ClassifyAsync(chain::AddressId address,
     if (decided.outcome == LookupOutcome::kJoin) {
       // Counted in flight before it is parked: the flight's owner may
       // deliver it the moment cache_mu_ drops. (Lock order: cache_mu_,
-      // then queue_mu_ — nothing takes them the other way round.)
+      // then drain_mu_ — nothing takes them the other way round.)
       {
-        std::lock_guard<std::mutex> queue_lock(queue_mu_);
+        std::lock_guard<std::mutex> drain_lock(drain_mu_);
         ++inflight_requests_;
       }
       decided.flight->joiners.push_back(req);
@@ -497,7 +494,7 @@ void InferenceEngine::ClassifyAsync(chain::AddressId address,
     }
   }
   if (decided.outcome == LookupOutcome::kMiss) {
-    Enqueue(req);
+    SubmitMiss(req);
     return;
   }
   if (decided.outcome == LookupOutcome::kFallback) AnswerFromFallback(req);
@@ -570,40 +567,6 @@ std::vector<Result<ClassifyResult>> InferenceEngine::ClassifyBatch(
   out.reserve(n);
   for (auto& o : outcomes) out.push_back(std::move(*o));
   return out;
-}
-
-void InferenceEngine::RunLeader(std::unique_lock<std::mutex>* lock) {
-  while (!queue_.empty()) {
-    std::vector<Request*> batch;
-    const size_t limit = static_cast<size_t>(options_.max_batch_size);
-    while (!queue_.empty() && batch.size() < limit) {
-      batch.push_back(queue_.front());
-      queue_.pop_front();
-      queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    const auto joined = SteadyClock::now();
-    for (Request* r : batch) r->tl.batch_join_ns = r->SinceSubmitNs(joined);
-    // Mid-drain hand-off: queued work remains and a leader slot is
-    // free — spawn the successor *before* processing this batch, so
-    // one slow batch never serializes the arrivals (or the remainder
-    // of the queue) behind it.
-    if (!queue_.empty() && active_leaders_ < options_.max_batch_leaders) {
-      ++active_leaders_;
-      if (!pool_->Submit([this] {
-            std::unique_lock<std::mutex> leader_lock(queue_mu_);
-            RunLeader(&leader_lock);
-          })) {
-        --active_leaders_;  // pool shut down: this leader drains alone
-      }
-    }
-    // Callbacks fire with the queue lock released — a callback may
-    // submit follow-up async work without self-deadlocking.
-    lock->unlock();
-    ProcessBatch(std::move(batch));
-    lock->lock();
-  }
-  --active_leaders_;
-  done_cv_.notify_all();
 }
 
 /// One address a batch builds: the requests it answers, the capped
@@ -915,7 +878,7 @@ void InferenceEngine::DeliverBatch(Batch* batch) {
   }
   for (Request* req : out) FinishRequest(req);
   if (async_done == 0) return;
-  std::lock_guard<std::mutex> lock(queue_mu_);
+  std::lock_guard<std::mutex> lock(drain_mu_);
   inflight_requests_ -= async_done;
   done_cv_.notify_all();
 }

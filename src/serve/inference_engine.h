@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -40,12 +39,14 @@
 ///    `util::ThreadPool` whose ParallelFor also works on the calling
 ///    thread — so concurrent callers build their misses in parallel.
 ///    ClassifyAsync looks its request up on the submitting thread and
-///    answers a hit there; only misses queue, drained by up to
-///    `max_batch_leaders` leaders started on the pool. Duplicate
-///    addresses within a batch coalesce onto one computation, and a
-///    miss that another batch is already building joins that build
-///    (single flight): the building batch delivers it, so no answer is
-///    built twice and no thread blocks on another batch's build.
+///    answers a hit there; each miss becomes one pool task that runs
+///    it as a one-request batch, so the pool is the engine's only
+///    scheduler and async misses build on as many workers as it has.
+///    Duplicate addresses within a batch coalesce onto one computation,
+///    and a miss that another batch is already building joins that
+///    build (single flight): the building batch delivers it, so no
+///    answer is built twice and no thread blocks on another batch's
+///    build.
 ///
 ///  * **Incremental caching.** Results are cached per address, keyed on
 ///    the length of the address's transaction history (a proxy for
@@ -129,34 +130,23 @@ const char* PrecisionName(Precision p);
 /// \brief Engine tunables.
 struct InferenceEngineOptions {
   /// Requests per micro-batch: a blocking caller's requests run in
-  /// batches of this size, and an async leader drains up to this many.
+  /// batches of this size. An async miss always runs alone.
   int max_batch_size = 32;
-  /// Concurrent leaders draining the ClassifyAsync queue (which holds
-  /// only misses: hits are answered at submit), each started on the
-  /// pool. Blocking callers never take a slot: each leads its
-  /// own batch. With 1 (the default) a slow async batch serializes the
-  /// async arrivals behind it; with more, a leader that takes a batch
-  /// while queued work remains hands off mid-drain — it spawns a fresh
-  /// leader on the pool before processing, so arrivals keep draining
-  /// while the slow batch runs.
-  int max_batch_leaders = 1;
   /// Embed-stage precision. kInt8 runs the quantized encoder path;
   /// Create() fails when the classifier has not been quantized. Cached
   /// embeddings are precision-specific (the cache file records which
   /// path produced it and refuses a mismatched warm start).
   Precision precision = Precision::kFp32;
-  /// Pool workers that run async leaders and help any batch with graph
-  /// construction + encoder passes. The thread that runs a batch (a
-  /// blocking caller or an async leader) works alongside them, so N
-  /// concurrent blocking callers can keep up to N + num_threads cores
-  /// busy, and a one-miss batch never leaves its own thread. 0 draws on
-  /// the process-wide `util::SharedPool()` instead of creating a
-  /// private pool — the right choice when an engine coexists with
-  /// training or other engines in one process (no oversubscription).
+  /// Pool workers that run async misses and help a blocking caller's
+  /// batch with graph construction + encoder passes. The blocking
+  /// caller works alongside them, so N concurrent blocking callers can
+  /// keep up to N + num_threads cores busy, and a one-miss batch never
+  /// leaves its own thread; an async miss builds on the worker that
+  /// runs it. 0 draws on the process-wide `util::SharedPool()` instead
+  /// of creating a private pool — the right choice when an engine
+  /// coexists with training or other engines in one process (no
+  /// oversubscription).
   int num_threads = 2;
-  /// Injected worker pool (non-owning; must outlive the engine). When
-  /// set, `num_threads` is ignored and no private pool is created.
-  ThreadPool* pool = nullptr;
   /// Maximum cached addresses; least-recently-used entries are evicted
   /// beyond it.
   size_t cache_capacity = 1 << 16;
@@ -214,8 +204,8 @@ struct InferenceEngineOptions {
 /// submit-side cache lookup settles: a full hit, an empty history, an
 /// expired request's stale / fallback / DeadlineExceeded answer, or an
 /// injected lookup fault) — or later on the thread running the batch
-/// that delivers it: an async leader on the pool, or the thread of any
-/// batch (blocking caller or leader) whose build the request joined.
+/// that delivers it: the pool task of its own miss, or the thread of
+/// any batch (blocking caller or pool task) whose build it joined.
 /// The second argument is the request's timeline — identical to
 /// `result.timeline` on ok outcomes, and the only way to observe the
 /// timeline of an error outcome (a Status cannot carry one); its
@@ -272,7 +262,7 @@ struct InferenceMetricsSnapshot {
   // Derived by the engine at scrape time rather than recorded.
   uint64_t cache_entries = 0;
   uint64_t pool_backlog = 0;  ///< thread-pool tasks in flight now
-  uint64_t queue_depth = 0;   ///< requests enqueued, not yet in a batch
+  uint64_t queue_depth = 0;   ///< async misses submitted, not yet started
   /// Admission state name ("accepting"/"shedding"/"recovering"), or
   /// "disabled" when admission control is off.
   std::string admission_state;
@@ -334,10 +324,10 @@ class InferenceEngine {
   /// request. The cache lookup runs on the submitting thread: a request
   /// it settles (a cache hit above all) is delivered before this
   /// returns, a request whose answer another batch is building joins
-  /// that build, and only a miss queues for an async leader — nothing
-  /// is ever built on the submitting thread. The blocking
-  /// Classify/ClassifyBatch do not go through here: each caller runs
-  /// its own batches. Caching, deadlines, admission and degraded
+  /// that build, and only a miss is handed to the pool as a task of
+  /// its own — nothing is ever built on the submitting thread. The
+  /// blocking Classify/ClassifyBatch do not go through here: each
+  /// caller runs its own batches. Caching, deadlines, admission and degraded
   /// answers behave exactly as documented on Classify.
   void ClassifyAsync(chain::AddressId address, const ClassifyOptions& options,
                      ClassifyCallback done);
@@ -444,7 +434,7 @@ class InferenceEngine {
     /// True when this request holds an admission slot to release.
     bool admitted = false;
     /// Submitted through ClassifyAsync: counted in inflight_requests_
-    /// once it queues or joins a build at submit.
+    /// once it becomes a miss task or joins a build at submit.
     bool async = false;
     /// Submit time, for the request-latency histogram, trace span and
     /// the timeline's stamp origin.
@@ -516,33 +506,28 @@ class InferenceEngine {
                        const ClassifyOptions& options,
                        ClassifyCallback done);
 
-  /// Async miss: pushes the request onto the queue and ensures a
-  /// leader is draining it — at most `max_batch_leaders`, each started
-  /// on the worker pool so the submitting thread (e.g. an epoll loop)
-  /// never blocks on inference.
-  void Enqueue(Request* req);
+  /// Async miss: submits one pool task that runs the request as a
+  /// one-request batch, so the submitting thread (e.g. an epoll loop)
+  /// never blocks on inference. A pool that rejects the task (shut
+  /// down) gets it run inline instead of stranding the request.
+  void SubmitMiss(Request* req);
 
   /// Blocking submit: runs the caller's own requests as batches of up
-  /// to `max_batch_size` on the calling thread. No queue and no leader
-  /// slot, so concurrent callers build in parallel — and a caller that
-  /// is itself a pool worker stays deadlock-free.
+  /// to `max_batch_size` on the calling thread. No pool task, so
+  /// concurrent callers build in parallel — and a caller that is
+  /// itself a pool worker stays deadlock-free.
   void RunOwnBatches(const std::vector<Request*>& requests);
 
   /// Completes one request: releases its admission slot, records
   /// request metrics, fires the callback and frees it.
   void FinishRequest(Request* req);
 
-  /// Async leader loop: drains the queue in micro-batches until empty.
-  /// Entered and left with `queue_mu_` held; batches run with the lock
-  /// released.
-  void RunLeader(std::unique_lock<std::mutex>* lock);
-
   /// One micro-batch's state across its stages, and one address it
   /// builds (both defined in the .cc).
   struct Batch;
   struct Miss;
 
-  /// Runs one micro-batch (no queue lock held) through the stages
+  /// Runs one micro-batch (no engine lock held) through the stages
   /// below and delivers every request it decided: its own, except
   /// those that joined another batch's build, plus the joiners of its
   /// own builds.
@@ -622,11 +607,10 @@ class InferenceEngine {
                       const Result<ClassifyResult>& outcome,
                       const RequestTimeline& tl);
 
-  /// Live backlog signal for admission: enqueued async requests,
-  /// blocking requests not yet delivered, and pool tasks in flight.
+  /// Live backlog signal for admission: blocking requests not yet
+  /// delivered, and pool tasks in flight — each async miss once.
   int64_t Backlog() const {
-    return queue_depth_.load(std::memory_order_relaxed) +
-           blocking_backlog_.load(std::memory_order_relaxed) +
+    return blocking_backlog_.load(std::memory_order_relaxed) +
            static_cast<int64_t>(pool_->in_flight());
   }
 
@@ -636,10 +620,10 @@ class InferenceEngine {
   int slice_size_;
   int k_hops_;
   int64_t embed_dim_;
-  /// Set only when the engine owns a private pool (num_threads >= 1
-  /// and no injected pool); declared before pool_ so pool_ can alias it.
+  /// Set only when the engine owns a private pool (num_threads >= 1);
+  /// declared before pool_ so pool_ can alias it.
   std::unique_ptr<ThreadPool> owned_pool_;
-  /// The pool work actually runs on: injected, shared, or owned_pool_.
+  /// The pool work actually runs on: owned_pool_ or the shared pool.
   ThreadPool* pool_;
 
   mutable std::mutex cache_mu_;
@@ -653,26 +637,25 @@ class InferenceEngine {
   std::unordered_map<chain::AddressId, Flight> flights_;
   uint64_t lru_tick_ = 0;
 
-  /// Taken inside cache_mu_ by an async submit that joins a build,
-  /// never the other way round.
-  std::mutex queue_mu_;
-  /// Signals the destructor: queue drained, leaders gone, async
-  /// requests delivered.
+  /// Guards the two drain counts below. Taken inside cache_mu_ by an
+  /// async submit that joins a build, never the other way round.
+  std::mutex drain_mu_;
+  /// Signals the destructor: tasks returned, async requests delivered.
   std::condition_variable done_cv_;
-  /// ClassifyAsync requests not yet in a batch.
-  std::deque<Request*> queue_;
-  /// Async leaders currently draining (<= options_.max_batch_leaders).
-  int active_leaders_ = 0;
-  /// Async requests queued or parked on a flight and not yet
-  /// delivered (callback not returned) — the destructor drains this to
-  /// zero before tearing down. Requests the submit-side lookup settles
-  /// are delivered before ClassifyAsync returns and never count.
+  /// Miss tasks submitted and not yet returned. A task whose request
+  /// joined another build still delivers its batch, which touches the
+  /// engine, so the destructor waits for this to reach zero too.
+  int64_t inflight_tasks_ = 0;
+  /// Async requests handed to a miss task or parked on a flight and not
+  /// yet delivered (callback not returned) — the destructor drains this
+  /// to zero before tearing down. Requests the submit-side lookup
+  /// settles are delivered before ClassifyAsync returns and never count.
   int64_t inflight_requests_ = 0;
-  /// Mirrors queue_.size() without the lock — the admission backlog
-  /// signal must be readable in nanoseconds from any thread.
+  /// Miss tasks submitted and not yet started: the `queue_depth` metric.
   std::atomic<int64_t> queue_depth_{0};
   /// Blocking requests handed to RunOwnBatches and not yet delivered.
-  /// They never queue, so this is their share of the backlog signal.
+  /// They run no pool task, so this is their share of the backlog
+  /// signal.
   std::atomic<int64_t> blocking_backlog_{0};
 
   /// Set only with options_.enable_admission.

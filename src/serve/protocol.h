@@ -142,8 +142,8 @@ struct RequestTimeline {
   /// stitch its own span to the server-side flow.
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
-  int64_t enqueue_ns = -1;     ///< pushed onto the engine queue
-  int64_t batch_join_ns = -1;  ///< drained into a micro-batch
+  int64_t enqueue_ns = -1;     ///< handed to a batch or a pool task
+  int64_t batch_join_ns = -1;  ///< its micro-batch started
   int64_t lookup_ns = -1;      ///< cache-lookup stage done
   int64_t build_ns = -1;       ///< build/embed stage done
   int64_t aggregate_ns = -1;   ///< aggregate stage done

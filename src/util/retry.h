@@ -10,8 +10,8 @@
 /// \brief Reusable bounded-retry policy: exponential backoff with
 /// decorrelated jitter, deadline-aware.
 ///
-/// Persistence paths (cache saves, training checkpoints, metrics
-/// dumps) fail transiently — a full disk that a log rotation frees, an
+/// Persistence paths (here: the serve cache's SaveCache) fail
+/// transiently — a full disk that a log rotation frees, an
 /// NFS hiccup, an injected chaos fault. `RetryWithBackoff` turns such
 /// an operation into a bounded loop: attempt, classify the failure,
 /// sleep with decorrelated jitter (sleep_k ~ Uniform(base, 3·sleep_{k-1}),

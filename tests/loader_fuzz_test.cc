@@ -30,7 +30,6 @@
 #include "tensor/serialize.h"
 #include "util/fs.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace ba {
 namespace {
@@ -223,11 +222,9 @@ class LoaderFuzzTest : public ::testing::Test {
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     classifier_ = created.value().release();
     ASSERT_TRUE(classifier_->Train(simulator_->ledger(), *labeled_).ok());
-    pool_ = new ThreadPool(1);
   }
 
   static void TearDownTestSuite() {
-    delete pool_;
     delete classifier_;
     delete labeled_;
     delete simulator_;
@@ -236,13 +233,11 @@ class LoaderFuzzTest : public ::testing::Test {
   static datagen::Simulator* simulator_;
   static std::vector<datagen::LabeledAddress>* labeled_;
   static core::BaClassifier* classifier_;
-  static ThreadPool* pool_;
 };
 
 datagen::Simulator* LoaderFuzzTest::simulator_ = nullptr;
 std::vector<datagen::LabeledAddress>* LoaderFuzzTest::labeled_ = nullptr;
 core::BaClassifier* LoaderFuzzTest::classifier_ = nullptr;
-ThreadPool* LoaderFuzzTest::pool_ = nullptr;
 
 /// Copies of the trained encoder's parameters, safe to overwrite.
 std::vector<tensor::Var> ParameterCopies(const core::BaClassifier& clf) {
@@ -328,7 +323,7 @@ TEST_F(LoaderFuzzTest, BaclOptionsSection) {
 TEST_F(LoaderFuzzTest, BasvServeCache) {
   TempFile file("basv_src");
   serve::InferenceEngineOptions options;
-  options.pool = pool_;
+  options.num_threads = 0;
   options.cache_path = file.path();
   {
     auto engine = serve::InferenceEngine::Create(

@@ -706,39 +706,38 @@ TEST_F(ResilienceServeTest, DegradedResultContractFallbackAcrossPaths) {
   EXPECT_EQ(engine->Metrics().degraded_fallback, 2u);
 }
 
-// With max_batch_leaders = 2 a second leader drains the queue while
-// the first is stuck mid-batch, so two slow singleton batches overlap
-// instead of serializing.
-TEST_F(ResilienceServeTest, SecondBatchLeaderDrainsDuringSlowBatch) {
+// Each async miss is a pool task of its own, so with default options a
+// miss submitted while another one is stuck mid-build builds on the
+// other worker instead of waiting behind it.
+TEST_F(ResilienceServeTest, AsyncMissesBuildConcurrentlyOnThePool) {
   FaultGuard guard;
-  serve::InferenceEngineOptions options;
-  options.max_batch_size = 1;
-  options.max_batch_leaders = 2;
-  auto engine = MakeEngine(std::move(options));
+  auto engine = MakeEngine();
   util::FaultInjector::Instance().ArmLatency(
-      InferenceEngine::kFaultBatchLookup, 0.15);
+      InferenceEngine::kFaultBatchBuild, 0.15);
 
   std::atomic<int> done{0};
+  const auto deliver = [&done](Result<ClassifyResult> outcome,
+                               const serve::RequestTimeline&) {
+    EXPECT_TRUE(outcome.ok()) << outcome.status().message();
+    done.fetch_add(1);
+  };
   const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 2; ++i) {
-    engine->ClassifyAsync(
-        (*watched_)[static_cast<size_t>(i)].address, {},
-        [&done](Result<ClassifyResult> outcome,
-                const serve::RequestTimeline&) {
-          EXPECT_TRUE(outcome.ok()) << outcome.status().message();
-          done.fetch_add(1);
-        });
+  engine->ClassifyAsync((*watched_)[0].address, {}, deliver);
+  // A is counted at its task's lookup; its build then stalls at the
+  // build boundary.
+  while (engine->Metrics().misses == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  engine->ClassifyAsync((*watched_)[1].address, {}, deliver);
   while (done.load() < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  // Serial leaders would stack the two 150ms stalls (>= 300ms); the
-  // hand-off overlaps them. The bound leaves slack for the real
-  // lookup/build work behind the stalls.
-  EXPECT_LT(elapsed, 0.28) << "batches serialized behind one leader";
+  // Serialized misses would stack the two 150ms stalls (>= 300ms). The
+  // bound leaves slack for the real lookup/build work behind the stalls.
+  EXPECT_LT(elapsed, 0.28) << "async misses serialized behind one another";
 }
 
 // The blocking twin: each blocking caller leads its own batch, so with

@@ -818,28 +818,6 @@ TEST_F(ServeTest, FromCheckpointServesIdenticalPredictions) {
   }
 }
 
-TEST_F(ServeTest, InjectedPoolIsUsedInsteadOfAPrivateOne) {
-  // An engine with an injected pool must route its fan-out through it:
-  // the pool's process-wide task counter moves while the engine serves.
-  ThreadPool pool(2);
-  InferenceEngineOptions options;
-  options.pool = &pool;
-  options.num_threads = 0;  // would otherwise mean "shared pool"
-  auto engine = MakeEngine(options);
-  const std::vector<int> expected = SerialTruth(*test_);
-  for (size_t i = 0; i < test_->size(); ++i) {
-    auto result = engine->Classify((*test_)[i].address);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().predicted, expected[i]);
-  }
-  // The injected pool outlives the engine (non-owning): destroying the
-  // engine first must leave the pool usable.
-  engine.reset();
-  std::atomic<int> ran{0};
-  pool.ParallelFor(4, [&](size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 4);
-}
-
 TEST_F(ServeTest, SharedPoolModeServesCorrectly) {
   // num_threads = 0 without an injected pool draws on the process-wide
   // util::SharedPool() instead of constructing a private one.

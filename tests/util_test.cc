@@ -325,7 +325,7 @@ TEST(StopwatchTest, ScopedTimerAccumulates) {
   Stopwatch w;
   {
     ScopedTimer t(&w);
-    volatile int sink = 0;
+    volatile int64_t sink = 0;
     for (int i = 0; i < 100000; ++i) sink = sink + i;
   }
   EXPECT_GT(w.ElapsedNanos(), 0);
