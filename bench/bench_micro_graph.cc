@@ -180,7 +180,8 @@ BENCHMARK_F(StageFixture, ExtractionOnly)(benchmark::State& state) {
   ba::core::GraphConstructor constructor;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        constructor.ExtractOriginalGraphs(simulator->ledger(), address));
+        constructor.ExtractOriginalGraphs(simulator->ledger().Snapshot(),
+                                          address));
   }
 }
 

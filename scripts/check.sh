@@ -14,6 +14,11 @@
 #                      parallel_train_test exercises data-parallel
 #                      training and the shared pool; obs_test hammers
 #                      the metrics registry and tracer concurrently).
+#                      Then it repeats
+#                      LedgerSnapshotTest.ConcurrentWriterAndSnapshotReaders
+#                      200 times: a guard for Snapshot() pinning one
+#                      moment (no pinned transaction above the pinned
+#                      height while the writer seals).
 #   trace              Smoke-tests the observability subsystem: runs the
 #                      serve_monitor example with BA_TRACE_OUT set and
 #                      validates that the emitted file is well-formed
@@ -115,6 +120,9 @@ case "$MODE" in
     for t in $TSAN_TESTS; do
       "$BUILD_DIR/tests/$t"
     done
+    "$BUILD_DIR/tests/snapshot_test" \
+      --gtest_filter=LedgerSnapshotTest.ConcurrentWriterAndSnapshotReaders \
+      --gtest_repeat=200 --gtest_brief=1
     ;;
   chaos)
     BUILD_DIR="${2:-build-tsan}"

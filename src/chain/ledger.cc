@@ -160,9 +160,18 @@ LedgerSnapshot Ledger::Snapshot() const {
   // Capture order is the reverse of the publication order (blocks are
   // published after the transactions they contain, transactions after
   // the addresses they reference), so the pinned triple is mutually
-  // consistent even when the writer is mid-apply.
-  const uint64_t h = blocks_.size();
-  const uint64_t t = published_txs_.load(std::memory_order_acquire);
+  // consistent even when the writer is mid-apply. A transaction is
+  // stamped with the height it is applied at, so one stamped h + 1 is
+  // published only after the seal that raised the height to h + 1: a
+  // count that includes it is followed by a height re-read of at least
+  // h + 1. Retry until the height holds still across the count, so no
+  // pinned transaction lies above the pinned height.
+  uint64_t h = 0;
+  uint64_t t = 0;
+  do {
+    h = blocks_.size();
+    t = published_txs_.load(std::memory_order_acquire);
+  } while (blocks_.size() != h);
   const size_t a = address_txs_.size();
   return LedgerSnapshot(this, h, t, a);
 }

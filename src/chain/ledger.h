@@ -73,7 +73,14 @@ struct LedgerOptions {
 /// transaction before any block contains it, and capture reads the
 /// counters in the opposite order (height, then transactions, then
 /// addresses). So a pinned block only references pinned transactions
-/// and a pinned transaction only references pinned addresses.
+/// and a pinned transaction only references pinned addresses. Capture
+/// also re-reads the height after the transaction count and retries
+/// until it is unchanged, so every pinned transaction belongs to a
+/// block at or below the pinned height (the pending block at most),
+/// and coinbase maturity in `BalanceOf` is judged against a height the
+/// chain really had alongside those transactions. (SnapshotAt pins a
+/// past transaction count under the current height, so its
+/// transactions lie at or below its height as well.)
 ///
 /// Lifetime: a snapshot borrows the Ledger; it must not outlive it, and
 /// moving the Ledger invalidates it. Snapshots are freely copyable and
@@ -273,9 +280,10 @@ class Ledger {
   //      not yet counted),
   //   2. append its txid to the per-address index lists,
   //   3. release-store published_txs_.
-  // Snapshot capture reads height, then published_txs_, then
-  // num_addresses (the reverse of the publication order blocks -> txs
-  // -> addresses), which makes the pinned triple mutually consistent.
+  // Snapshot capture reads height, then published_txs_ (re-reading
+  // height until it holds still), then num_addresses: the reverse of
+  // the publication order blocks -> txs -> addresses, which makes the
+  // pinned triple mutually consistent.
   util::ChunkedVector<Block> blocks_;
   util::ChunkedVector<Transaction> transactions_;  // indexed by TxId
   util::ChunkedVector<util::ChunkedVector<TxId>> address_txs_;

@@ -148,11 +148,6 @@ std::vector<AddressGraph> GraphConstructor::BuildGraphs(
 }
 
 std::vector<AddressGraph> GraphConstructor::BuildGraphsFrom(
-    const chain::Ledger& ledger, chain::AddressId address, int start_slice) {
-  return BuildGraphsFrom(ledger.Snapshot(), address, start_slice);
-}
-
-std::vector<AddressGraph> GraphConstructor::BuildGraphsFrom(
     const chain::LedgerSnapshot& snapshot, chain::AddressId address,
     int start_slice, int end_slice) {
   BA_TRACE_SPAN("core.graph.build");
@@ -194,22 +189,6 @@ std::vector<AddressGraph> GraphConstructor::BuildGraphsFrom(
     timings_.augment_seconds += watch.ElapsedSeconds();
   }
   return graphs;
-}
-
-std::vector<AddressGraph> GraphConstructor::ExtractOriginalGraphs(
-    const chain::LedgerSnapshot& snapshot, chain::AddressId address) const {
-  return ExtractOriginalGraphs(snapshot, address, /*start_slice=*/0);
-}
-
-std::vector<AddressGraph> GraphConstructor::ExtractOriginalGraphs(
-    const chain::Ledger& ledger, chain::AddressId address) const {
-  return ExtractOriginalGraphs(ledger.Snapshot(), address, /*start_slice=*/0);
-}
-
-std::vector<AddressGraph> GraphConstructor::ExtractOriginalGraphs(
-    const chain::Ledger& ledger, chain::AddressId address,
-    int start_slice) const {
-  return ExtractOriginalGraphs(ledger.Snapshot(), address, start_slice);
 }
 
 std::vector<AddressGraph> GraphConstructor::ExtractOriginalGraphs(

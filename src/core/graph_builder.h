@@ -89,8 +89,8 @@ class GraphConstructor {
   /// chronological graph list (one graph per 100-tx slice). An address
   /// with no transactions yields an empty list.
   ///
-  /// The snapshot overloads read the pinned epoch and are safe to run
-  /// concurrently with ledger growth; the Ledger overloads capture a
+  /// The snapshot overload reads the pinned epoch and is safe to run
+  /// concurrently with ledger growth; the Ledger overload captures a
   /// snapshot internally (one per call).
   std::vector<AddressGraph> BuildGraphs(const chain::LedgerSnapshot& snapshot,
                                         chain::AddressId address);
@@ -110,27 +110,15 @@ class GraphConstructor {
   std::vector<AddressGraph> BuildGraphsFrom(
       const chain::LedgerSnapshot& snapshot, chain::AddressId address,
       int start_slice, int end_slice = kAllSlices);
-  std::vector<AddressGraph> BuildGraphsFrom(const chain::Ledger& ledger,
-                                            chain::AddressId address,
-                                            int start_slice);
 
   // -- Individual stages (exposed for tests and the stage benches) ----
 
   /// Stage 1: slice the address's transactions and build the original
-  /// heterogeneous graphs.
-  std::vector<AddressGraph> ExtractOriginalGraphs(
-      const chain::LedgerSnapshot& snapshot, chain::AddressId address) const;
-  std::vector<AddressGraph> ExtractOriginalGraphs(
-      const chain::Ledger& ledger, chain::AddressId address) const;
-
-  /// Stage 1 for slices [`start_slice`, `end_slice`) (see
-  /// BuildGraphsFrom).
+  /// heterogeneous graphs of slices [`start_slice`, `end_slice`) (see
+  /// BuildGraphsFrom); the defaults extract every slice.
   std::vector<AddressGraph> ExtractOriginalGraphs(
       const chain::LedgerSnapshot& snapshot, chain::AddressId address,
-      int start_slice, int end_slice = kAllSlices) const;
-  std::vector<AddressGraph> ExtractOriginalGraphs(const chain::Ledger& ledger,
-                                                  chain::AddressId address,
-                                                  int start_slice) const;
+      int start_slice = 0, int end_slice = kAllSlices) const;
 
   /// Stage 2: merge single-transaction counterparty addresses into
   /// per-transaction hyper nodes (input and output side separately).

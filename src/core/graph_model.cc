@@ -344,7 +344,8 @@ Status GraphModel::Train(const std::vector<AddressSample>& train,
     if (history != nullptr) {
       history->push_back(
           {epoch + 1, epoch_seconds, mean_loss,
-           eval != nullptr ? GraphLevelWeightedF1(*this, *eval) : -1.0});
+           eval != nullptr ? EvaluateGraphLevel(*eval).WeightedAverage().f1
+                           : -1.0});
     }
 
     if (checkpointing) {
@@ -369,11 +370,6 @@ metrics::ConfusionMatrix GraphModel::EvaluateGraphLevel(
     }
   }
   return cm;
-}
-
-double GraphLevelWeightedF1(const GraphModel& model,
-                            const std::vector<AddressSample>& samples) {
-  return model.EvaluateGraphLevel(samples).WeightedAverage().f1;
 }
 
 }  // namespace ba::core

@@ -153,8 +153,4 @@ class GraphModel {
   std::unique_ptr<tensor::Adam> optimizer_;
 };
 
-/// Weighted-average F1 over graph-level predictions of `samples`.
-double GraphLevelWeightedF1(const GraphModel& model,
-                            const std::vector<AddressSample>& samples);
-
 }  // namespace ba::core

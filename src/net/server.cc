@@ -23,6 +23,9 @@ namespace {
 constexpr int kMaxReadsPerEvent = 4;
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kMaxAdminLine = 4096;
+/// Outbound bytes a connection may have pending before it is dropped
+/// as a slow consumer.
+constexpr size_t kMaxWriteBuffer = 8u << 20;
 
 /// Best effort: the request_id is the first 8 payload bytes; a payload
 /// too short to carry one answers with id 0.
@@ -36,17 +39,6 @@ uint64_t PeekRequestId(const std::string& payload) {
 }  // namespace
 
 Status ServerOptions::Validate() const {
-  if (max_write_buffer < (64u << 10)) {
-    return Status::InvalidArgument(
-        "ServerOptions.max_write_buffer must be at least 64KiB, got " +
-        std::to_string(max_write_buffer));
-  }
-  if (max_payload == 0 || max_payload > serve::kMaxWirePayload) {
-    return Status::InvalidArgument(
-        "ServerOptions.max_payload must be in (0, " +
-        std::to_string(serve::kMaxWirePayload) + "], got " +
-        std::to_string(max_payload));
-  }
   if (idle_timeout_sec < 0) {
     return Status::InvalidArgument(
         "ServerOptions.idle_timeout_sec must be >= 0, got " +
@@ -159,7 +151,6 @@ void Server::OnAcceptable(Socket* listener, bool admin) {
     conn->id = id;
     conn->sock = Socket(fd);
     conn->admin = admin;
-    conn->decoder = serve::FrameDecoder(options_.max_payload);
     conn->last_active = std::chrono::steady_clock::now();
     const Status added = loop_->Add(
         fd, EPOLLIN,
@@ -467,7 +458,7 @@ void Server::SendBytes(Connection* conn, std::string_view bytes) {
     if (offset == bytes.size()) return;
   }
   conn->out.append(bytes.data() + offset, bytes.size() - offset);
-  if (conn->out.size() - conn->out_pos > options_.max_write_buffer) {
+  if (conn->out.size() - conn->out_pos > kMaxWriteBuffer) {
     // The peer stopped reading; buffering further would let one slow
     // consumer hold the server's memory hostage.
     net_.slow_consumer_drops->Increment();

@@ -39,8 +39,8 @@
 /// A protocol violation (bad magic, wrong version, oversized length,
 /// CRC mismatch) answers one kError frame naming the violation, then
 /// closes after the flush — a hostile or confused peer gets a
-/// diagnosis, never a hang. A connection whose outbound buffer exceeds
-/// `max_write_buffer` (a reader that stopped reading) is dropped.
+/// diagnosis, never a hang. A connection with more than 8 MiB of
+/// outbound bytes pending (a reader that stopped reading) is dropped.
 ///
 /// **Admin port** — a GET-style line protocol (one command in, one
 /// line out) for operators and scrape sidecars:
@@ -81,11 +81,6 @@ struct ServerOptions {
   /// Admin port (0 = ephemeral). Only bound when `enable_admin`.
   uint16_t admin_port = 0;
   bool enable_admin = true;
-  /// Outbound bytes a connection may have pending before it is dropped
-  /// as a slow consumer.
-  size_t max_write_buffer = 8u << 20;
-  /// Largest frame payload accepted (protocol violations beyond it).
-  size_t max_payload = serve::kMaxWirePayload;
   /// Connections with no traffic and no in-flight requests for this
   /// many seconds are closed; 0 disables the sweep.
   int idle_timeout_sec = 0;

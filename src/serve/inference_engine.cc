@@ -28,6 +28,9 @@ constexpr size_t kCacheEntryHeaderBytes = 8 + 8 + 4 + 4;
 /// one window's graphs alive instead of all of them, bounding a miss's
 /// memory however many threads build at once.
 constexpr int kBuildWindowSlices = 8;
+/// Requests per micro-batch: a blocking caller's requests run in
+/// batches of this size. An async miss always runs alone.
+constexpr size_t kMaxBatchSize = 32;
 
 /// Timeline outcome label of a non-OK delivery. Derived from the
 /// Status actually handed to the callback, so the recorded outcome
@@ -70,11 +73,6 @@ const char* PrecisionName(Precision p) {
 }
 
 Status InferenceEngineOptions::Validate() const {
-  if (max_batch_size < 1) {
-    return Status::InvalidArgument(
-        "InferenceEngineOptions.max_batch_size must be >= 1, got " +
-        std::to_string(max_batch_size));
-  }
   if (num_threads < 0) {
     return Status::InvalidArgument(
         "InferenceEngineOptions.num_threads must be >= 0 (0 = shared "
@@ -418,9 +416,8 @@ void InferenceEngine::RunOwnBatches(const std::vector<Request*>& requests) {
   // in, so the first batch joins at the enqueue stamp.
   const auto now = SteadyClock::now();
   for (Request* r : requests) r->tl.enqueue_ns = r->SinceSubmitNs(now);
-  const size_t limit = static_cast<size_t>(options_.max_batch_size);
-  for (size_t begin = 0; begin < requests.size(); begin += limit) {
-    const size_t end = std::min(requests.size(), begin + limit);
+  for (size_t begin = 0; begin < requests.size(); begin += kMaxBatchSize) {
+    const size_t end = std::min(requests.size(), begin + kMaxBatchSize);
     std::vector<Request*> batch(requests.begin() + static_cast<ptrdiff_t>(begin),
                                 requests.begin() + static_cast<ptrdiff_t>(end));
     const auto joined = begin == 0 ? now : SteadyClock::now();

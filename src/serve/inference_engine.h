@@ -33,9 +33,9 @@
 /// engine exploits all three properties:
 ///
 ///  * **Caller-led micro-batching.** A blocking Classify() /
-///    ClassifyBatch() caller leads the batch that holds its own
-///    requests, on its own thread, and fans the expensive graph
-///    construction + encoder forward passes out over a
+///    ClassifyBatch() caller leads the batches that hold its own
+///    requests (up to 32 each), on its own thread, and fans the
+///    expensive graph construction + encoder forward passes out over a
 ///    `util::ThreadPool` whose ParallelFor also works on the calling
 ///    thread — so concurrent callers build their misses in parallel.
 ///    ClassifyAsync looks its request up on the submitting thread and
@@ -129,9 +129,6 @@ const char* PrecisionName(Precision p);
 
 /// \brief Engine tunables.
 struct InferenceEngineOptions {
-  /// Requests per micro-batch: a blocking caller's requests run in
-  /// batches of this size. An async miss always runs alone.
-  int max_batch_size = 32;
   /// Embed-stage precision. kInt8 runs the quantized encoder path;
   /// Create() fails when the classifier has not been quantized. Cached
   /// embeddings are precision-specific (the cache file records which
@@ -513,7 +510,7 @@ class InferenceEngine {
   void SubmitMiss(Request* req);
 
   /// Blocking submit: runs the caller's own requests as batches of up
-  /// to `max_batch_size` on the calling thread. No pool task, so
+  /// to 32 (`kMaxBatchSize`) on the calling thread. No pool task, so
   /// concurrent callers build in parallel — and a caller that is
   /// itself a pool worker stays deadlock-free.
   void RunOwnBatches(const std::vector<Request*>& requests);

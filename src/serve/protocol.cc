@@ -339,11 +339,11 @@ Result<bool> FrameDecoder::Next(Frame* out) {
   std::memcpy(&payload_len, head + 8, sizeof(payload_len));
   // Validated straight from the header — an oversized claim is
   // rejected before any payload is buffered or allocated.
-  if (payload_len > max_payload_) {
+  if (payload_len > kMaxWirePayload) {
     failed_ = Status::InvalidArgument(
         "frame decode: declared payload length " +
         std::to_string(payload_len) + " exceeds the " +
-        std::to_string(max_payload_) + " byte limit");
+        std::to_string(kMaxWirePayload) + " byte limit");
     return failed_;
   }
   const size_t total =

@@ -340,23 +340,19 @@ std::string EncodeFrame(MessageType type, std::string_view payload);
 /// state and keeps returning the same error.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(size_t max_payload = kMaxWirePayload)
-      : max_payload_(max_payload) {}
-
   void Append(const char* data, size_t len);
   void Append(std::string_view bytes) { Append(bytes.data(), bytes.size()); }
 
   /// OK(true): `*out` holds the next frame. OK(false): incomplete —
   /// feed more bytes. Non-OK: the stream is corrupt (bad magic, wrong
-  /// version, oversized length, CRC mismatch), described in the
-  /// message.
+  /// version, a length claim above `kMaxWirePayload`, CRC mismatch),
+  /// described in the message.
   Result<bool> Next(Frame* out);
 
   /// Bytes buffered but not yet consumed by a returned frame.
   size_t buffered() const { return buf_.size() - pos_; }
 
  private:
-  size_t max_payload_;
   std::string buf_;
   size_t pos_ = 0;
   Status failed_ = Status::OK();

@@ -410,7 +410,7 @@ TEST_F(AsyncClassifyTest, DestructionWaitsForARequestThatJoinedAtSubmit) {
     util::FaultInjector::Instance().ArmLatency(
         InferenceEngine::kFaultBatchBuild, 0.1);
     const AddressId address = (*watched_)[3].address;
-    engine->ClassifyAsync(address, {}, count);  // queues; a leader builds
+    engine->ClassifyAsync(address, {}, count);  // a pool task builds
     while (engine->Metrics().misses == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

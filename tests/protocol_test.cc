@@ -240,21 +240,33 @@ TEST(ProtocolTest, FlippedPayloadBitIsCaughtByCrc) {
 }
 
 TEST(ProtocolTest, OversizedLengthClaimIsRejectedBeforeBuffering) {
-  // Header claims a 64MiB payload; the decoder must reject from the
-  // 12 header bytes alone — no waiting for (or allocating) the claim.
-  std::string bytes(serve::kWireMagic, 4);
-  const uint16_t version = serve::kWireVersion;
-  const uint16_t type = 1;
-  const uint32_t huge = 64u << 20;
-  bytes.append(reinterpret_cast<const char*>(&version), 2);
-  bytes.append(reinterpret_cast<const char*>(&type), 2);
-  bytes.append(reinterpret_cast<const char*>(&huge), 4);
+  // Headers claiming a 64MiB payload, or one byte over the limit; the
+  // decoder must reject from the 12 header bytes alone — no waiting
+  // for (or allocating) the claim.
+  for (const uint32_t huge : {64u << 20, serve::kMaxWirePayload + 1}) {
+    std::string bytes(serve::kWireMagic, 4);
+    const uint16_t version = serve::kWireVersion;
+    const uint16_t type = 1;
+    bytes.append(reinterpret_cast<const char*>(&version), 2);
+    bytes.append(reinterpret_cast<const char*>(&type), 2);
+    bytes.append(reinterpret_cast<const char*>(&huge), 4);
+    FrameDecoder decoder;
+    decoder.Append(bytes);
+    Frame frame;
+    const auto got = decoder.Next(&frame);
+    ASSERT_FALSE(got.ok()) << huge;
+    EXPECT_NE(got.status().message().find("payload"), std::string::npos);
+  }
+  // A payload of exactly the limit is a valid frame.
+  const std::string payload(serve::kMaxWirePayload, 'x');
   FrameDecoder decoder;
-  decoder.Append(bytes);
+  decoder.Append(EncodeFrame(MessageType::kClassifyRequest, payload));
   Frame frame;
   const auto got = decoder.Next(&frame);
-  ASSERT_FALSE(got.ok());
-  EXPECT_NE(got.status().message().find("payload"), std::string::npos);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  ASSERT_TRUE(got.value());
+  EXPECT_EQ(frame.payload.size(), payload.size());
+  EXPECT_EQ(decoder.buffered(), 0u);
 }
 
 TEST(ProtocolTest, TruncatedFrameIsIncompleteNotAnError) {

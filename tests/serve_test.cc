@@ -834,10 +834,10 @@ TEST_F(ServeTest, SharedPoolModeServesCorrectly) {
 
 TEST_F(ServeTest, EngineRejectsBadSetups) {
   InferenceEngineOptions bad;
-  bad.max_batch_size = 0;
+  bad.cache_capacity = 0;
   auto e1 = InferenceEngine::Create(classifier_, &simulator_->ledger(), bad);
   EXPECT_EQ(e1.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(e1.status().message().find("max_batch_size"),
+  EXPECT_NE(e1.status().message().find("cache_capacity"),
             std::string::npos);
 
   auto e2 = InferenceEngine::Create(nullptr, &simulator_->ledger(), {});
