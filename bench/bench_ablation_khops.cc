@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
-  const auto config = ba::bench::ScenarioFromFlags(flags);
+  const auto config = ba::bench::ScenarioFromFlags(flags, ba::bench::ThreadsFlag(flags));
   ba::datagen::Simulator simulator(config);
   BA_CHECK_OK(simulator.Run());
   auto labeled = simulator.CollectLabeledAddresses(/*min_txs=*/3);

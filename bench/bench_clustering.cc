@@ -18,7 +18,8 @@
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
-  auto exp = ba::bench::BuildExperiment(flags);
+  const int threads = ba::bench::ThreadsFlag(flags);
+  auto exp = ba::bench::BuildExperiment(flags, threads);
   const auto& ledger = exp.simulator->ledger();
 
   for (bool change_heuristic : {false, true}) {
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
 
   // BAClassifier reference on the same split (covers EVERY address).
   ba::core::BaClassifier::Options opts;
-  opts.dataset = ba::bench::DatasetOptionsFromFlags(flags);
+  opts.dataset = ba::bench::DatasetOptionsFromFlags(flags, threads);
   opts.graph_model.epochs = static_cast<int>(flags.GetInt("gfn_epochs", 30));
   opts.aggregator.epochs = static_cast<int>(flags.GetInt("clf_epochs", 120));
   ba::core::BaClassifier clf(opts);

@@ -46,12 +46,20 @@ inline void MaybeEnableTracing(const CliFlags& flags) {
   std::cout << "tracing enabled, will save to " << path << "\n";
 }
 
-/// \brief Sizes the shared pool from `--threads` (no-op without the
-/// flag, or once the pool has materialized). Mirrors MaybeEnableTracing
-/// — called from ScenarioFromFlags so every bench honors the flag.
-inline void MaybeSetSharedPoolThreads(const CliFlags& flags) {
-  const auto n = flags.GetInt("threads", 0);
-  if (n >= 1) util::SetSharedPoolThreads(static_cast<size_t>(n));
+/// \brief The `--threads` flag, 0 when it is absent. A bench reads it
+/// once and passes the value to ScenarioFromFlags (shared pool),
+/// DatasetOptionsFromFlags (construction threads) and its own
+/// engine or lane defaults, so they cannot disagree about the default.
+inline int ThreadsFlag(const CliFlags& flags) {
+  return static_cast<int>(flags.GetInt("threads", 0));
+}
+
+/// \brief Sizes the shared pool to `threads` when it is >= 1 (no-op for
+/// 0, i.e. without the flag, or once the pool has materialized).
+/// Mirrors MaybeEnableTracing — called from ScenarioFromFlags so every
+/// bench honors the flag.
+inline void MaybeSetSharedPoolThreads(int threads) {
+  if (threads >= 1) util::SetSharedPoolThreads(static_cast<size_t>(threads));
 }
 
 // Fallbacks so bench_common.h also compiles in targets that don't go
@@ -168,11 +176,14 @@ struct Experiment {
 ///   --slice N         transactions per graph      (default 100)
 ///   --khops K         GFN propagation depth       (default 2)
 ///   --noise X         behavioral noise            (default 0.12)
-///   --threads N       graph-construction threads  (default 1)
+///   --threads N       shared pool size and graph-construction threads
+///                     (default: pool left alone, 1 construction thread)
+/// `threads` is ThreadsFlag(flags), read once by the bench.
 inline datagen::ScenarioConfig ScenarioFromFlags(const CliFlags& flags,
+                                                 int threads,
                                                  uint64_t seed_offset = 0) {
   MaybeEnableTracing(flags);
-  MaybeSetSharedPoolThreads(flags);
+  MaybeSetSharedPoolThreads(threads);
   datagen::ScenarioConfig config;
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42)) + seed_offset;
   config.num_blocks = static_cast<int>(flags.GetInt("blocks", 400));
@@ -191,22 +202,27 @@ inline datagen::ScenarioConfig ScenarioFromFlags(const CliFlags& flags,
   return config;
 }
 
+/// Dataset options from the flags; construction runs on `threads`
+/// (ThreadsFlag) threads, or on 1 without the flag, as Table V's
+/// single-core stage times need.
 inline core::GraphDatasetOptions DatasetOptionsFromFlags(
-    const CliFlags& flags) {
+    const CliFlags& flags, int threads) {
   core::GraphDatasetOptions opts;
   opts.construction.slice_size = static_cast<int>(flags.GetInt("slice", 100));
   opts.construction.similarity_threshold = flags.GetDouble("psi", 0.5);
   opts.k_hops = static_cast<int>(flags.GetInt("khops", 2));
-  opts.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  opts.num_threads = std::max(threads, 1);
   return opts;
 }
 
 /// Simulates the economy, samples labeled addresses (stratified), splits
 /// 80/20 (the paper's protocol) and materializes graph tensors.
-inline Experiment BuildExperiment(const CliFlags& flags, bool verbose = true,
+/// `threads` is ThreadsFlag(flags).
+inline Experiment BuildExperiment(const CliFlags& flags, int threads,
+                                  bool verbose = true,
                                   uint64_t seed_offset = 0) {
   Experiment exp;
-  const auto config = ScenarioFromFlags(flags, seed_offset);
+  const auto config = ScenarioFromFlags(flags, threads, seed_offset);
   Stopwatch watch;
   watch.Start();
   exp.simulator = std::make_unique<datagen::Simulator>(config);
@@ -230,7 +246,7 @@ inline Experiment BuildExperiment(const CliFlags& flags, bool verbose = true,
 
   watch.Reset();
   watch.Start();
-  core::GraphDatasetBuilder builder(DatasetOptionsFromFlags(flags));
+  core::GraphDatasetBuilder builder(DatasetOptionsFromFlags(flags, threads));
   exp.train = builder.Build(exp.simulator->ledger(), split.train);
   exp.test = builder.Build(exp.simulator->ledger(), split.test);
   exp.construction_timings = builder.timings();

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
-  auto exp = ba::bench::BuildExperiment(flags);
+  auto exp = ba::bench::BuildExperiment(flags, ba::bench::ThreadsFlag(flags));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 24));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
 

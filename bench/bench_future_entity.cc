@@ -25,8 +25,9 @@
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
+  const int threads = ba::bench::ThreadsFlag(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const auto config = ba::bench::ScenarioFromFlags(flags);
+  const auto config = ba::bench::ScenarioFromFlags(flags, threads);
   ba::datagen::Simulator simulator(config);
   BA_CHECK_OK(simulator.Run());
   const auto entity_labels = simulator.CollectEntityLabels(/*min_txs=*/2);
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
     }
 
     ba::core::GraphDatasetBuilder builder(
-        ba::bench::DatasetOptionsFromFlags(flags));
+        ba::bench::DatasetOptionsFromFlags(flags, threads));
     auto train = builder.Build(simulator.ledger(), train_a);
     auto test = builder.Build(simulator.ledger(), test_a);
     for (auto* set : {&train, &test}) {

@@ -82,6 +82,7 @@ void AugmentSequences(
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
+  const int threads = ba::bench::ThreadsFlag(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const int trials = static_cast<int>(flags.GetInt("trials", 3));
 
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
 
   for (int trial = 0; trial < trials; ++trial) {
     std::cout << "--- trial " << trial + 1 << "/" << trials << " ---\n";
-    auto exp = ba::bench::BuildExperiment(flags, /*verbose=*/trial == 0,
+    auto exp = ba::bench::BuildExperiment(flags, threads, /*verbose=*/trial == 0,
                                           /*seed_offset=*/100u * trial);
     const auto& ledger = exp.simulator->ledger();
 

@@ -151,7 +151,7 @@ double Int8Tolerance(int64_t k, float a_scale, float w_scale_max,
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
   ba::bench::MaybeEnableTracing(flags);
-  ba::bench::MaybeSetSharedPoolThreads(flags);
+  ba::bench::MaybeSetSharedPoolThreads(ba::bench::ThreadsFlag(flags));
   const double target_ms = flags.GetDouble("reps-ms", 150.0);
   Rng rng(17);
 

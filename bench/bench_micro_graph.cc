@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: SFE,
 // centrality measures, sparse products, normalized adjacency, the
-// individual construction stages on a fixed economy, and the two
+// individual construction stages on a fixed economy, per-slice
+// construction and tensor prep in the serving regime, and the two
 // inference layers of a cold miss (GFN embed, LSTM aggregate).
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_common.h"
 #include "chain/ledger.h"
 #include "core/aggregator.h"
 #include "core/gfn_features.h"
@@ -37,12 +39,13 @@ BENCHMARK(BM_Sfe)->Arg(16)->Arg(256)->Arg(4096);
 ba::graph::AdjacencyList RandomGraph(int64_t n, int64_t edges,
                                      uint64_t seed) {
   ba::Rng rng(seed);
-  ba::graph::AdjacencyList g(n);
+  std::vector<ba::graph::Edge> edge_list;
   for (int64_t e = 0; e < edges; ++e) {
-    g.AddEdge(static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n))),
-              static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n))));
+    edge_list.push_back(
+        {static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n))),
+         static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)))});
   }
-  return g;
+  return ba::graph::AdjacencyList(n, edge_list);
 }
 
 void BM_Betweenness(benchmark::State& state) {
@@ -193,6 +196,66 @@ BENCHMARK_F(StageFixture, TensorPreparation)(benchmark::State& state) {
       benchmark::DoNotOptimize(ba::core::PrepareGraphTensors(g, 2));
     }
   }
+}
+
+/// Serving-regime fixture: the benches' standard economy
+/// (ScenarioFromFlags' defaults) and every labeled address with >= 2
+/// transactions, sliced at 20 transactions as the serving benches and
+/// bench_profile slice them. Items are slices, so items/s shows the
+/// fixed cost every slice pays, which dominates a cold miss.
+class ServingSliceFixture : public benchmark::Fixture {
+ public:
+  void SetUp(const benchmark::State&) override {
+    if (simulator) return;
+    const ba::CliFlags no_flags(0, nullptr);
+    simulator = std::make_unique<ba::datagen::Simulator>(
+        ba::bench::ScenarioFromFlags(no_flags, /*threads=*/0));
+    BA_CHECK_OK(simulator->Run());
+    options.slice_size = 20;
+    ba::core::GraphConstructor constructor(options);
+    for (const auto& labeled : simulator->CollectLabeledAddresses(2)) {
+      addresses.push_back(labeled.address);
+      for (auto& g : constructor.BuildGraphs(simulator->ledger(),
+                                             labeled.address)) {
+        graphs.push_back(std::move(g));
+      }
+    }
+  }
+
+  static std::unique_ptr<ba::datagen::Simulator> simulator;
+  static ba::core::GraphConstructorOptions options;
+  static std::vector<ba::chain::AddressId> addresses;
+  static std::vector<ba::core::AddressGraph> graphs;
+};
+
+std::unique_ptr<ba::datagen::Simulator> ServingSliceFixture::simulator;
+ba::core::GraphConstructorOptions ServingSliceFixture::options;
+std::vector<ba::chain::AddressId> ServingSliceFixture::addresses;
+std::vector<ba::core::AddressGraph> ServingSliceFixture::graphs;
+
+/// Stages 1-4 for every slice of every fixture address.
+BENCHMARK_F(ServingSliceFixture, SliceConstruction)(benchmark::State& state) {
+  const ba::chain::LedgerSnapshot snapshot = simulator->ledger().Snapshot();
+  ba::core::GraphConstructor constructor(options);
+  for (auto _ : state) {
+    for (const ba::chain::AddressId address : addresses) {
+      benchmark::DoNotOptimize(constructor.BuildGraphs(snapshot, address));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(graphs.size()));
+}
+
+/// PrepareGraphTensors (k = 2, the default) for every fixture slice.
+BENCHMARK_F(ServingSliceFixture, SliceTensorPreparation)
+(benchmark::State& state) {
+  for (auto _ : state) {
+    for (const auto& g : graphs) {
+      benchmark::DoNotOptimize(ba::core::PrepareGraphTensors(g, 2));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(graphs.size()));
 }
 
 }  // namespace

@@ -408,6 +408,7 @@ int RunAbuseSuite(uint16_t port, uint64_t good_address) {
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
+  const int threads = ba::bench::ThreadsFlag(flags);
   const int connections =
       static_cast<int>(flags.GetInt("connections", 64));
   const double seconds = flags.GetDouble("seconds", 2.0);
@@ -436,7 +437,7 @@ int main(int argc, char** argv) {
 
   if (!external) {
     ba::datagen::ScenarioConfig config =
-        ba::bench::ScenarioFromFlags(flags);
+        ba::bench::ScenarioFromFlags(flags, threads);
     config.num_blocks = static_cast<int>(flags.GetInt("blocks", 120));
     simulator = std::make_unique<ba::datagen::Simulator>(config);
     BA_CHECK_OK(simulator->Run());
@@ -447,7 +448,7 @@ int main(int argc, char** argv) {
     const auto split = ba::datagen::StratifiedSplit(labeled, 0.8, &rng);
 
     ba::core::BaClassifier::Options options;
-    options.dataset = ba::bench::DatasetOptionsFromFlags(flags);
+    options.dataset = ba::bench::DatasetOptionsFromFlags(flags, threads);
     options.dataset.construction.slice_size =
         static_cast<int>(flags.GetInt("slice", 20));
     options.graph_model.k_hops = options.dataset.k_hops;

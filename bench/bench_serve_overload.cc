@@ -143,8 +143,9 @@ int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
   const int base_clients = static_cast<int>(flags.GetInt("clients", 4));
   const double phase_seconds = flags.GetDouble("phase-seconds", 2.0);
+  const int threads_flag = ba::bench::ThreadsFlag(flags);
 
-  ba::datagen::ScenarioConfig config = ba::bench::ScenarioFromFlags(flags);
+  ba::datagen::ScenarioConfig config = ba::bench::ScenarioFromFlags(flags, threads_flag);
   config.num_blocks = static_cast<int>(flags.GetInt("blocks", 80));
   ba::datagen::Simulator simulator(config);
   BA_CHECK_OK(simulator.Run());
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
   const auto split = ba::datagen::StratifiedSplit(labeled, 0.8, &rng);
 
   ba::core::BaClassifier::Options options;
-  options.dataset = ba::bench::DatasetOptionsFromFlags(flags);
+  options.dataset = ba::bench::DatasetOptionsFromFlags(flags, threads_flag);
   options.dataset.construction.slice_size =
       static_cast<int>(flags.GetInt("slice", 20));
   options.graph_model.k_hops = options.dataset.k_hops;
@@ -172,8 +173,7 @@ int main(int argc, char** argv) {
   // high watermark (no shedding); at 4x it crosses and the controller
   // sheds the excess instead of queueing it.
   ba::serve::InferenceEngineOptions engine_options;
-  engine_options.num_threads =
-      static_cast<int>(flags.GetInt("threads", 2));
+  engine_options.num_threads = threads_flag > 0 ? threads_flag : 2;
   // A cache big enough to hold the whole watch list turns this bench
   // into a memcache read loop; capping it at a quarter of the list
   // keeps the LRU churning so most requests pay for real graph

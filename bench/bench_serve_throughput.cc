@@ -198,11 +198,14 @@ int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
   const int rounds = static_cast<int>(flags.GetInt("rounds", 5));
   const int clients = static_cast<int>(flags.GetInt("clients", 4));
-  const int threads = static_cast<int>(flags.GetInt("threads", 2));
+  // --threads sizes the shared pool, the dataset build and the engine;
+  // without it the engine runs 2 threads and the dataset builds on 1.
+  const int threads_flag = ba::bench::ThreadsFlag(flags);
+  const int threads = threads_flag > 0 ? threads_flag : 2;
   const std::string precision = flags.GetString("precision", "fp32");
   BA_CHECK(precision == "fp32" || precision == "int8");
 
-  ba::datagen::ScenarioConfig config = ba::bench::ScenarioFromFlags(flags);
+  ba::datagen::ScenarioConfig config = ba::bench::ScenarioFromFlags(flags, threads_flag);
   config.num_blocks = static_cast<int>(flags.GetInt("blocks", 150));
   ba::datagen::Simulator simulator(config);
   BA_CHECK_OK(simulator.Run());
@@ -213,7 +216,7 @@ int main(int argc, char** argv) {
   const auto split = ba::datagen::StratifiedSplit(labeled, 0.8, &rng);
 
   ba::core::BaClassifier::Options options;
-  options.dataset = ba::bench::DatasetOptionsFromFlags(flags);
+  options.dataset = ba::bench::DatasetOptionsFromFlags(flags, threads_flag);
   options.dataset.construction.slice_size =
       static_cast<int>(flags.GetInt("slice", 20));
   options.graph_model.k_hops = options.dataset.k_hops;

@@ -19,7 +19,7 @@ constexpr int64_t kPaperTotal = 2'138'657;
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
-  const auto config = ba::bench::ScenarioFromFlags(flags);
+  const auto config = ba::bench::ScenarioFromFlags(flags, ba::bench::ThreadsFlag(flags));
   ba::datagen::Simulator simulator(config);
   BA_CHECK_OK(simulator.Run());
 

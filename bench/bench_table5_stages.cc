@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
-  auto config = ba::bench::ScenarioFromFlags(flags);
+  auto config = ba::bench::ScenarioFromFlags(flags, ba::bench::ThreadsFlag(flags));
   // Table V measures the cost profile in the paper's regime: mining
   // pools paying out to hundreds of addresses per transaction, which is
   // exactly what makes the all-pairs similarity of Stage 3 dominate.

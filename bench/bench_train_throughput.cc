@@ -61,11 +61,12 @@ double MeanEpochSeconds(const std::vector<ba::core::EpochStat>& history) {
 int main(int argc, char** argv) {
   ba::CliFlags flags(argc, argv);
   const int cores = ba::bench::AffinityCores();
-  const int threads = static_cast<int>(flags.GetInt("threads", cores));
+  const int threads_flag = ba::bench::ThreadsFlag(flags);
+  const int threads = threads_flag > 0 ? threads_flag : cores;
   const int epochs = static_cast<int>(flags.GetInt("epochs", 10));
   const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
   BA_CHECK_GE(repeats, 1);
-  const ba::bench::Experiment exp = ba::bench::BuildExperiment(flags);
+  const ba::bench::Experiment exp = ba::bench::BuildExperiment(flags, threads_flag);
 
   std::cout << "[train] warm-up run (" << threads << " lanes)...\n";
   RunTraining(exp, flags, threads, epochs);

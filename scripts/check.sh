@@ -13,7 +13,10 @@
 #                      epoch/snapshot layer's acceptance gate;
 #                      parallel_train_test exercises data-parallel
 #                      training and the shared pool; obs_test hammers
-#                      the metrics registry and tracer concurrently).
+#                      the metrics registry and tracer concurrently;
+#                      graph_builder_test and flat_construction_test
+#                      build graphs on several threads at once through
+#                      the construction's thread-local scratch).
 #                      Then it repeats
 #                      LedgerSnapshotTest.ConcurrentWriterAndSnapshotReaders
 #                      200 times: a guard for Snapshot() pinning one
@@ -107,7 +110,7 @@ case "$MODE" in
       -DBA_SANITIZE=thread \
       -DBA_BUILD_BENCHMARKS=OFF \
       -DBA_BUILD_EXAMPLES=OFF
-    TSAN_TESTS="serve_test snapshot_test util_test obs_test parallel_train_test resilience_test chaos_test protocol_test net_test async_classify_test"
+    TSAN_TESTS="serve_test snapshot_test util_test obs_test parallel_train_test resilience_test chaos_test protocol_test net_test async_classify_test graph_builder_test flat_construction_test"
     # shellcheck disable=SC2086
     cmake --build "$BUILD_DIR" -j "$(nproc)" \
       --target $TSAN_TESTS

@@ -66,6 +66,18 @@ std::vector<TxId> LedgerSnapshot::TransactionsOf(AddressId address,
   return out;
 }
 
+void LedgerSnapshot::CopyTransactionsOf(AddressId address, size_t begin,
+                                        size_t end,
+                                        std::vector<TxId>* out) const {
+  BA_CHECK_LE(begin, end);
+  BA_CHECK_LE(end, TxCountOf(address));
+  out->clear();
+  if (begin == end) return;
+  const auto& list = ledger_->address_txs_[address];
+  out->reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) out->push_back(list[i]);
+}
+
 std::vector<Utxo> LedgerSnapshot::UnspentOf(AddressId address) const {
   // Replays the address's pinned history instead of reading the live
   // UTXO map: every transaction that spends one of `address`'s outputs

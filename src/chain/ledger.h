@@ -116,6 +116,12 @@ class LedgerSnapshot {
   std::vector<TxId> TransactionsOf(
       AddressId address, size_t max_count = SIZE_MAX) const;
 
+  /// Replaces `*out` with entries [`begin`, `end`) of that list, so a
+  /// caller reading one window of a long history copies only the
+  /// window. Requires `begin <= end <= TxCountOf(address)`.
+  void CopyTransactionsOf(AddressId address, size_t begin, size_t end,
+                          std::vector<TxId>* out) const;
+
   /// Unspent outputs owned by `address` as of this epoch, in creation
   /// order. Reconstructed by replaying the address's pinned history
   /// (every spend of an address's coins appears in that address's own

@@ -1,12 +1,12 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "chain/types.h"
 #include "core/sfe.h"
-#include "graph/centrality.h"
 
 /// \file address_graph.h
 /// \brief The heterogeneous address-transaction graph of §III-A: the
@@ -45,6 +45,9 @@ inline constexpr int kSfeFeatureOffset = kNumNodeKinds + kTargetFlagDim;
 /// Feature index of the first centrality slot.
 inline constexpr int kCentralityFeatureOffset = kSfeFeatureOffset + kSfeDim;
 
+/// A node's feature vector, stored inline in its node.
+using NodeFeatures = std::array<double, kNodeFeatureDim>;
+
 /// \brief One node of an address graph.
 struct GraphNode {
   NodeKind kind = NodeKind::kAddress;
@@ -55,12 +58,15 @@ struct GraphNode {
   chain::TxId txid = 0;
   /// Number of original addresses this (hyper) node represents.
   int merged_count = 1;
-  /// Feature vector: [kind one-hot | SFE | centralities]. Centrality
-  /// slots are zero until Stage 4 fills them.
-  std::vector<double> features;
+  /// Feature vector: [kind one-hot | target flag | SFE | centralities].
+  /// Centrality slots are zero until Stage 4 fills them.
+  NodeFeatures features{};
 };
 
 /// \brief An edge between an address-side node and a transaction node.
+/// Its `from`/`to` pair is what graph::AdjacencyList::Assign reads, so
+/// the undirected adjacency of Stage 4 and tensor prep is built straight
+/// from `AddressGraph::edges`.
 struct GraphEdge {
   int from = 0;  ///< node index (address-side for inputs, tx for outputs)
   int to = 0;    ///< node index
@@ -89,22 +95,14 @@ struct AddressGraph {
     for (const auto& n : nodes) c += (n.kind == kind) ? 1 : 0;
     return c;
   }
-
-  /// Undirected adjacency view over the node indices (for centrality
-  /// and GNN propagation).
-  graph::AdjacencyList ToAdjacency() const {
-    graph::AdjacencyList adj(num_nodes());
-    for (const auto& e : edges) adj.AddEdge(e.from, e.to);
-    return adj;
-  }
 };
 
 /// Initializes a node feature vector: kind one-hot + compressed SFE of
 /// `values`, with zeroed target-flag and centrality slots (filled by
 /// the construction pipeline).
-inline std::vector<double> MakeNodeFeatures(
-    NodeKind kind, const std::vector<double>& values) {
-  std::vector<double> f(kNodeFeatureDim, 0.0);
+inline NodeFeatures MakeNodeFeatures(NodeKind kind,
+                                     std::span<const double> values) {
+  NodeFeatures f{};
   f[static_cast<size_t>(kind)] = 1.0;
   const auto sfe = ComputeCompressedSfe(values);
   for (int i = 0; i < kSfeDim; ++i) {

@@ -20,6 +20,11 @@
 ///
 /// Per-stage wall-clock accumulators are built in, because Table V of
 /// the paper reports exactly this breakdown.
+///
+/// Every stage runs over flat arrays and per-thread scratch reused from
+/// slice to slice (DESIGN.md §4, item 6); the graphs it returns are
+/// bit-identical to the hash-map implementation kept as the reference
+/// of tests/flat_construction_test.cc.
 
 namespace ba::core {
 
@@ -80,7 +85,8 @@ struct StageTimings {
 /// \brief Builds address graphs from ledger history.
 ///
 /// Not thread-safe (timing accumulators); give each worker thread its
-/// own constructor.
+/// own constructor. Constructors on different threads never share
+/// scratch: it is thread-local.
 class GraphConstructor {
  public:
   explicit GraphConstructor(GraphConstructorOptions options = {});
@@ -115,21 +121,25 @@ class GraphConstructor {
 
   /// Stage 1: slice the address's transactions and build the original
   /// heterogeneous graphs of slices [`start_slice`, `end_slice`) (see
-  /// BuildGraphsFrom); the defaults extract every slice.
+  /// BuildGraphsFrom); the defaults extract every slice. Only the
+  /// window's transaction ids are copied out of the snapshot.
   std::vector<AddressGraph> ExtractOriginalGraphs(
       const chain::LedgerSnapshot& snapshot, chain::AddressId address,
       int start_slice = 0, int end_slice = kAllSlices) const;
 
   /// Stage 2: merge single-transaction counterparty addresses into
   /// per-transaction hyper nodes (input and output side separately).
+  /// Hyper nodes are numbered in the iteration order of a fresh
+  /// `std::unordered_map` filled in ascending node order.
   void CompressSingleTransactionAddresses(AddressGraph* graph) const;
 
   /// Stage 3: merge multi-transaction addresses with similar
   /// connectivity via S = A·Aᵀ, M = S·D⁻¹, Q = ReLU(M − Ψ·I).
   void CompressMultiTransactionAddresses(AddressGraph* graph) const;
 
-  /// Stage 4: compute degree / closeness / betweenness / PageRank and
-  /// write them into the centrality feature slots of every node.
+  /// Stage 4: compute degree / closeness / betweenness / PageRank over
+  /// the graph's CSR adjacency and write them into the centrality
+  /// feature slots of every node.
   void AugmentStructure(AddressGraph* graph) const;
 
   /// Per-stage time accumulated across BuildGraphs calls.

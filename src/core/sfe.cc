@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace ba::core {
 
@@ -29,12 +30,13 @@ double Clamp(double v, double lo, double hi) {
 
 }  // namespace
 
-std::array<double, kSfeDim> ComputeSfe(const std::vector<double>& values) {
+std::array<double, kSfeDim> ComputeSfe(std::span<const double> values) {
   std::array<double, kSfeDim> out{};
   const size_t n = values.size();
   if (n == 0) return out;
 
-  std::vector<double> sorted = values;
+  thread_local std::vector<double> sorted;
+  sorted.assign(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
   const double min_v = sorted.front();
   const double max_v = sorted.back();
@@ -96,7 +98,7 @@ std::array<double, kSfeDim> CompressSfe(
 }
 
 std::array<double, kSfeDim> ComputeCompressedSfe(
-    const std::vector<double>& values) {
+    std::span<const double> values) {
   return CompressSfe(ComputeSfe(values));
 }
 

@@ -2,7 +2,7 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 /// \file sfe.h
 /// \brief Statistical Feature Extraction (SFE, §III-A.2): summarizes a
@@ -39,8 +39,10 @@ enum SfeIndex : int {
 /// \brief Computes the 15 SFE statistics of `values` (transferred
 /// amounts, in BTC). An empty input yields the all-zero vector.
 ///
-/// Unbounded statistics are NOT compressed here; see CompressSfe.
-std::array<double, kSfeDim> ComputeSfe(const std::vector<double>& values);
+/// Sums run over `values` in the given order; the order statistics
+/// come from a sorted copy in thread-local scratch. Unbounded
+/// statistics are NOT compressed here; see CompressSfe.
+std::array<double, kSfeDim> ComputeSfe(std::span<const double> values);
 
 /// \brief Signed-log compression of the scale-carrying SFE entries
 /// (max/min/sum/... grow with transaction volume; log1p keeps them in a
@@ -53,6 +55,6 @@ std::array<double, kSfeDim> CompressSfe(
 
 /// Convenience: ComputeSfe followed by CompressSfe.
 std::array<double, kSfeDim> ComputeCompressedSfe(
-    const std::vector<double>& values);
+    std::span<const double> values);
 
 }  // namespace ba::core

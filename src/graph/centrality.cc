@@ -10,8 +10,7 @@ std::vector<double> DegreeCentrality(const AdjacencyList& g) {
   const int64_t n = g.num_nodes();
   std::vector<double> out(static_cast<size_t>(n), 0.0);
   for (int64_t v = 0; v < n; ++v) {
-    out[static_cast<size_t>(v)] =
-        static_cast<double>(g.Neighbors(v).size());
+    out[static_cast<size_t>(v)] = static_cast<double>(g.Degree(v));
   }
   return out;
 }
@@ -22,30 +21,24 @@ PathCentrality ShortestPathCentrality(const AdjacencyList& g) {
   PathCentrality out;
   out.closeness.assign(un, 0.0);
   out.betweenness.assign(un, 0.0);
-  // Flat CSR copy in the adjacency lists' neighbor order. That order
-  // fixes the BFS order, and with it every floating-point sum below.
-  std::vector<int32_t> offsets(un + 1, 0);
-  for (int64_t v = 0; v < n; ++v) {
-    const size_t degree = g.Neighbors(v).size();
-    BA_CHECK_LE(static_cast<int64_t>(offsets[static_cast<size_t>(v)]) +
-                    static_cast<int64_t>(degree),
-                static_cast<int64_t>(std::numeric_limits<int32_t>::max()));
-    offsets[static_cast<size_t>(v) + 1] =
-        offsets[static_cast<size_t>(v)] + static_cast<int32_t>(degree);
-  }
-  std::vector<int32_t> adj(static_cast<size_t>(offsets[un]));
-  for (int64_t v = 0; v < n; ++v) {
-    const std::vector<int64_t>& nbrs = g.Neighbors(v);
-    std::transform(nbrs.begin(), nbrs.end(),
-                   adj.begin() + offsets[static_cast<size_t>(v)],
-                   [](int64_t w) { return static_cast<int32_t>(w); });
-  }
+  // The CSR's neighbor order fixes the BFS order, and with it every
+  // floating-point sum below.
+  const int32_t* offsets = g.offsets().data();
+  const int32_t* adj = g.targets().data();
 
-  std::vector<int32_t> dist(un, -1);
-  std::vector<double> sigma(un, 0.0);
-  std::vector<double> delta(un, 0.0);
+  // Per-thread BFS scratch, sized up on demand; every pass restores
+  // the entries it touched, so it is clean between calls.
+  thread_local std::vector<int32_t> dist;
+  thread_local std::vector<double> sigma;
+  thread_local std::vector<double> delta;
   // BFS visit order, doubling as the queue: [head, tail) is pending.
-  std::vector<int32_t> order(un);
+  thread_local std::vector<int32_t> order;
+  if (dist.size() < un) {
+    dist.resize(un, -1);
+    sigma.resize(un, 0.0);
+    delta.resize(un, 0.0);
+    order.resize(un);
+  }
   for (int32_t s = 0; s < static_cast<int32_t>(n); ++s) {
     dist[static_cast<size_t>(s)] = 0;
     sigma[static_cast<size_t>(s)] = 1.0;
@@ -125,16 +118,16 @@ std::vector<double> PageRank(const AdjacencyList& g, double alpha,
   for (int iter = 0; iter < max_iters; ++iter) {
     double dangling = 0.0;
     for (int64_t v = 0; v < n; ++v) {
-      if (g.Neighbors(v).empty()) dangling += rank[static_cast<size_t>(v)];
+      if (g.Degree(v) == 0) dangling += rank[static_cast<size_t>(v)];
     }
     std::fill(next.begin(), next.end(),
               (1.0 - alpha) * uniform + alpha * dangling * uniform);
     for (int64_t v = 0; v < n; ++v) {
-      const auto& nbrs = g.Neighbors(v);
+      const std::span<const int32_t> nbrs = g.Neighbors(v);
       if (nbrs.empty()) continue;
       const double share = alpha * rank[static_cast<size_t>(v)] /
                            static_cast<double>(nbrs.size());
-      for (int64_t w : nbrs) next[static_cast<size_t>(w)] += share;
+      for (int32_t w : nbrs) next[static_cast<size_t>(w)] += share;
     }
     double change = 0.0;
     for (int64_t v = 0; v < n; ++v) {
@@ -149,32 +142,48 @@ std::vector<double> PageRank(const AdjacencyList& g, double alpha,
 
 SparseMatrix NormalizedAdjacency(const AdjacencyList& g) {
   const int64_t n = g.num_nodes();
-  std::vector<Triplet> triplets;
+  const size_t un = static_cast<size_t>(n);
+  // Row u of A+I holds u's neighbors plus u itself, each distinct
+  // column once with its multiplicity as a float count, columns
+  // ascending, as FromTriplets would merge the unit entries.
+  std::vector<int64_t> row_ptr(un + 1, 0);
+  std::vector<int64_t> col_idx;
+  std::vector<float> values;
+  col_idx.reserve(g.targets().size() + un);
+  values.reserve(g.targets().size() + un);
+  thread_local std::vector<int32_t> row;
+  thread_local std::vector<double> inv_sqrt_deg;
+  inv_sqrt_deg.assign(un, 0.0);
   for (int64_t u = 0; u < n; ++u) {
-    triplets.push_back({u, u, 1.0f});  // self-loop (A + I)
-    for (int64_t w : g.Neighbors(u)) {
-      triplets.push_back({u, w, 1.0f});
+    const std::span<const int32_t> nbrs = g.Neighbors(u);
+    row.assign(nbrs.begin(), nbrs.end());
+    row.push_back(static_cast<int32_t>(u));
+    std::sort(row.begin(), row.end());
+    const size_t row_begin = values.size();
+    for (size_t k = 0; k < row.size();) {
+      size_t end = k + 1;
+      while (end < row.size() && row[end] == row[k]) ++end;
+      col_idx.push_back(row[k]);
+      values.push_back(static_cast<float>(end - k));
+      k = end;
+    }
+    float d = 0.0f;  // d̃_u, summed in float over the row as RowSum does
+    for (size_t k = row_begin; k < values.size(); ++k) d += values[k];
+    inv_sqrt_deg[static_cast<size_t>(u)] =
+        d > 0 ? 1.0 / std::sqrt(static_cast<double>(d)) : 0.0;
+    row_ptr[static_cast<size_t>(u) + 1] = static_cast<int64_t>(values.size());
+  }
+  for (int64_t u = 0; u < n; ++u) {
+    for (int64_t k = row_ptr[static_cast<size_t>(u)];
+         k < row_ptr[static_cast<size_t>(u) + 1]; ++k) {
+      float& v = values[static_cast<size_t>(k)];
+      v = static_cast<float>(
+          static_cast<double>(v) * inv_sqrt_deg[static_cast<size_t>(u)] *
+          inv_sqrt_deg[static_cast<size_t>(col_idx[static_cast<size_t>(k)])]);
     }
   }
-  SparseMatrix a_plus_i = SparseMatrix::FromTriplets(n, n, std::move(triplets));
-  std::vector<double> inv_sqrt_deg(static_cast<size_t>(n), 0.0);
-  for (int64_t u = 0; u < n; ++u) {
-    const double d = a_plus_i.RowSum(u);
-    inv_sqrt_deg[static_cast<size_t>(u)] = d > 0 ? 1.0 / std::sqrt(d) : 0.0;
-  }
-  std::vector<Triplet> scaled;
-  scaled.reserve(static_cast<size_t>(a_plus_i.nnz()));
-  for (int64_t u = 0; u < n; ++u) {
-    const auto idx = a_plus_i.RowIndices(u);
-    const auto vals = a_plus_i.RowValues(u);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      scaled.push_back(
-          {u, idx[k],
-           static_cast<float>(vals[k] * inv_sqrt_deg[static_cast<size_t>(u)] *
-                              inv_sqrt_deg[static_cast<size_t>(idx[k])])});
-    }
-  }
-  return SparseMatrix::FromTriplets(n, n, std::move(scaled));
+  return SparseMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                      std::move(values));
 }
 
 }  // namespace ba::graph

@@ -2,8 +2,37 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace ba::graph {
+
+SparseMatrix::SparseMatrix(int64_t rows, int64_t cols,
+                           std::vector<int64_t> row_ptr,
+                           std::vector<int64_t> col_idx,
+                           std::vector<float> values)
+    : rows_(rows),
+      cols_(cols),
+      row_ptr_(std::move(row_ptr)),
+      col_idx_(std::move(col_idx)),
+      values_(std::move(values)) {
+  BA_CHECK_GE(rows, 0);
+  BA_CHECK_GE(cols, 0);
+  BA_CHECK_EQ(row_ptr_.size(), static_cast<size_t>(rows) + 1);
+  BA_CHECK_EQ(row_ptr_.front(), 0);
+  BA_CHECK_EQ(row_ptr_.back(), static_cast<int64_t>(col_idx_.size()));
+  BA_CHECK_EQ(col_idx_.size(), values_.size());
+  for (int64_t r = 0; r < rows; ++r) {
+    BA_CHECK_LE(row_ptr_[static_cast<size_t>(r)],
+                row_ptr_[static_cast<size_t>(r) + 1]);
+    for (int64_t k = row_ptr_[static_cast<size_t>(r)];
+         k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
+      const int64_t c = col_idx_[static_cast<size_t>(k)];
+      BA_CHECK(c >= 0 && c < cols);
+      BA_CHECK(k == row_ptr_[static_cast<size_t>(r)] ||
+               col_idx_[static_cast<size_t>(k) - 1] < c);
+    }
+  }
+}
 
 SparseMatrix SparseMatrix::FromTriplets(int64_t rows, int64_t cols,
                                         std::vector<Triplet> triplets) {

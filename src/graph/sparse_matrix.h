@@ -31,6 +31,11 @@ class SparseMatrix {
     BA_CHECK_GE(cols, 0);
   }
 
+  /// \brief Adopts CSR arrays: `row_ptr` has rows + 1 non-decreasing
+  /// offsets from 0, and each row's columns are strictly ascending.
+  SparseMatrix(int64_t rows, int64_t cols, std::vector<int64_t> row_ptr,
+               std::vector<int64_t> col_idx, std::vector<float> values);
+
   /// \brief Builds from triplets; duplicate (row, col) entries are
   /// summed. Triplets may be in any order.
   static SparseMatrix FromTriplets(int64_t rows, int64_t cols,

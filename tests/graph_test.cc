@@ -104,15 +104,15 @@ TEST(SparseMatrixTest, SimilarityPatternOfEq3) {
 }
 
 AdjacencyList PathGraph(int64_t n) {
-  AdjacencyList g(n);
-  for (int64_t i = 0; i + 1 < n; ++i) g.AddEdge(i, i + 1);
-  return g;
+  std::vector<Edge> edges;
+  for (int64_t i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
+  return AdjacencyList(n, edges);
 }
 
 AdjacencyList StarGraph(int64_t leaves) {
-  AdjacencyList g(leaves + 1);
-  for (int64_t i = 1; i <= leaves; ++i) g.AddEdge(0, i);
-  return g;
+  std::vector<Edge> edges;
+  for (int64_t i = 1; i <= leaves; ++i) edges.push_back({0, i});
+  return AdjacencyList(leaves + 1, edges);
 }
 
 TEST(CentralityTest, DegreeOnStar) {
@@ -130,8 +130,7 @@ TEST(CentralityTest, ClosenessOnPath) {
 }
 
 TEST(CentralityTest, ClosenessHandlesDisconnected) {
-  AdjacencyList g(4);
-  g.AddEdge(0, 1);  // component {0,1}; 2 and 3 isolated
+  const AdjacencyList g(4, {{0, 1}});  // component {0,1}; 2 and 3 isolated
   const auto c = ClosenessCentrality(g);
   EXPECT_GT(c[0], 0.0);
   EXPECT_DOUBLE_EQ(c[2], 0.0);
@@ -160,11 +159,7 @@ TEST(CentralityTest, BetweennessOnStarCenter) {
 TEST(CentralityTest, BetweennessCountsMultipleShortestPaths) {
   // 4-cycle: two shortest paths between opposite corners; each middle
   // node gets 1/2 per opposite pair.
-  AdjacencyList g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 3);
-  g.AddEdge(3, 0);
+  const AdjacencyList g(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   const auto b = BetweennessCentrality(g);
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(b[i], 0.5);
 }
@@ -258,7 +253,7 @@ TEST(CentralityTest, FusedPassMatchesTextbookReferencesBitwise) {
   Rng rng(17);
   for (int trial = 0; trial < 400; ++trial) {
     const int64_t n = 1 + static_cast<int64_t>(rng.UniformInt(30));
-    AdjacencyList g(n);
+    std::vector<Edge> edge_list;
     const uint64_t edges = rng.UniformInt(static_cast<uint64_t>(3 * n) + 1);
     for (uint64_t e = 0; e < edges; ++e) {
       const int64_t u =
@@ -268,9 +263,10 @@ TEST(CentralityTest, FusedPassMatchesTextbookReferencesBitwise) {
           e % 4 == 3 ? u
                      : static_cast<int64_t>(
                            rng.UniformInt(static_cast<uint64_t>(n)));
-      g.AddEdge(u, v);
-      if (e % 5 == 0) g.AddEdge(u, v);  // parallel edge
+      edge_list.push_back({u, v});
+      if (e % 5 == 0) edge_list.push_back({u, v});  // parallel edge
     }
+    const AdjacencyList g(n, edge_list);
     const PathCentrality fused = ShortestPathCentrality(g);
     EXPECT_TRUE(BitwiseEqual(fused.closeness, ReferenceCloseness(g)))
         << "closeness, trial " << trial;
@@ -283,11 +279,12 @@ TEST(CentralityTest, FusedPassMatchesTextbookReferencesBitwise) {
 
 TEST(CentralityTest, PageRankSumsToOne) {
   Rng rng(3);
-  AdjacencyList g(30);
+  std::vector<Edge> edges;
   for (int i = 0; i < 60; ++i) {
-    g.AddEdge(static_cast<int64_t>(rng.UniformInt(30)),
-              static_cast<int64_t>(rng.UniformInt(30)));
+    edges.push_back({static_cast<int64_t>(rng.UniformInt(30)),
+                     static_cast<int64_t>(rng.UniformInt(30))});
   }
+  const AdjacencyList g(30, edges);
   const auto pr = PageRank(g);
   double total = 0.0;
   for (double v : pr) {
@@ -299,8 +296,9 @@ TEST(CentralityTest, PageRankSumsToOne) {
 
 TEST(CentralityTest, PageRankUniformOnRegularGraph) {
   // Cycle: every node identical by symmetry.
-  AdjacencyList g(8);
-  for (int64_t i = 0; i < 8; ++i) g.AddEdge(i, (i + 1) % 8);
+  std::vector<Edge> edges;
+  for (int64_t i = 0; i < 8; ++i) edges.push_back({i, (i + 1) % 8});
+  const AdjacencyList g(8, edges);
   const auto pr = PageRank(g);
   for (double v : pr) EXPECT_NEAR(v, 1.0 / 8.0, 1e-9);
 }
@@ -311,8 +309,7 @@ TEST(CentralityTest, PageRankHubDominates) {
 }
 
 TEST(CentralityTest, PageRankHandlesDanglingNodes) {
-  AdjacencyList g(3);
-  g.AddEdge(0, 1);  // node 2 isolated (dangling)
+  const AdjacencyList g(3, {{0, 1}});  // node 2 isolated (dangling)
   const auto pr = PageRank(g);
   double total = 0.0;
   for (double v : pr) total += v;
@@ -320,9 +317,7 @@ TEST(CentralityTest, PageRankHandlesDanglingNodes) {
 }
 
 TEST(NormalizedAdjacencyTest, SymmetricWithSelfLoops) {
-  AdjacencyList g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
+  const AdjacencyList g(3, {{0, 1}, {1, 2}});
   const auto norm = NormalizedAdjacency(g);
   EXPECT_EQ(norm.rows(), 3);
   for (int64_t i = 0; i < 3; ++i) {
@@ -340,8 +335,9 @@ TEST(NormalizedAdjacencyTest, SymmetricWithSelfLoops) {
 }
 
 TEST(NormalizedAdjacencyTest, UniformDegreeRowSumsToOne) {
-  AdjacencyList g(4);  // 4-cycle: all degrees 2 (+self loop -> 3)
-  for (int64_t i = 0; i < 4; ++i) g.AddEdge(i, (i + 1) % 4);
+  std::vector<Edge> edges;  // 4-cycle: all degrees 2 (+self loop -> 3)
+  for (int64_t i = 0; i < 4; ++i) edges.push_back({i, (i + 1) % 4});
+  const AdjacencyList g(4, edges);
   const auto norm = NormalizedAdjacency(g);
   for (int64_t i = 0; i < 4; ++i) EXPECT_NEAR(norm.RowSum(i), 1.0f, 1e-5f);
 }
@@ -352,14 +348,15 @@ class CentralityPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CentralityPropertyTest, InvariantsHold) {
   Rng rng(GetParam());
   const int64_t n = 5 + static_cast<int64_t>(rng.UniformInt(40));
-  AdjacencyList g(n);
+  std::vector<Edge> edge_list;
   const int64_t edges = n + static_cast<int64_t>(rng.UniformInt(
                                 static_cast<uint64_t>(2 * n)));
   for (int64_t e = 0; e < edges; ++e) {
     int64_t u = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
     int64_t v = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
-    if (u != v) g.AddEdge(u, v);
+    if (u != v) edge_list.push_back({u, v});
   }
+  const AdjacencyList g(n, edge_list);
   const auto degree = DegreeCentrality(g);
   const auto closeness = ClosenessCentrality(g);
   const auto betweenness = BetweennessCentrality(g);

@@ -214,10 +214,7 @@ TEST(AttentionPoolTest, OutputIsConvexCombination) {
 }
 
 std::shared_ptr<const graph::SparseMatrix> TriangleAdjacency() {
-  graph::AdjacencyList adj(3);
-  adj.AddEdge(0, 1);
-  adj.AddEdge(1, 2);
-  adj.AddEdge(2, 0);
+  const graph::AdjacencyList adj(3, {{0, 1}, {1, 2}, {2, 0}});
   return std::make_shared<const graph::SparseMatrix>(
       graph::NormalizedAdjacency(adj));
 }
@@ -343,8 +340,7 @@ TEST(SelfAttentionPoolTest, GradientsFlow) {
 }
 
 TEST(GatTest, EdgeMaskIncludesSelfLoopsAndEdges) {
-  graph::AdjacencyList adj(3);
-  adj.AddEdge(0, 1);
+  const graph::AdjacencyList adj(3, {{0, 1}});
   const auto sparse = graph::NormalizedAdjacency(adj);
   const tensor::Tensor mask = EdgeMask(sparse);
   EXPECT_FLOAT_EQ(mask.at(0, 0), 1.0f);
@@ -359,8 +355,7 @@ TEST(GatTest, AttentionRespectsMask) {
   // off-diagonal mask entries, attention collapses to identity mixing.
   Rng rng(21);
   GatLayer layer(2, 3, &rng, /*apply_elu=*/false);
-  graph::AdjacencyList adj(3);
-  adj.AddEdge(0, 1);  // node 2 isolated
+  const graph::AdjacencyList adj(3, {{0, 1}});  // node 2 isolated
   const auto sparse = graph::NormalizedAdjacency(adj);
   Var mask = Constant(EdgeMask(sparse));
   Tensor x1 = Tensor::RandomNormal({3, 2}, &rng);
@@ -388,10 +383,7 @@ TEST(GatTest, EncoderTrainsAndGradientsFlow) {
   opts.embed_dim = 4;
   opts.num_classes = 2;
   GatEncoder enc(opts, &rng);
-  graph::AdjacencyList adj(4);
-  adj.AddEdge(0, 1);
-  adj.AddEdge(1, 2);
-  adj.AddEdge(2, 3);
+  const graph::AdjacencyList adj(4, {{0, 1}, {1, 2}, {2, 3}});
   const auto sparse = graph::NormalizedAdjacency(adj);
   Var x = Constant(Tensor::RandomNormal({4, 2}, &rng));
   Var logits = enc.Forward(sparse, x);

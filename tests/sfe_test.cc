@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/sfe.h"
 #include "util/rng.h"
@@ -17,7 +18,7 @@ TEST(SfeTest, EmptyInputIsZeroVector) {
 }
 
 TEST(SfeTest, SingleValue) {
-  const auto sfe = ComputeSfe({5.0});
+  const auto sfe = ComputeSfe(std::vector<double>{5.0});
   EXPECT_DOUBLE_EQ(sfe[kSfeMax], 5.0);
   EXPECT_DOUBLE_EQ(sfe[kSfeMin], 5.0);
   EXPECT_DOUBLE_EQ(sfe[kSfeSum], 5.0);
@@ -35,7 +36,7 @@ TEST(SfeTest, SingleValue) {
 
 TEST(SfeTest, KnownValues) {
   // values = {1, 2, 3, 4}: mean 2.5, var 1.25, p75 = 3.25.
-  const auto sfe = ComputeSfe({1.0, 2.0, 3.0, 4.0});
+  const auto sfe = ComputeSfe(std::vector<double>{1.0, 2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(sfe[kSfeMax], 4.0);
   EXPECT_DOUBLE_EQ(sfe[kSfeMin], 1.0);
   EXPECT_DOUBLE_EQ(sfe[kSfeSum], 10.0);
@@ -63,16 +64,16 @@ TEST(SfeTest, UniformDistributionKurtosis) {
 
 TEST(SfeTest, SkewnessSignMatchesAsymmetry) {
   // Right-skewed data: a few large outliers.
-  const auto right = ComputeSfe({1, 1, 1, 1, 1, 10});
+  const auto right = ComputeSfe(std::vector<double>{1, 1, 1, 1, 1, 10});
   EXPECT_GT(right[kSfeSkewness], 0.5);
   EXPECT_GT(right[kSfeTilt], 0.0);
-  const auto left = ComputeSfe({10, 10, 10, 10, 10, 1});
+  const auto left = ComputeSfe(std::vector<double>{10, 10, 10, 10, 10, 1});
   EXPECT_LT(left[kSfeSkewness], -0.5);
   EXPECT_LT(left[kSfeTilt], 0.0);
 }
 
 TEST(SfeTest, CompressionIsMonotoneAndBounded) {
-  const auto raw = ComputeSfe({1e6, 2e6, 3e6});
+  const auto raw = ComputeSfe(std::vector<double>{1e6, 2e6, 3e6});
   const auto compressed = CompressSfe(raw);
   EXPECT_LT(compressed[kSfeSum], raw[kSfeSum]);
   EXPECT_NEAR(compressed[kSfeSum], std::log1p(raw[kSfeSum]), 1e-12);
@@ -83,7 +84,7 @@ TEST(SfeTest, CompressionIsMonotoneAndBounded) {
 }
 
 TEST(SfeTest, CompressionHandlesNegativeValues) {
-  const auto raw = ComputeSfe({-5.0, -3.0, -1.0});
+  const auto raw = ComputeSfe(std::vector<double>{-5.0, -3.0, -1.0});
   const auto c = CompressSfe(raw);
   EXPECT_LT(c[kSfeMin], 0.0);  // signed log keeps the sign
   EXPECT_NEAR(c[kSfeMin], -std::log1p(5.0), 1e-12);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <thread>
@@ -105,7 +106,7 @@ TEST(LedgerSnapshotTest, TransactionsOfStaysValidAcrossChunkGrowth) {
   const chain::Transaction& last = ledger.tx(view.back());
   const LedgerSnapshot snap = ledger.Snapshot();
 
-  // 64-element first chunk + geometric growth: 300 more transactions
+  // 8-element first chunk + geometric growth: 300 more transactions
   // cross several chunk boundaries.
   MineTo(&ledger, a, 300, &now);
   ASSERT_EQ(ledger.num_transactions(), 400u);
@@ -279,6 +280,57 @@ TEST(LedgerSnapshotTest, ConcurrentWriterAndSnapshotReaders) {
   for (auto& t : readers) t.join();
   EXPECT_GT(snapshots_checked.load(), 0u);
   EXPECT_TRUE(ledger.CheckConservation().ok());
+}
+
+// The height race Snapshot() retries against: a reader that loads the
+// height, is overtaken by a seal and a new coinbase, and then loads the
+// transaction count would pin a transaction stamped above its pinned
+// height. One writer seals one-coinbase blocks as fast as it can (up
+// to 200k, about 2 s at most) while two readers check that the newest
+// pinned transaction never lies above `height()`. A pending coinbase,
+// applied but not yet sealed, is stamped `height()` itself, so the
+// bound is `block_height < height() + 1`.
+TEST(LedgerSnapshotTest, NewestPinnedTransactionNeverAboveHeight) {
+  Ledger ledger = MakeLedger();
+  const AddressId payout = ledger.NewAddress();
+  chain::Timestamp now = 0;
+  MineTo(&ledger, payout, 1, &now);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    for (int b = 0; b < 200'000; ++b) {
+      if (b % 1024 == 0 && std::chrono::steady_clock::now() > deadline) break;
+      ++now;
+      ASSERT_TRUE(ledger.ApplyCoinbase(now, payout).ok());
+      ASSERT_TRUE(ledger.SealBlock(now).ok());
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::atomic<uint64_t> snapshots{0};
+  std::atomic<uint64_t> violations{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      do {
+        const LedgerSnapshot snap = ledger.Snapshot();
+        const chain::Transaction& newest =
+            snap.tx(snap.num_transactions() - 1);
+        if (newest.block_height >= snap.height() + 1) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+        }
+        snapshots.fetch_add(1, std::memory_order_relaxed);
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_GT(snapshots.load(), 0u);
+  EXPECT_EQ(violations.load(), 0u)
+      << "of " << snapshots.load() << " snapshots, over "
+      << ledger.height() << " blocks";
 }
 
 /// Serving-layer fixture: a small trained classifier over a simulated
