@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: SFE,
 // centrality measures, sparse products, normalized adjacency, the
 // individual construction stages on a fixed economy, per-slice
-// construction and tensor prep in the serving regime, and the two
-// inference layers of a cold miss (GFN embed, LSTM aggregate).
+// construction and tensor prep in the serving regime, the two
+// inference layers of a cold miss (GFN embed, LSTM aggregate) and the
+// one-row GEMM under both.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "datagen/simulator.h"
 #include "graph/centrality.h"
 #include "graph/sparse_matrix.h"
+#include "tensor/gemm.h"
 #include "util/rng.h"
 
 namespace {
@@ -139,6 +141,30 @@ void BM_AggregatorPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AggregatorPredict)->Arg(1)->Arg(4)->Arg(12);
+
+/// One-row GEMM C(1,n) = a(1,k)·B(k,n), the inference forward's shape:
+/// each LSTM gate per step is 1×64×32 (k = hidden + embed), and the MLP
+/// heads run 1×32×32, 1×32×64, 1×32×4 and 1×64×4.
+void BM_GemmRow(benchmark::State& state) {
+  const int64_t k = state.range(0), n = state.range(1);
+  ba::Rng rng(10);
+  const ba::tensor::Tensor a = ba::tensor::Tensor::RandomNormal({1, k}, &rng);
+  const ba::tensor::Tensor b = ba::tensor::Tensor::RandomNormal({k, n}, &rng);
+  ba::tensor::Tensor c({1, n});
+  for (auto _ : state) {
+    ba::tensor::internal::GemmDispatch(a.data(), k, 1, b.data(), c.data(), 1,
+                                       k, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * k * n);
+}
+BENCHMARK(BM_GemmRow)
+    ->Args({64, 32})
+    ->Args({32, 32})
+    ->Args({32, 64})
+    ->Args({32, 4})
+    ->Args({64, 4});
 
 /// Fixture economy shared by the stage benchmarks.
 class StageFixture : public benchmark::Fixture {

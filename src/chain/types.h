@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.h"
+
 /// \file types.h
 /// \brief Core value types of the Bitcoin UTXO substrate (§II-A of the
 /// paper): amounts, addresses, outpoints, transactions and blocks.
@@ -90,12 +92,54 @@ struct Transaction {
   Amount Fee() const { return coinbase ? 0 : InputValue() - OutputValue(); }
 };
 
+/// \brief A run [first, last) of consecutive transaction ids,
+/// iterable like the list it stands for.
+class TxIdRange {
+ public:
+  class Iterator {
+   public:
+    explicit Iterator(TxId id) : id_(id) {}
+    TxId operator*() const { return id_; }
+    Iterator& operator++() {
+      ++id_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const { return id_ == other.id_; }
+    bool operator!=(const Iterator& other) const { return id_ != other.id_; }
+
+   private:
+    TxId id_;
+  };
+
+  Iterator begin() const { return Iterator(first_); }
+  Iterator end() const { return Iterator(last_); }
+  uint64_t size() const { return last_ - first_; }
+  bool empty() const { return first_ == last_; }
+
+  /// Appends `id`, which must follow the range's last id (any id starts
+  /// an empty range).
+  void push_back(TxId id) {
+    if (empty()) {
+      first_ = id;
+    } else {
+      BA_CHECK_EQ(id, last_);
+    }
+    last_ = id + 1;
+  }
+
+ private:
+  TxId first_ = 0;
+  TxId last_ = 0;
+};
+
 /// \brief A sealed block: a height, a timestamp and the transactions
-/// confirmed in it.
+/// confirmed in it. The ledger assigns ids in apply order and every
+/// applied transaction joins the pending block, so a block's ids are
+/// contiguous and it stores their range, not a heap list.
 struct Block {
   uint64_t height = 0;
   Timestamp timestamp = 0;
-  std::vector<TxId> transactions;
+  TxIdRange transactions;
 };
 
 /// \brief An unspent output owned by some address, as returned by

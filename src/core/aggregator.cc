@@ -151,14 +151,53 @@ tensor::Var AggregatorModel::Logits(
   return head_->Forward(pooled);
 }
 
+tensor::Tensor AggregatorModel::LogitsValue(
+    const tensor::Tensor& embeddings) const {
+  BA_CHECK_EQ(embeddings.rank(), 2);
+  BA_CHECK_EQ(embeddings.dim(1), options_.embed_dim);
+  // One set of buffers per thread, reused across calls. Nothing below
+  // re-enters this function, and GEMMs that fan out over the pool do
+  // not run other callers' work on this thread.
+  struct Scratch {
+    nn::LstmScratch lstm;
+    tensor::Tensor pooled;
+    nn::MlpScratch head;
+  };
+  thread_local Scratch scratch;
+  const tensor::Tensor* pooled = &scratch.pooled;
+  switch (options_.kind) {
+    case AggregatorKind::kLstm:
+      pooled = &lstm_->ForwardLastValue(embeddings, &scratch.lstm);
+      break;
+    case AggregatorKind::kBiLstm:
+      bilstm_->ForwardLastValue(embeddings, &scratch.lstm, &scratch.pooled);
+      break;
+    case AggregatorKind::kSum:
+      scratch.pooled = tensor::SumRowsValue(embeddings);
+      break;
+    case AggregatorKind::kAvg:
+      scratch.pooled = tensor::SumRowsValue(embeddings);
+      scratch.pooled.ScaleInPlace(1.0f /
+                                  static_cast<float>(embeddings.dim(0)));
+      break;
+    case AggregatorKind::kMax:
+      scratch.pooled = tensor::MaxRowsValue(embeddings);
+      break;
+    case AggregatorKind::kAttention:
+    case AggregatorKind::kSelfAttention: {
+      // No value-level twin: the taped forward without its tape.
+      tensor::NoGradScope no_grad;
+      return Logits(embeddings)->value;
+    }
+  }
+  return head_->ForwardValue(*pooled, &scratch.head);
+}
+
 int AggregatorModel::Predict(const tensor::Tensor& embeddings) const {
-  // Tape-free, as in GraphModel::PredictGraph. Train's Logits calls
-  // keep their tape; its eval pass comes through here.
-  tensor::NoGradScope no_grad;
-  const tensor::Var logits = Logits(embeddings);
+  const tensor::Tensor logits = LogitsValue(embeddings);
   int best = 0;
   for (int c = 1; c < options_.num_classes; ++c) {
-    if (logits->value.at(0, c) > logits->value.at(0, best)) best = c;
+    if (logits.at(0, c) > logits.at(0, best)) best = c;
   }
   return best;
 }

@@ -69,9 +69,17 @@ class AggregatorModel {
  public:
   explicit AggregatorModel(const AggregatorOptions& options);
 
-  /// Class logits for one sequence, shape (1, classes).
+  /// Class logits for one sequence, shape (1, classes), on the taped
+  /// training forward.
   tensor::Var Logits(const tensor::Tensor& embeddings) const;
 
+  /// The inference forward: Logits' values, bit for bit, without a
+  /// tape. LSTM, BiLSTM and the SUM/AVG/MAX poolings run value-level
+  /// modules on per-thread scratch; the attention kinds run Logits
+  /// under a NoGradScope.
+  tensor::Tensor LogitsValue(const tensor::Tensor& embeddings) const;
+
+  /// Argmax of LogitsValue.
   int Predict(const tensor::Tensor& embeddings) const;
 
   /// \brief Trains on sequences; per-epoch stats recorded when

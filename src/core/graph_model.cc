@@ -174,41 +174,46 @@ tensor::Var GraphModel::Logits(const GraphTensors& gt) const {
   return LogitsImpl(gt, /*training=*/false, /*rng=*/nullptr);
 }
 
-// The inference entry points below run the training forward under a
-// NoGradScope: same values, no tape. The scope covers only this
-// thread's own call. GEMMs inside may fan row panels out over the pool,
-// but those helpers compute values and never make autograd nodes, and
-// ParallelFor's caller claims only its own chunks, so no other caller's
-// work runs on this thread while the scope is open.
+// The inference entry points below run GFN on its value-level forward
+// and the other encoders on the training forward under a NoGradScope:
+// same values, no tape. The scope and the per-thread scratch cover only
+// this thread's own call. GEMMs inside may fan row panels out over the
+// pool, but those helpers compute values and never make autograd nodes,
+// and ParallelFor's caller claims only its own chunks, so no other
+// caller's work runs on this thread while either is in use.
+
+namespace {
+
+/// Node-MLP buffers of this thread's GFN forwards, reused across calls.
+nn::MlpScratch& GfnScratch() {
+  thread_local nn::MlpScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+tensor::Tensor GraphModel::LogitsValue(const GraphTensors& gt) const {
+  if (gfn_) return gfn_->ForwardValue(gt.augmented, &GfnScratch());
+  tensor::NoGradScope no_grad;
+  return Logits(gt)->value;
+}
 
 int GraphModel::PredictGraph(const GraphTensors& gt) const {
-  tensor::NoGradScope no_grad;
-  const tensor::Var logits = Logits(gt);
+  const tensor::Tensor logits = LogitsValue(gt);
   int best = 0;
   for (int c = 1; c < options_.num_classes; ++c) {
-    if (logits->value.at(0, c) > logits->value.at(0, best)) best = c;
+    if (logits.at(0, c) > logits.at(0, best)) best = c;
   }
   return best;
 }
 
 tensor::Tensor GraphModel::Embed(const GraphTensors& gt) const {
+  if (gfn_) return gfn_->EmbedValue(gt.augmented, &GfnScratch());
   tensor::NoGradScope no_grad;
-  switch (options_.encoder) {
-    case GraphEncoderKind::kGfn:
-      return gfn_->Embed(tensor::Constant(gt.augmented))->value;
-    case GraphEncoderKind::kGcn:
-      return gcn_->Embed(gt.norm_adj, tensor::Constant(gt.base_features))
-          ->value;
-    case GraphEncoderKind::kDiffPool:
-      return diffpool_
-          ->Embed(gt.norm_adj, tensor::Constant(gt.base_features))
-          ->value;
-    case GraphEncoderKind::kGat:
-      return gat_->Embed(*gt.norm_adj, tensor::Constant(gt.base_features))
-          ->value;
-  }
-  BA_CHECK(false);
-  return tensor::Tensor();
+  const tensor::Var x = tensor::Constant(gt.base_features);
+  if (gcn_) return gcn_->Embed(gt.norm_adj, x)->value;
+  if (gat_) return gat_->Embed(*gt.norm_adj, x)->value;
+  return diffpool_->Embed(gt.norm_adj, x)->value;
 }
 
 Status GraphModel::Quantize(const std::vector<AddressSample>& calibration) {
@@ -234,7 +239,8 @@ Status GraphModel::Quantize(const std::vector<AddressSample>& calibration) {
 tensor::Tensor GraphModel::EmbedQuantized(const GraphTensors& gt) const {
   BA_CHECK(quantized_node_mlp_ != nullptr);
   // SUM readout (Eq. 15) in fp32: the fp32 path's own column sum.
-  return tensor::SumRowsValue(quantized_node_mlp_->Forward(gt.augmented));
+  return tensor::SumRowsValue(
+      quantized_node_mlp_->Forward(gt.augmented, &GfnScratch()));
 }
 
 Status GraphModel::Train(const std::vector<AddressSample>& train,

@@ -99,13 +99,20 @@ class GraphModel {
                const std::vector<AddressSample>* eval = nullptr,
                std::vector<EpochStat>* history = nullptr);
 
-  /// Class logits for one graph (inference mode), shape (1, classes).
+  /// Class logits for one graph on the taped forward (dropout off),
+  /// shape (1, classes).
   tensor::Var Logits(const GraphTensors& gt) const;
 
-  /// Predicted class of one graph.
+  /// The inference forward: Logits' values, bit for bit, without a
+  /// tape. GFN runs its value-level modules on per-thread scratch; the
+  /// other encoders run Logits under a NoGradScope.
+  tensor::Tensor LogitsValue(const GraphTensors& gt) const;
+
+  /// Predicted class of one graph: argmax of LogitsValue.
   int PredictGraph(const GraphTensors& gt) const;
 
-  /// Graph embedding rep^G (inference mode), shape (1, embed_dim).
+  /// Graph embedding rep^G (inference mode), shape (1, embed_dim), on
+  /// the same inference forward as LogitsValue.
   tensor::Tensor Embed(const GraphTensors& gt) const;
 
   /// \brief Post-training int8 quantization of the embed path,

@@ -54,6 +54,23 @@ class GfnEncoder : public Module {
                          training);
   }
 
+  /// Value-level inference twin of Embed (no tape, no dropout; the
+  /// node MLP runs on caller-owned `scratch`), bit-identical to it.
+  tensor::Tensor EmbedValue(const tensor::Tensor& augmented_node_features,
+                            MlpScratch* scratch) const {
+    return tensor::SumRowsValue(
+        node_mlp_.ForwardValue(augmented_node_features, scratch));
+  }
+
+  /// Value-level inference twin of Forward: class logits
+  /// (1, num_classes).
+  tensor::Tensor ForwardValue(const tensor::Tensor& augmented_node_features,
+                              MlpScratch* scratch) const {
+    const tensor::Tensor embedding =
+        EmbedValue(augmented_node_features, scratch);
+    return head_.ForwardValue(embedding, scratch);
+  }
+
   int64_t embed_dim() const { return options_.embed_dim; }
   int64_t input_dim() const { return options_.input_dim; }
 

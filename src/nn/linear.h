@@ -23,6 +23,19 @@ class Linear : public Module {
     return tensor::Add(tensor::MatMul(x, weight_), bias_);
   }
 
+  /// Value-level inference forward into a caller-owned `y` (resized to
+  /// (m, out)): no tape, and bit-identical to Forward. The bias is
+  /// added after the product, in its own pass, as the taped Add does.
+  void ForwardValue(const tensor::Tensor& x, tensor::Tensor* y) const {
+    tensor::MatMulInto(x, weight_->value, y);
+    const int64_t m = y->dim(0), n = y->dim(1);
+    const float* b = bias_->value.data();
+    float* out = y->data();
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) out[i * n + j] += b[j];
+    }
+  }
+
   std::vector<Var> Parameters() const override { return {weight_, bias_}; }
 
   int64_t in_features() const { return weight_->value.dim(0); }
@@ -53,6 +66,44 @@ inline Var Activate(const Var& x, Activation act) {
   return x;
 }
 
+/// Value-level twin of Activate, in place.
+inline void ActivateValue(tensor::Tensor* t, Activation act) {
+  switch (act) {
+    case Activation::kRelu:
+      return tensor::ReluInPlace(t);
+    case Activation::kTanh:
+      return tensor::TanhInPlace(t);
+    case Activation::kSigmoid:
+      return tensor::SigmoidInPlace(t);
+  }
+}
+
+/// Caller-owned buffers of a value-level MLP forward: layer outputs
+/// alternate between the two, so a reused scratch allocates only when
+/// a layer's output outgrows it.
+struct MlpScratch {
+  tensor::Tensor a, b;
+};
+
+/// \brief The one value-level MLP forward. Layer i maps its input into
+/// a scratch buffer through `linear(i, in, &out)`; every layer but the
+/// last is followed by `activation`. Returns the scratch buffer holding
+/// the output. The fp32 Mlp, its int8 twin and calibration differ only
+/// in `linear`. `x` must not be one of `scratch`'s buffers.
+template <typename LinearFn>
+const tensor::Tensor& MlpForwardValue(size_t depth, Activation activation,
+                                      const tensor::Tensor& x,
+                                      MlpScratch* scratch, LinearFn&& linear) {
+  const tensor::Tensor* in = &x;
+  for (size_t i = 0; i < depth; ++i) {
+    tensor::Tensor* out = i % 2 == 0 ? &scratch->a : &scratch->b;
+    linear(i, *in, out);
+    if (i + 1 < depth) ActivateValue(out, activation);
+    in = out;
+  }
+  return *in;
+}
+
 /// \brief Feed-forward stack: Linear(+activation) per hidden layer,
 /// plain Linear output layer, optional inverted dropout between layers.
 class Mlp : public Module {
@@ -80,6 +131,18 @@ class Mlp : public Module {
       }
     }
     return h;
+  }
+
+  /// Value-level inference forward (no tape, no dropout), bit-identical
+  /// to Forward with training off. Returns the `scratch` buffer holding
+  /// the output.
+  const tensor::Tensor& ForwardValue(const tensor::Tensor& x,
+                                     MlpScratch* scratch) const {
+    return MlpForwardValue(
+        layers_.size(), activation_, x, scratch,
+        [this](size_t i, const tensor::Tensor& in, tensor::Tensor* out) {
+          layers_[i].ForwardValue(in, out);
+        });
   }
 
   std::vector<Var> Parameters() const override {

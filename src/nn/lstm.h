@@ -12,6 +12,15 @@
 
 namespace ba::nn {
 
+/// \brief Caller-owned buffers of the value-level LSTM forward; a
+/// reused scratch allocates only when a width grows.
+struct LstmScratch {
+  tensor::Tensor hx;                ///< [h_{t-1}, x_t]
+  tensor::Tensor f, i, c_tilde, o;  ///< gate activations
+  tensor::Tensor h, c;              ///< the state, updated in place
+  tensor::Tensor reversed;          ///< BiLstm's reversed sequence
+};
+
 /// \brief A single LSTM cell with the paper's gate structure
 /// (forget/input/output gates over [h_{t-1}, x_t], Eq. 16-21).
 class LstmCell : public Module {
@@ -24,6 +33,11 @@ class LstmCell : public Module {
   /// One step: consumes x_t (1, input), (h, c) each (1, hidden);
   /// returns the new (h, c).
   std::pair<Var, Var> Step(const Var& x, const Var& h, const Var& c) const;
+
+  /// Value-level inference twin of Step: consumes the `input_size`
+  /// floats of x_t and advances `scratch->h`, `scratch->c` in place,
+  /// bit-identical to Step.
+  void StepValue(const float* x, LstmScratch* scratch) const;
 
   std::vector<Var> Parameters() const override;
 
@@ -51,6 +65,11 @@ class Lstm : public Module {
   /// Runs the full sequence; returns the final hidden state (1, hidden).
   Var ForwardLast(const Var& sequence) const;
 
+  /// Value-level inference twin of ForwardLast, bit-identical to it.
+  /// Returns `scratch->h`.
+  const tensor::Tensor& ForwardLastValue(const tensor::Tensor& sequence,
+                                         LstmScratch* scratch) const;
+
   std::vector<Var> Parameters() const override { return cell_.Parameters(); }
 
  private:
@@ -72,6 +91,11 @@ class BiLstm : public Module {
 
   /// Concatenated [h_fwd_last, h_bwd_last], shape (1, 2*hidden).
   Var ForwardLast(const Var& sequence) const;
+
+  /// Value-level inference twin of ForwardLast into `out`, resized to
+  /// (1, 2*hidden), bit-identical to it.
+  void ForwardLastValue(const tensor::Tensor& sequence, LstmScratch* scratch,
+                        tensor::Tensor* out) const;
 
   std::vector<Var> Parameters() const override {
     std::vector<Var> out = forward_.Parameters();

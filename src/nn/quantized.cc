@@ -1,44 +1,8 @@
 #include "nn/quantized.h"
 
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace ba::nn {
-
-namespace {
-
-/// fp32 value-level affine forward (no tape): y = x·W + b. Used only
-/// during calibration, where the fp32 trajectory is what the observers
-/// must see.
-tensor::Tensor LinearValue(const tensor::Tensor& x, const Linear& layer) {
-  tensor::Tensor y = tensor::MatMulValue(x, layer.weight_value());
-  const tensor::Tensor& b = layer.bias_value();
-  const int64_t m = y.dim(0), n = y.dim(1);
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) y.at(i, j) += b.at(0, j);
-  }
-  return y;
-}
-
-/// Value-level hidden nonlinearity, matching nn::Activate's Var ops.
-void ActivateValue(tensor::Tensor* t, Activation act) {
-  float* d = t->data();
-  const int64_t n = t->numel();
-  switch (act) {
-    case Activation::kRelu:
-      for (int64_t i = 0; i < n; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
-      break;
-    case Activation::kTanh:
-      for (int64_t i = 0; i < n; ++i) d[i] = std::tanh(d[i]);
-      break;
-    case Activation::kSigmoid:
-      for (int64_t i = 0; i < n; ++i) d[i] = 1.0f / (1.0f + std::exp(-d[i]));
-      break;
-  }
-}
-
-}  // namespace
 
 QuantizedMlp::QuantizedMlp(
     const Mlp& mlp, const std::vector<const tensor::Tensor*>& calibration)
@@ -48,14 +12,17 @@ QuantizedMlp::QuantizedMlp(
   // An uncalibrated activation grid would saturate everything to the
   // edge codes; refuse to build a silently broken model.
   BA_CHECK(!calibration.empty());
+  // The observers watch the fp32 trajectory: the source Mlp's own
+  // value-level forward, with each layer's input observed on the way.
   std::vector<tensor::ActivationObserver> observers(depth);
+  MlpScratch scratch;
   for (const tensor::Tensor* x : calibration) {
-    tensor::Tensor h = *x;
-    for (size_t i = 0; i < depth; ++i) {
-      observers[i].Observe(h);
-      h = LinearValue(h, mlp.layer(i));
-      if (i + 1 < depth) ActivateValue(&h, activation_);
-    }
+    MlpForwardValue(
+        depth, activation_, *x, &scratch,
+        [&](size_t i, const tensor::Tensor& in, tensor::Tensor* out) {
+          observers[i].Observe(in);
+          mlp.layer(i).ForwardValue(in, out);
+        });
   }
   layers_.reserve(depth);
   for (size_t i = 0; i < depth; ++i) {
@@ -63,13 +30,13 @@ QuantizedMlp::QuantizedMlp(
   }
 }
 
-tensor::Tensor QuantizedMlp::Forward(const tensor::Tensor& x) const {
-  tensor::Tensor h = layers_[0].Forward(x);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    ActivateValue(&h, activation_);
-    h = layers_[i].Forward(h);
-  }
-  return h;
+const tensor::Tensor& QuantizedMlp::Forward(const tensor::Tensor& x,
+                                            MlpScratch* scratch) const {
+  return MlpForwardValue(
+      layers_.size(), activation_, x, scratch,
+      [this](size_t i, const tensor::Tensor& in, tensor::Tensor* out) {
+        layers_[i].ForwardValue(in, out);
+      });
 }
 
 }  // namespace ba::nn

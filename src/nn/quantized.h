@@ -38,9 +38,9 @@ class QuantizedLinear {
         a_scale_(a_scale) {}
 
   /// y = x·W + b through the int8 kernel family; x is fp32 (m, in),
-  /// the result fp32 (m, out).
-  tensor::Tensor Forward(const tensor::Tensor& x) const {
-    return tensor::Int8LinearValue(x, weights_, a_scale_);
+  /// the result fp32 (m, out) in a caller-owned `y`, resized in place.
+  void ForwardValue(const tensor::Tensor& x, tensor::Tensor* y) const {
+    tensor::Int8LinearInto(x, weights_, a_scale_, y);
   }
 
   int64_t in_features() const { return weights_.in_features; }
@@ -68,7 +68,16 @@ class QuantizedMlp {
 
   /// Inference forward through every layer on the int8 path (dropout,
   /// a training-only regularizer, does not apply).
-  tensor::Tensor Forward(const tensor::Tensor& x) const;
+  tensor::Tensor Forward(const tensor::Tensor& x) const {
+    MlpScratch scratch;
+    return Forward(x, &scratch);
+  }
+
+  /// Forward on caller-owned scratch: Mlp::ForwardValue with the int8
+  /// kernel as each layer's linear map. Returns the `scratch` buffer
+  /// holding the output.
+  const tensor::Tensor& Forward(const tensor::Tensor& x,
+                                MlpScratch* scratch) const;
 
   size_t num_layers() const { return layers_.size(); }
   const QuantizedLinear& layer(size_t i) const { return layers_[i]; }

@@ -16,19 +16,21 @@
 /// Tracing answers "what is the process doing" but has to be switched
 /// on before the interesting request arrives. The flight recorder is
 /// the complement: it is cheap enough to leave on in production (one
-/// relaxed fetch_add plus one uncontended per-slot mutex per request,
-/// ~100 bytes per slot), so when a tail-latency complaint lands the
-/// last N timelines — including the slow one — are already captured
-/// and queryable over the admin port (`slowlog` / `timeline
+/// relaxed fetch_add on a shared head counter plus one per-slot mutex
+/// per request, ~100 bytes per slot), so when a tail-latency complaint
+/// lands the last N timelines — including the slow one — are already
+/// captured and queryable over the admin port (`slowlog` / `timeline
 /// <trace_id>`), no reproduction needed.
 ///
 /// Concurrency: writers never share a lock. `Record` claims a slot
 /// with a relaxed fetch_add on the head counter and takes only that
-/// slot's mutex, so concurrent deliveries from different batches
-/// proceed in parallel; the per-slot mutex exists solely to keep an
-/// admin snapshot from reading a half-written entry (and stays
-/// TSan-clean, unlike a seqlock over plain fields). A reader walking
-/// all slots momentarily delays at most one writer per slot.
+/// slot's mutex; the per-slot mutex exists solely to keep an admin
+/// snapshot from reading a half-written entry (and stays TSan-clean,
+/// unlike a seqlock over plain fields). A reader walking all slots
+/// momentarily delays at most one writer per slot. The head counter is
+/// one cache line every writer updates, though, so concurrent writers
+/// contend on it: on a 4-vCPU Xeon a loop of `Record` calls read about
+/// 50 ns per call on one thread and 350-450 ns on each of three.
 
 namespace ba::serve {
 

@@ -182,7 +182,7 @@ Var Sub(const Var& a, const Var& b) {
 Var Mul(const Var& a, const Var& b) {
   BA_CHECK(a->value.SameShape(b->value));
   Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) value.data()[i] *= b->value.data()[i];
+  value.MulInPlace(b->value);
   return MakeOp(std::move(value), {a, b}, [](Node& n) {
     const Var& a = n.parents[0];
     const Var& b = n.parents[1];
@@ -211,9 +211,7 @@ Var Scale(const Var& a, float s) {
 
 Var Relu(const Var& a) {
   Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) {
-    value.data()[i] = std::max(0.0f, value.data()[i]);
-  }
+  ReluInPlace(&value);
   return MakeOp(std::move(value), {a}, [](Node& n) {
     Tensor g = n.grad;
     for (int64_t i = 0; i < g.numel(); ++i) {
@@ -225,9 +223,7 @@ Var Relu(const Var& a) {
 
 Var Sigmoid(const Var& a) {
   Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) {
-    value.data()[i] = 1.0f / (1.0f + std::exp(-value.data()[i]));
-  }
+  SigmoidInPlace(&value);
   return MakeOp(std::move(value), {a}, [](Node& n) {
     Tensor g = n.grad;
     for (int64_t i = 0; i < g.numel(); ++i) {
@@ -240,9 +236,7 @@ Var Sigmoid(const Var& a) {
 
 Var Tanh(const Var& a) {
   Tensor value = a->value;
-  for (int64_t i = 0; i < value.numel(); ++i) {
-    value.data()[i] = std::tanh(value.data()[i]);
-  }
+  TanhInPlace(&value);
   return MakeOp(std::move(value), {a}, [](Node& n) {
     Tensor g = n.grad;
     for (int64_t i = 0; i < g.numel(); ++i) {
@@ -428,23 +422,9 @@ Var MeanRows(const Var& a) {
 }
 
 Var MaxRows(const Var& a) {
-  BA_CHECK_EQ(a->value.rank(), 2);
+  auto argmax = std::make_shared<std::vector<int64_t>>();
+  Tensor value = MaxRowsValue(a->value, argmax.get());
   const int64_t m = a->value.dim(0), n = a->value.dim(1);
-  BA_CHECK_GT(m, 0);
-  Tensor value({1, n});
-  auto argmax = std::make_shared<std::vector<int64_t>>(n, 0);
-  for (int64_t j = 0; j < n; ++j) {
-    float best = a->value.at(0, j);
-    int64_t best_i = 0;
-    for (int64_t i = 1; i < m; ++i) {
-      if (a->value.at(i, j) > best) {
-        best = a->value.at(i, j);
-        best_i = i;
-      }
-    }
-    value.at(0, j) = best;
-    (*argmax)[static_cast<size_t>(j)] = best_i;
-  }
   return MakeOp(std::move(value), {a}, [m, n, argmax](Node& node) {
     Tensor g({m, n});
     for (int64_t j = 0; j < n; ++j) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -163,8 +164,9 @@ void MicroKernelFull(const float* __restrict a, int64_t as_i, int64_t as_p,
 
 /// Ragged edge tile (mr ≤ MR, nr ≤ NR): same shape as the full tile —
 /// absent rows contribute a broadcast of 0 — with a runtime jn bound.
-/// Same per-element accumulation order; only tiles on the bottom/right
-/// fringe (and the 1×k / k×1 degenerate cases) land here.
+/// Same per-element accumulation order; only tiles of 2-4 rows on the
+/// bottom/right fringe land here (one-row tiles take the row kernels
+/// below).
 BA_GEMM_CLONES
 void MicroKernelEdge(const float* __restrict a, int64_t as_i, int64_t as_p,
                      const float* __restrict b, float* __restrict c,
@@ -193,6 +195,91 @@ void MicroKernelEdge(const float* __restrict a, int64_t as_i, int64_t as_p,
     } else {
       for (int64_t jn = 0; jn < nr; ++jn) crow[jn] = accs[im][jn];
     }
+  }
+}
+
+/// One row's column panels per pass of the one-row kernel: four
+/// independent accumulator chains hide the FMA latency that a single
+/// chain per pass is bound by.
+constexpr int64_t kRowPanels = 4;
+
+/// NR floats as one GCC vector: one AVX-512 register, two AVX2 or four
+/// SSE registers, depending on the clone. Operands are not 64-byte
+/// aligned, so loads and stores go through memcpy (an unaligned move).
+typedef float PanelVec __attribute__((vector_size(kNr * sizeof(float))));
+
+inline PanelVec& LoadPanel(PanelVec& v, const float* p) {
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Stores `acc` to `c`, or folds it into what `c` holds.
+inline void StorePanel(float* c, PanelVec& acc, bool accumulate) {
+  if (accumulate) {
+    PanelVec old;
+    acc += LoadPanel(old, c);
+  }
+  std::memcpy(c, &acc, sizeof(acc));
+}
+
+/// One-row tile over `panels` (1..kRowPanels) full NR-wide panels in
+/// one pass over the k-chunk; `a` is the row's chunk at unit stride.
+/// Each output element keeps MicroKernelEdge's row-0 expression — one
+/// accumulator over ascending p, folded into C in chunk order — so the
+/// result is bit-identical to the row inside a 4-row tile, which spent
+/// three quarters of its multiplies on zero rows and ran one panel per
+/// pass. Single-row products are the inference forward's common shape:
+/// the four LSTM gates each step and the MLP heads. The guards on
+/// `panels` are loop-invariant and never read past the last panel.
+BA_GEMM_CLONES
+void MicroKernelRowFull(const float* __restrict a, const float* __restrict b,
+                        float* __restrict c, int64_t k, int64_t n,
+                        int64_t panels, bool accumulate) {
+  PanelVec acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {}, bv;
+  for (int64_t p = 0; p < k; ++p) {
+    const float* __restrict brow = b + p * n;
+    const float a0 = a[p];
+    acc0 += a0 * LoadPanel(bv, brow);
+    if (panels > 1) acc1 += a0 * LoadPanel(bv, brow + kNr);
+    if (panels > 2) acc2 += a0 * LoadPanel(bv, brow + 2 * kNr);
+    if (panels > 3) acc3 += a0 * LoadPanel(bv, brow + 3 * kNr);
+  }
+  StorePanel(c, acc0, accumulate);
+  if (panels > 1) StorePanel(c + kNr, acc1, accumulate);
+  if (panels > 2) StorePanel(c + 2 * kNr, acc2, accumulate);
+  if (panels > 3) StorePanel(c + 3 * kNr, acc3, accumulate);
+}
+
+/// One-row tile on a ragged panel (nr < NR): the same expression per
+/// element with a runtime jn bound.
+BA_GEMM_CLONES
+void MicroKernelRowEdge(const float* __restrict a, const float* __restrict b,
+                        float* __restrict c, int64_t k, int64_t n, int64_t nr,
+                        bool accumulate) {
+  float acc[kNr] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const float* __restrict brow = b + p * n;
+    const float a0 = a[p];
+    for (int64_t jn = 0; jn < nr; ++jn) acc[jn] += a0 * brow[jn];
+  }
+  if (accumulate) {
+    for (int64_t jn = 0; jn < nr; ++jn) c[jn] += acc[jn];
+  } else {
+    for (int64_t jn = 0; jn < nr; ++jn) c[jn] = acc[jn];
+  }
+}
+
+/// One row across all n columns for one k-chunk: full panels
+/// kRowPanels at a time, then the ragged rest.
+void RowSweep(const float* a, const float* b, float* c, int64_t k, int64_t n,
+              bool accumulate) {
+  const int64_t full = n / kNr * kNr;
+  for (int64_t j = 0; j < full; j += kRowPanels * kNr) {
+    MicroKernelRowFull(a, b + j, c + j, k, n,
+                       std::min(kRowPanels, (full - j) / kNr), accumulate);
+  }
+  if (full < n) {
+    MicroKernelRowEdge(a, b + full, c + full, k, n, n - full, accumulate);
   }
 }
 
@@ -246,12 +333,15 @@ void GemmRowRange(const float* a, int64_t as_i, int64_t as_p, const float* b,
       cas_p = 1;
     }
     const float* bchunk = b + p0 * n;
+    // A last tile of one row runs alone after the sweep, on the one-row
+    // kernels.
+    const int64_t tiled_end = rows % kMr == 1 ? i_end - 1 : i_end;
     // Column panels outer: the NR-wide slice of B streams through
     // cache once per row sweep instead of once per row.
     for (int64_t j = 0; j < n; j += kNr) {
       const int64_t nr = std::min(kNr, n - j);
-      for (int64_t i = i_begin; i < i_end; i += kMr) {
-        const int64_t mr = std::min(kMr, i_end - i);
+      for (int64_t i = i_begin; i < tiled_end; i += kMr) {
+        const int64_t mr = std::min(kMr, tiled_end - i);
         const float* atile = achunk + (i - i_begin) * cas_i;
         if (mr == kMr && nr == kNr) {
           MicroKernelFull(atile, cas_i, cas_p, bchunk + j, c + i * n + j, kc,
@@ -261,6 +351,10 @@ void GemmRowRange(const float* a, int64_t as_i, int64_t as_p, const float* b,
                           n, mr, nr, accumulate);
         }
       }
+    }
+    if (tiled_end < i_end) {
+      RowSweep(achunk + (tiled_end - i_begin) * cas_i, bchunk,
+               c + tiled_end * n, kc, n, accumulate);
     }
   }
 }

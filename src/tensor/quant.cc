@@ -72,6 +72,13 @@ void QuantizeActivations(const Tensor& x, float a_scale,
 
 Tensor Int8LinearValue(const Tensor& x, const QuantizedWeights& qw,
                        float a_scale) {
+  Tensor y;
+  Int8LinearInto(x, qw, a_scale, &y);
+  return y;
+}
+
+void Int8LinearInto(const Tensor& x, const QuantizedWeights& qw,
+                    float a_scale, Tensor* y) {
   BA_CHECK_EQ(x.rank(), 2);
   BA_CHECK_EQ(x.dim(1), qw.in_features);
   const int64_t m = x.dim(0);
@@ -79,15 +86,14 @@ Tensor Int8LinearValue(const Tensor& x, const QuantizedWeights& qw,
   // a fresh large allocation per call would churn mmap.
   thread_local std::vector<uint8_t> qx;
   QuantizeActivations(x, a_scale, &qx);
-  Tensor y({m, qw.out_features});
+  y->Resize(m, qw.out_features);
   const int8_t* b = qw.kernel_packed.empty() ? qw.packed.data()
                                              : qw.kernel_packed.data();
   internal::Int8GemmDispatch(qx.data(), b, qw.colsums.data(),
                              qw.scales.data(),
                              qw.bias.empty() ? nullptr : qw.bias.data(),
-                             a_scale, y.data(), m, qw.packed_k,
+                             a_scale, y->data(), m, qw.packed_k,
                              qw.out_features);
-  return y;
 }
 
 }  // namespace ba::tensor

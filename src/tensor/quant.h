@@ -79,4 +79,8 @@ void QuantizeActivations(const Tensor& x, float a_scale,
 Tensor Int8LinearValue(const Tensor& x, const QuantizedWeights& qw,
                        float a_scale);
 
+/// Int8LinearValue into a caller-owned `y`, resized in place.
+void Int8LinearInto(const Tensor& x, const QuantizedWeights& qw,
+                    float a_scale, Tensor* y);
+
 }  // namespace ba::tensor

@@ -1,5 +1,6 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -54,10 +55,50 @@ Tensor SumRowsValue(const Tensor& a) {
   BA_CHECK_EQ(a.rank(), 2);
   const int64_t m = a.dim(0), n = a.dim(1);
   Tensor out({1, n});
+  float* o = out.data();
   for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) out.at(0, j) += a.at(i, j);
+    const float* row = a.data() + i * n;
+    for (int64_t j = 0; j < n; ++j) o[j] += row[j];
   }
   return out;
+}
+
+Tensor MaxRowsValue(const Tensor& a, std::vector<int64_t>* argmax) {
+  BA_CHECK_EQ(a.rank(), 2);
+  const int64_t m = a.dim(0), n = a.dim(1);
+  BA_CHECK_GT(m, 0);
+  Tensor out({1, n});
+  if (argmax != nullptr) argmax->assign(static_cast<size_t>(n), 0);
+  for (int64_t j = 0; j < n; ++j) {
+    float best = a.at(0, j);
+    int64_t best_i = 0;
+    for (int64_t i = 1; i < m; ++i) {
+      if (a.at(i, j) > best) {
+        best = a.at(i, j);
+        best_i = i;
+      }
+    }
+    out.at(0, j) = best;
+    if (argmax != nullptr) (*argmax)[static_cast<size_t>(j)] = best_i;
+  }
+  return out;
+}
+
+void ReluInPlace(Tensor* t) {
+  float* d = t->data();
+  for (int64_t i = 0; i < t->numel(); ++i) d[i] = std::max(0.0f, d[i]);
+}
+
+void SigmoidInPlace(Tensor* t) {
+  float* d = t->data();
+  for (int64_t i = 0; i < t->numel(); ++i) {
+    d[i] = 1.0f / (1.0f + std::exp(-d[i]));
+  }
+}
+
+void TanhInPlace(Tensor* t) {
+  float* d = t->data();
+  for (int64_t i = 0; i < t->numel(); ++i) d[i] = std::tanh(d[i]);
 }
 
 // The three matmul entry points delegate to the blocked kernel layer
@@ -67,14 +108,19 @@ Tensor SumRowsValue(const Tensor& a) {
 // transposed-B so the inner loops always stream B rows contiguously.
 
 Tensor MatMulValue(const Tensor& a, const Tensor& b) {
+  Tensor c({a.dim(0), b.dim(1)});
+  MatMulInto(a, b, &c);
+  return c;
+}
+
+void MatMulInto(const Tensor& a, const Tensor& b, Tensor* c) {
   BA_CHECK_EQ(a.rank(), 2);
   BA_CHECK_EQ(b.rank(), 2);
   BA_CHECK_EQ(a.dim(1), b.dim(0));
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  internal::GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), c.data(),
+  c->Resize(m, n);
+  internal::GemmDispatch(a.data(), /*as_i=*/k, /*as_p=*/1, b.data(), c->data(),
                          m, k, n);
-  return c;
 }
 
 Tensor MatMulTransposeAValue(const Tensor& a, const Tensor& b) {

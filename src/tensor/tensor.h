@@ -110,10 +110,26 @@ class Tensor {
     return out;
   }
 
+  /// Reshapes to a zero-filled (rows, cols) matrix, reusing the
+  /// storage: a caller-owned scratch tensor allocates only when it
+  /// grows.
+  void Resize(int64_t rows, int64_t cols) {
+    BA_CHECK_GE(rows, 0);
+    BA_CHECK_GE(cols, 0);
+    shape_.assign({rows, cols});
+    data_.assign(static_cast<size_t>(rows * cols), 0.0f);
+  }
+
   /// In-place element-wise addition of a same-shaped tensor.
   void AddInPlace(const Tensor& other) {
     BA_CHECK(SameShape(other));
     for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  }
+
+  /// In-place element-wise (Hadamard) product with a same-shaped tensor.
+  void MulInPlace(const Tensor& other) {
+    BA_CHECK(SameShape(other));
+    for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
   }
 
   /// In-place multiplication by a scalar.
@@ -158,11 +174,26 @@ class Tensor {
 
 /// Column sums of a rank-2 tensor: (m,n) -> (1,n). Rows accumulate in
 /// ascending order, so every caller (the autograd SumRows op and the
-/// int8 embed's SUM readout, Eq. 15) gets the same bits.
+/// value-level SUM readouts, Eq. 15) gets the same bits.
 Tensor SumRowsValue(const Tensor& a);
+
+/// Column maxima of a rank-2 tensor with at least one row: (m,n) ->
+/// (1,n). The first row holding a column's maximum wins; its index is
+/// written to `argmax` (resized to n) when that is non-null.
+Tensor MaxRowsValue(const Tensor& a, std::vector<int64_t>* argmax = nullptr);
+
+// Element-wise nonlinearities on values. The autograd ops (Relu,
+// Sigmoid, Tanh) and every value-level forward call these, so the
+// taped and tape-free paths share one expression per function.
+void ReluInPlace(Tensor* t);
+void SigmoidInPlace(Tensor* t);  ///< 1 / (1 + exp(-x))
+void TanhInPlace(Tensor* t);
 
 /// Dense matrix product C = A·B for rank-2 tensors (m,k)x(k,n).
 Tensor MatMulValue(const Tensor& a, const Tensor& b);
+
+/// MatMulValue into a caller-owned `c`, resized to (m,n) in place.
+void MatMulInto(const Tensor& a, const Tensor& b, Tensor* c);
 
 /// Dense product with A transposed: C = Aᵀ·B for (k,m)ᵀ x (k,n).
 Tensor MatMulTransposeAValue(const Tensor& a, const Tensor& b);

@@ -56,9 +56,15 @@ bool FileExists(const std::string& path);
 /// \brief Test-only fault injection at named persistence and serving
 /// fault points.
 ///
-/// Production code calls `ShouldFail(point)` at each fault point; the
-/// call is a cheap counter bump unless a test armed the point. Four
-/// arming modes:
+/// Production code calls `ShouldFail(point)` at each fault point. The
+/// call is not free even when nothing is armed: it builds a
+/// `std::string` from the point name (a heap allocation past 15
+/// characters, e.g. `serve.batch.lookup`), takes the process-wide
+/// injector mutex and bumps the point's hit counter in a map. On a
+/// 4-vCPU Xeon a loop of calls on an unarmed 18-character point read
+/// about 45-70 ns per call on one thread and 650-720 ns on each of
+/// three, so concurrent callers serialize on the mutex. Four arming
+/// modes:
 ///
 ///  * `Arm(point, nth)`           — the nth upcoming hit fails, once
 ///                                  (1 = the very next), so a test can

@@ -289,7 +289,9 @@ TEST(LedgerSnapshotTest, ConcurrentWriterAndSnapshotReaders) {
 // to 200k, about 2 s at most) while two readers check that the newest
 // pinned transaction never lies above `height()`. A pending coinbase,
 // applied but not yet sealed, is stamped `height()` itself, so the
-// bound is `block_height < height() + 1`.
+// bound is `block_height < height() + 1`. The readers also walk the
+// pinned tip block's transaction-id range: every id in it is pinned and
+// stamped with the tip's height.
 TEST(LedgerSnapshotTest, NewestPinnedTransactionNeverAboveHeight) {
   Ledger ledger = MakeLedger();
   const AddressId payout = ledger.NewAddress();
@@ -320,6 +322,13 @@ TEST(LedgerSnapshotTest, NewestPinnedTransactionNeverAboveHeight) {
             snap.tx(snap.num_transactions() - 1);
         if (newest.block_height >= snap.height() + 1) {
           violations.fetch_add(1, std::memory_order_relaxed);
+        }
+        const chain::Block& tip = snap.block(snap.height() - 1);
+        for (const TxId id : tip.transactions) {
+          if (id >= snap.num_transactions() ||
+              snap.tx(id).block_height != tip.height) {
+            violations.fetch_add(1, std::memory_order_relaxed);
+          }
         }
         snapshots.fetch_add(1, std::memory_order_relaxed);
       } while (!done.load(std::memory_order_acquire));

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -232,6 +233,43 @@ TEST(GemmParityTest, KBlockingAndAPackingAreBitExactAcrossRowSplits) {
       for (int64_t i = 0; i < whole.numel(); ++i) {
         ASSERT_EQ(whole.data()[i], parts.data()[i])
             << "as_p=" << l.as_p << " split=" << split << " elem " << i;
+      }
+    }
+  }
+}
+
+TEST(GemmTest, RowsAreBitIdenticalAloneAndInATile) {
+  // A one-row product runs the one-row micro-kernel; the same row inside
+  // an m-row product runs in a 4-row tile (full or edge). Both must keep
+  // one ascending-p chain per element and the same chunk fold, so row i
+  // of the m-row result equals the one-row call on row i bit for bit,
+  // on full and ragged column panels, across k-chunk boundaries and in
+  // both A layouts.
+  Rng rng(26);
+  const int64_t k = internal::kKc + 45;
+  for (const int64_t n : {int64_t{5}, int64_t{16}, int64_t{37}}) {
+    const Tensor b = Tensor::RandomUniform({k, n}, &rng, -1.0f, 1.0f);
+    for (int64_t m = 1; m <= 9; ++m) {
+      const Tensor a = Tensor::RandomUniform({m, k}, &rng, -1.0f, 1.0f);
+      const Tensor at = Tensor::RandomUniform({k, m}, &rng, -1.0f, 1.0f);
+      struct Layout {
+        const float* a;
+        int64_t as_i, as_p;
+      };
+      for (const Layout& l : {Layout{a.data(), k, 1}, Layout{at.data(), 1, m}}) {
+        Tensor whole({m, n});
+        internal::GemmDispatch(l.a, l.as_i, l.as_p, b.data(), whole.data(), m,
+                               k, n);
+        for (int64_t i = 0; i < m; ++i) {
+          Tensor row({1, n});
+          internal::GemmDispatch(l.a + i * l.as_i, l.as_i, l.as_p, b.data(),
+                                 row.data(), 1, k, n);
+          EXPECT_EQ(std::memcmp(row.data(), whole.data() + i * n,
+                                sizeof(float) * static_cast<size_t>(n)),
+                    0)
+              << "m=" << m << " n=" << n << " row " << i
+              << " as_p=" << l.as_p;
+        }
       }
     }
   }
