@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 #include <utility>
 
 #include "util/logging.h"
@@ -140,8 +139,7 @@ Ledger::Ledger(Ledger&& other) noexcept
       pending_(std::move(other.pending_)),
       pending_has_coinbase_(other.pending_has_coinbase_),
       last_seal_time_(other.last_seal_time_),
-      utxos_(std::move(other.utxos_)),
-      address_utxo_keys_(std::move(other.address_utxo_keys_)),
+      live_outputs_(std::move(other.live_outputs_)),
       total_minted_(other.total_minted_),
       total_fees_(other.total_fees_) {
   other.published_txs_.store(0, std::memory_order_relaxed);
@@ -160,8 +158,7 @@ Ledger& Ledger::operator=(Ledger&& other) noexcept {
     pending_ = std::move(other.pending_);
     pending_has_coinbase_ = other.pending_has_coinbase_;
     last_seal_time_ = other.last_seal_time_;
-    utxos_ = std::move(other.utxos_);
-    address_utxo_keys_ = std::move(other.address_utxo_keys_);
+    live_outputs_ = std::move(other.live_outputs_);
     total_minted_ = other.total_minted_;
     total_fees_ = other.total_fees_;
   }
@@ -198,7 +195,7 @@ LedgerSnapshot Ledger::SnapshotAt(uint64_t num_transactions) const {
 AddressId Ledger::NewAddress() {
   const AddressId id = static_cast<AddressId>(address_txs_.size());
   address_txs_.Append();  // publishes an empty tx list for the address
-  address_utxo_keys_.emplace_back();
+  live_outputs_.emplace_back();
   return id;
 }
 
@@ -280,9 +277,8 @@ Result<TxId> Ledger::ApplyCoinbase(
   }
 
   for (uint32_t i = 0; i < tx.outputs.size(); ++i) {
-    const OutPoint op{tx.txid, i};
-    utxos_[op.Key()] = {tx.outputs[i], blocks_.size()};
-    address_utxo_keys_[tx.outputs[i].address].push_back(op.Key());
+    live_outputs_[tx.outputs[i].address].push_back(
+        {OutPoint{tx.txid, i}.Key(), tx.outputs[i].value});
   }
   total_minted_ += subsidy;
   pending_.transactions.push_back(tx.txid);
@@ -307,31 +303,30 @@ Result<TxId> Ledger::ApplyTransaction(const TxDraft& draft) {
   if (draft.outputs.empty()) {
     return Status::InvalidArgument("transaction has no outputs");
   }
-  // Reject duplicate inputs within the draft itself.
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(draft.inputs.size());
-  for (const auto& op : draft.inputs) {
-    if (!seen.insert(op.Key()).second) {
-      return Status::InvalidArgument("duplicate input outpoint in draft");
-    }
+  // Reject duplicate inputs within the draft itself: sort a reused
+  // copy of the keys and look for equal neighbours.
+  input_keys_.clear();
+  for (const auto& op : draft.inputs) input_keys_.push_back(op.Key());
+  std::sort(input_keys_.begin(), input_keys_.end());
+  if (std::adjacent_find(input_keys_.begin(), input_keys_.end()) !=
+      input_keys_.end()) {
+    return Status::InvalidArgument("duplicate input outpoint in draft");
   }
 
   Transaction tx;
   tx.inputs.reserve(draft.inputs.size());
   Amount in_value = 0;
   for (const auto& op : draft.inputs) {
-    auto it = utxos_.find(op.Key());
-    if (it == utxos_.end()) {
+    const LiveOutput* live = FindLive(op);
+    if (live == nullptr) {
       return Status::NotFound("input outpoint not found or already spent");
     }
-    const UtxoEntry& entry = it->second;
-    const Transaction& source = transactions_[op.txid];
-    if (source.coinbase && blocks_.size() <
-        entry.confirmed_height + options_.coinbase_maturity) {
+    if (!IsSpendable(*live)) {
       return Status::FailedPrecondition("coinbase output not yet mature");
     }
-    tx.inputs.push_back({op, entry.out.address, entry.out.value});
-    in_value += entry.out.value;
+    tx.inputs.push_back(
+        {op, transactions_[op.txid].outputs[op.index].address, live->value});
+    in_value += live->value;
   }
 
   Amount out_value = 0;
@@ -356,15 +351,14 @@ Result<TxId> Ledger::ApplyTransaction(const TxDraft& draft) {
   tx.outputs = draft.outputs;
 
   for (const auto& in : tx.inputs) {
-    utxos_.erase(in.prevout.Key());
-    auto& keys = address_utxo_keys_[in.address];
-    keys.erase(std::remove(keys.begin(), keys.end(), in.prevout.Key()),
-               keys.end());
+    auto& list = live_outputs_[in.address];
+    const uint64_t key = in.prevout.Key();
+    list.erase(std::find_if(list.begin(), list.end(),
+                            [key](const LiveOutput& o) { return o.key == key; }));
   }
   for (uint32_t i = 0; i < tx.outputs.size(); ++i) {
-    const OutPoint op{tx.txid, i};
-    utxos_[op.Key()] = {tx.outputs[i], blocks_.size()};
-    address_utxo_keys_[tx.outputs[i].address].push_back(op.Key());
+    live_outputs_[tx.outputs[i].address].push_back(
+        {OutPoint{tx.txid, i}.Key(), tx.outputs[i].value});
   }
   total_fees_ += in_value - out_value;
   pending_.transactions.push_back(tx.txid);
@@ -415,16 +409,14 @@ std::vector<TxId> Ledger::TransactionsOf(AddressId address) const {
 }
 
 std::vector<Utxo> Ledger::UnspentOf(AddressId address) const {
-  BA_CHECK_LT(address, address_utxo_keys_.size());
+  const std::span<const LiveOutput> live = LiveOutputsOf(address);
   std::vector<Utxo> out;
-  out.reserve(address_utxo_keys_[address].size());
-  for (uint64_t key : address_utxo_keys_[address]) {
-    auto it = utxos_.find(key);
-    BA_CHECK(it != utxos_.end());
+  out.reserve(live.size());
+  for (const LiveOutput& o : live) {
     Utxo u;
-    u.outpoint = OutPoint{key >> 20, static_cast<uint32_t>(key & 0xFFFFF)};
-    u.value = it->second.out.value;
-    u.confirmed_height = it->second.confirmed_height;
+    u.outpoint = o.outpoint();
+    u.value = o.value;
+    u.confirmed_height = transactions_[o.txid()].block_height;
     out.push_back(u);
   }
   return out;
@@ -432,20 +424,28 @@ std::vector<Utxo> Ledger::UnspentOf(AddressId address) const {
 
 Amount Ledger::BalanceOf(AddressId address) const {
   Amount total = 0;
-  for (const auto& u : UnspentOf(address)) {
-    const Transaction& source = transactions_[u.outpoint.txid];
-    if (source.coinbase &&
-        blocks_.size() < u.confirmed_height + options_.coinbase_maturity) {
-      continue;  // immature coinbase
-    }
-    total += u.value;
+  for (const LiveOutput& o : LiveOutputsOf(address)) {
+    if (IsSpendable(o)) total += o.value;  // else an immature coinbase
   }
   return total;
 }
 
+const LiveOutput* Ledger::FindLive(const OutPoint& op) const {
+  if (op.txid >= transactions_.size()) return nullptr;
+  const Transaction& source = transactions_[op.txid];
+  if (op.index >= source.outputs.size()) return nullptr;
+  const uint64_t key = op.Key();
+  for (const LiveOutput& o : live_outputs_[source.outputs[op.index].address]) {
+    if (o.key == key) return &o;
+  }
+  return nullptr;  // spent
+}
+
 Status Ledger::CheckConservation() const {
   Amount utxo_total = 0;
-  for (const auto& [key, entry] : utxos_) utxo_total += entry.out.value;
+  for (const auto& list : live_outputs_) {
+    for (const LiveOutput& o : list) utxo_total += o.value;
+  }
   const Amount expected = total_minted_ - total_fees_;
   if (utxo_total != expected) {
     return Status::Internal(
@@ -456,10 +456,13 @@ Status Ledger::CheckConservation() const {
 }
 
 void Ledger::IndexTransaction(const Transaction& tx) {
-  std::unordered_set<AddressId> touched;
-  for (const auto& in : tx.inputs) touched.insert(in.address);
-  for (const auto& out : tx.outputs) touched.insert(out.address);
-  for (AddressId a : touched) address_txs_.MutableAt(a).push_back(tx.txid);
+  touched_.clear();
+  for (const auto& in : tx.inputs) touched_.push_back(in.address);
+  for (const auto& out : tx.outputs) touched_.push_back(out.address);
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+  for (AddressId a : touched_) address_txs_.MutableAt(a).push_back(tx.txid);
 }
 
 }  // namespace ba::chain

@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "chain/types.h"
@@ -34,10 +34,11 @@
 /// per-address tx lists) lives in `util::ChunkedVector`s whose elements
 /// never move once published, and every publication is a release store
 /// paired with acquire loads on the read side. The UTXO set and balance
-/// accessors (`UnspentOf`, `BalanceOf`, `CheckConservation`) are backed
-/// by mutator-private hash maps and are **not** safe to call
-/// concurrently with mutation — use the snapshot versions, which replay
-/// the address's pinned history instead.
+/// accessors (`LiveOutputsOf`, `UnspentOf`, `BalanceOf`,
+/// `CheckConservation`) read a mutator-private index, one flat list of
+/// live outputs per address, and are **not** safe to call concurrently
+/// with mutation — use the snapshot versions, which replay the
+/// address's pinned history instead.
 ///
 /// Moving a Ledger is not thread-safe and invalidates all snapshots and
 /// references obtained from the source.
@@ -55,6 +56,18 @@ struct LedgerOptions {
   /// Target seconds between blocks (used by callers that auto-advance
   /// time; the ledger itself accepts any non-decreasing timestamps).
   int64_t block_interval_seconds = 600;
+};
+
+/// \brief One entry of an address's live-output list: an unspent
+/// outpoint, packed as `OutPoint::Key()`, and its value.
+struct LiveOutput {
+  uint64_t key = 0;
+  Amount value = 0;
+
+  TxId txid() const { return key >> 20; }
+  OutPoint outpoint() const {
+    return OutPoint{key >> 20, static_cast<uint32_t>(key & 0xFFFFF)};
+  }
 };
 
 /// \brief A pinned epoch of a Ledger: O(1) to capture, immune to
@@ -246,13 +259,33 @@ class Ledger {
   /// `Snapshot().TransactionsOf(...)`.
   std::vector<TxId> TransactionsOf(AddressId address) const;
 
-  /// Current unspent outputs owned by `address`. Mutator-thread only
-  /// (reads the live UTXO map); concurrent readers should use
-  /// `Snapshot().UnspentOf(...)`.
+  /// The live outputs of `address` in creation order, as a view of the
+  /// mutator-private index: no copy and no lookup. Mature and immature
+  /// outputs alike (see IsSpendable). The view is invalidated by the
+  /// next ApplyCoinbase / ApplyTransaction / NewAddress. Mutator-thread
+  /// only; concurrent readers should use `Snapshot().UnspentOf(...)`.
+  std::span<const LiveOutput> LiveOutputsOf(AddressId address) const {
+    BA_CHECK_LT(address, live_outputs_.size());
+    return live_outputs_[address];
+  }
+
+  /// True when `out` may be spent in the pending block: it is not a
+  /// coinbase output younger than `coinbase_maturity` blocks. Reads the
+  /// source transaction only when the maturity rule is on.
+  bool IsSpendable(const LiveOutput& out) const {
+    if (options_.coinbase_maturity == 0) return true;
+    const Transaction& source = transactions_[out.txid()];
+    return !source.coinbase ||
+           blocks_.size() >= source.block_height + options_.coinbase_maturity;
+  }
+
+  /// Current unspent outputs owned by `address`, in creation order: a
+  /// copy of LiveOutputsOf() with each output's confirmation height.
+  /// Mutator-thread only, like LiveOutputsOf().
   std::vector<Utxo> UnspentOf(AddressId address) const;
 
-  /// Spendable balance of `address` (sum of its mature UTXOs).
-  /// Mutator-thread only, like UnspentOf().
+  /// Spendable balance of `address` (sum of its mature UTXOs): one pass
+  /// over LiveOutputsOf(). Mutator-thread only, like LiveOutputsOf().
   Amount BalanceOf(AddressId address) const;
 
   /// Total satoshis ever minted via coinbase subsidies.
@@ -262,17 +295,17 @@ class Ledger {
   Amount total_fees() const { return total_fees_; }
 
   /// \brief Verifies the global conservation invariant:
-  /// sum of UTXO values == minted - fees. O(UTXO set). Mutator-thread
-  /// only.
+  /// sum of UTXO values == minted - fees. O(addresses + UTXO set).
+  /// Mutator-thread only.
   Status CheckConservation() const;
 
  private:
   friend class LedgerSnapshot;
 
-  struct UtxoEntry {
-    TxOut out;
-    uint64_t confirmed_height = 0;  // height of containing block
-  };
+  /// The live entry `op` names, or nullptr when `op` names no output
+  /// (unknown txid, index out of range) or one already spent. One
+  /// search of the owner's list.
+  const LiveOutput* FindLive(const OutPoint& op) const;
 
   /// Records `txid` in the per-address index for each distinct address
   /// the transaction touches. Must run before the transaction is
@@ -298,8 +331,14 @@ class Ledger {
   Block pending_;
   bool pending_has_coinbase_ = false;
   Timestamp last_seal_time_ = 0;
-  std::unordered_map<uint64_t, UtxoEntry> utxos_;  // OutPoint::Key() -> entry
-  std::vector<std::vector<uint64_t>> address_utxo_keys_;  // live outpoints
+  // The UTXO set: per address, its live outputs in creation order. An
+  // output's owner is its source transaction's output address, so an
+  // outpoint is found by one search of one list, with no global map.
+  std::vector<std::vector<LiveOutput>> live_outputs_;
+  // Reused per-transaction scratch: draft input keys (duplicate check)
+  // and the addresses a transaction touches (index dedupe).
+  std::vector<uint64_t> input_keys_;
+  std::vector<AddressId> touched_;
   Amount total_minted_ = 0;
   Amount total_fees_ = 0;
 };

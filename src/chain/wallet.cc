@@ -1,6 +1,7 @@
 #include "chain/wallet.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -22,43 +23,44 @@ Amount Wallet::Balance() const {
 
 Result<Wallet::Selected> Wallet::SelectCoins(Amount target,
                                              CoinSelection selection) const {
+  // Each mature output becomes a candidate ranked by the selection
+  // order, with its position in wallet order (`seq`) breaking ties —
+  // the order a stable sort of the wallet-ordered list would give. A
+  // heap then yields candidates only until the target is covered.
   struct Candidate {
-    Utxo utxo;
+    uint64_t rank;
+    uint64_t seq;
+    LiveOutput out;
     AddressId owner;
   };
-  std::vector<Candidate> candidates;
+  const auto later = [](const Candidate& x, const Candidate& y) {
+    return x.rank != y.rank ? x.rank > y.rank : x.seq > y.seq;
+  };
+  thread_local std::vector<Candidate> heap;
+  heap.clear();
   for (AddressId a : addresses_) {
-    for (const auto& u : ledger_->UnspentOf(a)) {
-      const Transaction& source = ledger_->tx(u.outpoint.txid);
-      if (source.coinbase &&
-          ledger_->height() <
-              u.confirmed_height + ledger_->options().coinbase_maturity) {
-        continue;
-      }
-      candidates.push_back({u, a});
+    for (const LiveOutput& o : ledger_->LiveOutputsOf(a)) {
+      if (!ledger_->IsSpendable(o)) continue;
+      // Largest first ranks by descending value (values are positive),
+      // oldest first by ascending txid.
+      const uint64_t rank =
+          selection == CoinSelection::kLargestFirst
+              ? static_cast<uint64_t>(std::numeric_limits<Amount>::max() -
+                                      o.value)
+              : o.txid();
+      heap.push_back({rank, heap.size(), o, a});
     }
   }
-  switch (selection) {
-    case CoinSelection::kLargestFirst:
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [](const Candidate& x, const Candidate& y) {
-                         return x.utxo.value > y.utxo.value;
-                       });
-      break;
-    case CoinSelection::kOldestFirst:
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [](const Candidate& x, const Candidate& y) {
-                         return x.utxo.outpoint.txid < y.utxo.outpoint.txid;
-                       });
-      break;
-  }
+  std::make_heap(heap.begin(), heap.end(), later);
 
   Selected sel;
-  for (const auto& c : candidates) {
-    if (sel.total >= target) break;
+  for (auto end = heap.end(); sel.total < target && end != heap.begin();
+       --end) {
+    std::pop_heap(heap.begin(), end, later);
+    const Candidate& c = end[-1];
     if (sel.first_source == kInvalidAddress) sel.first_source = c.owner;
-    sel.inputs.push_back(c.utxo.outpoint);
-    sel.total += c.utxo.value;
+    sel.inputs.push_back(c.out.outpoint());
+    sel.total += c.out.value;
   }
   if (sel.total < target) {
     return Status::FailedPrecondition(

@@ -78,6 +78,14 @@ class Wallet {
 
   /// Gathers mature UTXOs across wallet addresses until `target` is
   /// covered; fails with FailedPrecondition on insufficient funds.
+  ///
+  /// Order: kLargestFirst takes value descending, kOldestFirst txid
+  /// ascending; ties go to wallet order (address order of
+  /// `addresses()`, then each address's outputs in creation order).
+  /// Cost: O(A + U + s log U) for A wallet addresses, U mature outputs
+  /// and s outputs selected — one pass over the ledger's per-address
+  /// lists, a heap built in place in a reused thread-local buffer, and
+  /// one pop per selected output. No per-address copy, no hash lookup.
   Result<Selected> SelectCoins(Amount target, CoinSelection selection) const;
 
   Ledger* ledger_;

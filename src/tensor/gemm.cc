@@ -250,29 +250,81 @@ void MicroKernelRowFull(const float* __restrict a, const float* __restrict b,
   if (panels > 3) StorePanel(c + 3 * kNr, acc3, accumulate);
 }
 
-/// One-row tile on a ragged panel (nr < NR): the same expression per
-/// element with a runtime jn bound.
+/// Four floats as one GCC vector (one SSE register in every clone): the
+/// window the ragged one-row kernel loads and accumulates.
+typedef float QuadVec __attribute__((vector_size(4 * sizeof(float))));
+
+inline QuadVec& LoadQuad(QuadVec& v, const float* p) {
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// One-row tile on a ragged panel (nr < NR) of a row at least 4 wide:
+/// the panel is covered by ceil(nr/4) four-float windows, each
+/// accumulated in one vector with MicroKernelRowFull's per-element
+/// expression. The windows start at the panel's columns 0, 4 and 8,
+/// and the last one ends at the row's end, so every load stays inside
+/// the row: when nr is not a multiple of 4 the last window overlaps
+/// the window (or full panel) before it. An overlapped lane computes
+/// the same chain as the column it shadows and is never stored, so
+/// each stored element is still one ascending-p chain, folded into C
+/// in chunk order. The guards on `windows` are loop-invariant.
 BA_GEMM_CLONES
 void MicroKernelRowEdge(const float* __restrict a, const float* __restrict b,
                         float* __restrict c, int64_t k, int64_t n, int64_t nr,
                         bool accumulate) {
-  float acc[kNr] = {};
+  const int64_t windows = (nr + 3) / 4;
+  const int64_t last = nr - 4;  // last window's offset; -3..11
+  QuadVec acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {}, bv;
   for (int64_t p = 0; p < k; ++p) {
     const float* __restrict brow = b + p * n;
     const float a0 = a[p];
-    for (int64_t jn = 0; jn < nr; ++jn) acc[jn] += a0 * brow[jn];
+    acc0 += a0 * LoadQuad(bv, brow + last);
+    if (windows > 1) acc1 += a0 * LoadQuad(bv, brow);
+    if (windows > 2) acc2 += a0 * LoadQuad(bv, brow + 4);
+    if (windows > 3) acc3 += a0 * LoadQuad(bv, brow + 8);
   }
-  if (accumulate) {
-    for (int64_t jn = 0; jn < nr; ++jn) c[jn] += acc[jn];
-  } else {
-    for (int64_t jn = 0; jn < nr; ++jn) c[jn] = acc[jn];
+  const QuadVec* const accs[3] = {&acc1, &acc2, &acc3};
+  for (int64_t w = 0; w + 1 < windows; ++w) {
+    QuadVec v = *accs[w];
+    if (accumulate) {
+      QuadVec old;
+      v += LoadQuad(old, c + 4 * w);
+    }
+    std::memcpy(c + 4 * w, &v, sizeof(v));
+  }
+  // The last window's lanes from the first column no earlier window
+  // covered.
+  float lanes[4];
+  std::memcpy(lanes, &acc0, sizeof(lanes));
+  for (int64_t l = 4 * (windows - 1) - last; l < 4; ++l) {
+    c[last + l] = accumulate ? c[last + l] + lanes[l] : lanes[l];
+  }
+}
+
+/// One-row tile of a row narrower than one window (n < 4): a scalar
+/// chain per element, the same expression.
+BA_GEMM_CLONES
+void MicroKernelRowNarrow(const float* a, const float* b, float* c, int64_t k,
+                          int64_t n, bool accumulate) {
+  float acc[3] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t jn = 0; jn < n; ++jn) acc[jn] += a[p] * b[p * n + jn];
+  }
+  for (int64_t jn = 0; jn < n; ++jn) {
+    c[jn] = accumulate ? c[jn] + acc[jn] : acc[jn];
   }
 }
 
 /// One row across all n columns for one k-chunk: full panels
-/// kRowPanels at a time, then the ragged rest.
+/// kRowPanels at a time, then the ragged rest; a row under one window
+/// wide runs the scalar kernel.
 void RowSweep(const float* a, const float* b, float* c, int64_t k, int64_t n,
               bool accumulate) {
+  if (n < 4) {
+    MicroKernelRowNarrow(a, b, c, k, n, accumulate);
+    return;
+  }
   const int64_t full = n / kNr * kNr;
   for (int64_t j = 0; j < full; j += kRowPanels * kNr) {
     MicroKernelRowFull(a, b + j, c + j, k, n,

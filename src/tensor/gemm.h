@@ -16,8 +16,9 @@
 ///  - register tiling: MR×NR = 4×16 accumulator tile, B rows accessed
 ///    contiguously so the inner loop vectorizes without -ffast-math;
 ///    a lone last row runs one-row kernels (up to four panels per
-///    pass) with the same per-element chain, so a row's bits do not
-///    depend on the tile it lands in;
+///    pass, a ragged panel in four-float windows) with the same
+///    per-element chain, so a row's bits do not depend on the tile it
+///    lands in;
 ///  - k-blocking: the shared dimension is walked in kKc-sized chunks
 ///    so the per-chunk working set (A chunk + C + one B column panel)
 ///    stays inside L2 at 512³ and above;

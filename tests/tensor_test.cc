@@ -275,6 +275,32 @@ TEST(GemmTest, RowsAreBitIdenticalAloneAndInATile) {
   }
 }
 
+TEST(GemmTest, RaggedRowWindowsAreBitIdenticalAtEveryWidth) {
+  // The ragged one-row panel loads overlapping four-float windows, and
+  // rows under four floats run a scalar chain. At every width up to
+  // three full panels, with and without a full panel before the ragged
+  // one and across a k-chunk boundary, a one-row call must equal that
+  // row inside a 4-row tile bit for bit.
+  Rng rng(29);
+  for (const int64_t k : {int64_t{7}, internal::kKc + 3}) {
+    for (int64_t n = 1; n <= 48; ++n) {  // three 16-float panels
+      const Tensor a = Tensor::RandomUniform({4, k}, &rng, -1.0f, 1.0f);
+      const Tensor b = Tensor::RandomUniform({k, n}, &rng, -1.0f, 1.0f);
+      Tensor tile({4, n});
+      internal::GemmDispatch(a.data(), k, 1, b.data(), tile.data(), 4, k, n);
+      for (int64_t i = 0; i < 4; ++i) {
+        Tensor row({1, n});
+        internal::GemmDispatch(a.data() + i * k, k, 1, b.data(), row.data(), 1,
+                               k, n);
+        EXPECT_EQ(std::memcmp(row.data(), tile.data() + i * n,
+                              sizeof(float) * static_cast<size_t>(n)),
+                  0)
+            << "k=" << k << " n=" << n << " row " << i;
+      }
+    }
+  }
+}
+
 TEST(TensorTest, ToStringTruncates) {
   Tensor t({1, 20});
   const std::string s = t.ToString(4);
