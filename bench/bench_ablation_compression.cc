@@ -50,9 +50,12 @@ int main(int argc, char** argv) {
     dopts.construction.similarity_threshold = v.psi;
     dopts.construction.use_sparse_similarity =
         v.name.find("sparse") != std::string::npos;
-    ba::core::GraphDatasetBuilder builder(dopts);
-    const auto train = builder.Build(simulator.ledger(), split.train);
-    const auto test = builder.Build(simulator.ledger(), split.test);
+    const ba::chain::LedgerSnapshot snapshot = simulator.ledger().Snapshot();
+    ba::core::StageTimings timings;
+    const auto train =
+        ba::core::BuildAddressSamples(snapshot, split.train, dopts, &timings);
+    const auto test =
+        ba::core::BuildAddressSamples(snapshot, split.test, dopts, &timings);
 
     int64_t graphs = 0, nodes = 0;
     for (const auto& s : train) {
@@ -76,7 +79,7 @@ int main(int argc, char** argv) {
     table.AddRow({v.name, ba::TablePrinter::Num(avg_nodes, 1),
                   ba::TablePrinter::Num(avg_nodes / baseline_nodes * 100.0, 1) +
                       "% of raw",
-                  ba::TablePrinter::Num(builder.timings().TotalSeconds(), 2),
+                  ba::TablePrinter::Num(timings.TotalSeconds(), 2),
                   ba::TablePrinter::Num(cm.WeightedAverage().f1)});
     std::cout << "[done] " << v.name << "\n";
   }

@@ -24,9 +24,11 @@ int main(int argc, char** argv) {
   for (int k : {0, 1, 2, 3, 4}) {
     ba::core::GraphDatasetOptions dopts;
     dopts.k_hops = k;
-    ba::core::GraphDatasetBuilder builder(dopts);
-    const auto train = builder.Build(simulator.ledger(), split.train);
-    const auto test = builder.Build(simulator.ledger(), split.test);
+    const ba::chain::LedgerSnapshot snapshot = simulator.ledger().Snapshot();
+    const auto train =
+        ba::core::BuildAddressSamples(snapshot, split.train, dopts);
+    const auto test =
+        ba::core::BuildAddressSamples(snapshot, split.test, dopts);
 
     ba::core::GraphModelOptions opts;
     opts.k_hops = k;

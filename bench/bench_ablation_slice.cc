@@ -24,9 +24,12 @@ int main(int argc, char** argv) {
   for (int slice : {25, 50, 100, 200}) {
     ba::core::GraphDatasetOptions dopts;
     dopts.construction.slice_size = slice;
-    ba::core::GraphDatasetBuilder builder(dopts);
-    const auto train = builder.Build(simulator.ledger(), split.train);
-    const auto test = builder.Build(simulator.ledger(), split.test);
+    const ba::chain::LedgerSnapshot snapshot = simulator.ledger().Snapshot();
+    ba::core::StageTimings timings;
+    const auto train =
+        ba::core::BuildAddressSamples(snapshot, split.train, dopts, &timings);
+    const auto test =
+        ba::core::BuildAddressSamples(snapshot, split.test, dopts, &timings);
 
     int64_t graphs = 0, nodes = 0;
     for (const auto& s : train) {
@@ -49,7 +52,7 @@ int main(int argc, char** argv) {
                       static_cast<double>(nodes) /
                           static_cast<double>(std::max<int64_t>(1, graphs)),
                       1),
-                  ba::TablePrinter::Num(builder.timings().TotalSeconds(), 2),
+                  ba::TablePrinter::Num(timings.TotalSeconds(), 2),
                   ba::TablePrinter::Num(cm.WeightedAverage().f1)});
     std::cout << "[done] slice=" << slice << "\n";
   }

@@ -246,10 +246,13 @@ inline Experiment BuildExperiment(const CliFlags& flags, int threads,
 
   watch.Reset();
   watch.Start();
-  core::GraphDatasetBuilder builder(DatasetOptionsFromFlags(flags, threads));
-  exp.train = builder.Build(exp.simulator->ledger(), split.train);
-  exp.test = builder.Build(exp.simulator->ledger(), split.test);
-  exp.construction_timings = builder.timings();
+  const core::GraphDatasetOptions dopts =
+      DatasetOptionsFromFlags(flags, threads);
+  const chain::LedgerSnapshot snapshot = exp.simulator->ledger().Snapshot();
+  exp.train = core::BuildAddressSamples(snapshot, split.train, dopts,
+                                        &exp.construction_timings);
+  exp.test = core::BuildAddressSamples(snapshot, split.test, dopts,
+                                       &exp.construction_timings);
   watch.Stop();
   if (verbose) {
     std::cout << "[setup] materialized " << exp.train.size() << " train / "

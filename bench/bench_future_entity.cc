@@ -66,10 +66,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    ba::core::GraphDatasetBuilder builder(
-        ba::bench::DatasetOptionsFromFlags(flags, threads));
-    auto train = builder.Build(simulator.ledger(), train_a);
-    auto test = builder.Build(simulator.ledger(), test_a);
+    const auto dopts = ba::bench::DatasetOptionsFromFlags(flags, threads);
+    const ba::chain::LedgerSnapshot snapshot = simulator.ledger().Snapshot();
+    auto train = ba::core::BuildAddressSamples(snapshot, train_a, dopts);
+    auto test = ba::core::BuildAddressSamples(snapshot, test_a, dopts);
     for (auto* set : {&train, &test}) {
       for (auto& s : *set) s.label = entity_of.at(s.address);
     }

@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
   ba::Rng rng(config.seed);
   labeled = ba::datagen::StratifiedSample(labeled, 400, &rng);
   const auto split = ba::datagen::StratifiedSplit(labeled, 0.8, &rng);
-  ba::core::GraphDatasetBuilder builder;
-  const auto train = builder.Build(simulator.ledger(), split.train);
-  const auto test = builder.Build(simulator.ledger(), split.test);
+  const ba::chain::LedgerSnapshot snapshot = simulator.ledger().Snapshot();
+  const auto train = ba::core::BuildAddressSamples(snapshot, split.train, {});
+  const auto test = ba::core::BuildAddressSamples(snapshot, split.test, {});
 
   // --- Custom model, trained with the raw autograd API. ---------------
   ba::Rng model_rng(7);

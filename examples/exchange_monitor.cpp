@@ -87,17 +87,17 @@ int main(int argc, char** argv) {
   // Embedding trajectory under a freshly trained GFN.
   ba::core::GraphDatasetOptions dopts;
   dopts.construction = copts;
-  ba::core::GraphDatasetBuilder builder(dopts);
+  const ba::chain::LedgerSnapshot snapshot = simulator.ledger().Snapshot();
   ba::Rng rng(config.seed);
   auto sample_set = ba::datagen::StratifiedSample(labeled, 300, &rng);
-  const auto train = builder.Build(simulator.ledger(), sample_set);
+  const auto train = ba::core::BuildAddressSamples(snapshot, sample_set, dopts);
   ba::core::GraphModelOptions mopts;
   mopts.epochs = 15;
   ba::core::GraphModel gfn(mopts);
   gfn.Train(train);
 
-  const auto own = builder.Build(
-      simulator.ledger(), {{hot, ba::datagen::BehaviorLabel::kExchange}});
+  const auto own = ba::core::BuildAddressSamples(
+      snapshot, {{hot, ba::datagen::BehaviorLabel::kExchange}}, dopts);
   BA_CHECK(!own.empty());
   std::cout << "\nGFN embedding trajectory (first 6 dims per slice):\n";
   for (const auto& gt : own[0].tensors) {

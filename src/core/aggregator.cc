@@ -265,22 +265,18 @@ metrics::ConfusionMatrix AggregatorModel::Evaluate(
 }
 
 std::vector<EmbeddingSequence> BuildEmbeddingSequences(
-    const GraphModel& model, const std::vector<AddressSample>& samples) {
+    const GraphModel& model, std::span<const AddressSample> samples) {
   std::vector<EmbeddingSequence> out;
   out.reserve(samples.size());
   for (const auto& s : samples) {
     BA_CHECK_GT(s.num_graphs(), 0);
-    EmbeddingSequence seq;
-    seq.label = s.label;
-    seq.embeddings =
-        tensor::Tensor({s.num_graphs(), model.embed_dim()});
+    EmbeddingSequence& seq = out.emplace_back(EmbeddingSequence{
+        tensor::Tensor({s.num_graphs(), model.embed_dim()}), s.label});
     for (int g = 0; g < s.num_graphs(); ++g) {
       const tensor::Tensor e = model.Embed(s.tensors[static_cast<size_t>(g)]);
-      for (int64_t j = 0; j < model.embed_dim(); ++j) {
-        seq.embeddings.at(g, j) = e.at(0, j);
-      }
+      std::copy_n(e.data(), model.embed_dim(),
+                  seq.embeddings.data() + g * model.embed_dim());
     }
-    out.push_back(std::move(seq));
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,6 @@ class AggregatorModel {
 /// Builds the embedding sequences of `samples` under a trained graph
 /// model (inference mode).
 std::vector<EmbeddingSequence> BuildEmbeddingSequences(
-    const GraphModel& model, const std::vector<AddressSample>& samples);
+    const GraphModel& model, std::span<const AddressSample> samples);
 
 }  // namespace ba::core

@@ -23,42 +23,35 @@ EmbeddingScaler EmbeddingScaler::Fit(
     const std::vector<EmbeddingSequence>& sequences) {
   BA_CHECK(!sequences.empty());
   const int64_t dim = sequences[0].embeddings.dim(1);
-  EmbeddingScaler s;
-  s.mean.assign(static_cast<size_t>(dim), 0.0f);
-  s.stddev.assign(static_cast<size_t>(dim), 1.0f);
   int64_t rows = 0;
   std::vector<double> sum(static_cast<size_t>(dim), 0.0);
   std::vector<double> sq(static_cast<size_t>(dim), 0.0);
   for (const auto& seq : sequences) {
-    for (int64_t r = 0; r < seq.embeddings.dim(0); ++r) {
-      for (int64_t c = 0; c < dim; ++c) {
-        const double v = seq.embeddings.at(r, c);
-        sum[static_cast<size_t>(c)] += v;
-        sq[static_cast<size_t>(c)] += v * v;
+    const float* row = seq.embeddings.data();
+    for (int64_t r = 0; r < seq.embeddings.dim(0); ++r, row += dim, ++rows) {
+      for (size_t c = 0; c < sum.size(); ++c) {
+        sum[c] += row[c];
+        sq[c] += static_cast<double>(row[c]) * row[c];
       }
-      ++rows;
     }
   }
-  for (int64_t c = 0; c < dim; ++c) {
-    const double m = sum[static_cast<size_t>(c)] / static_cast<double>(rows);
-    const double var =
-        sq[static_cast<size_t>(c)] / static_cast<double>(rows) - m * m;
-    s.mean[static_cast<size_t>(c)] = static_cast<float>(m);
-    s.stddev[static_cast<size_t>(c)] =
-        static_cast<float>(std::sqrt(std::max(var, 1e-12)));
+  EmbeddingScaler s;
+  for (size_t c = 0; c < sum.size(); ++c) {
+    const double m = sum[c] / static_cast<double>(rows);
+    const double var = sq[c] / static_cast<double>(rows) - m * m;
+    s.mean.push_back(static_cast<float>(m));
+    s.stddev.push_back(static_cast<float>(std::sqrt(std::max(var, 1e-12))));
   }
   return s;
 }
 
 void EmbeddingScaler::Apply(std::vector<EmbeddingSequence>* sequences) const {
   for (auto& seq : *sequences) {
-    const int64_t dim = seq.embeddings.dim(1);
-    BA_CHECK_EQ(dim, static_cast<int64_t>(mean.size()));
-    for (int64_t r = 0; r < seq.embeddings.dim(0); ++r) {
-      for (int64_t c = 0; c < dim; ++c) {
-        seq.embeddings.at(r, c) =
-            (seq.embeddings.at(r, c) - mean[static_cast<size_t>(c)]) /
-            stddev[static_cast<size_t>(c)];
+    BA_CHECK_EQ(seq.embeddings.dim(1), static_cast<int64_t>(mean.size()));
+    float* row = seq.embeddings.data();
+    for (int64_t r = 0; r < seq.embeddings.dim(0); ++r, row += mean.size()) {
+      for (size_t c = 0; c < mean.size(); ++c) {
+        row[c] = (row[c] - mean[c]) / stddev[c];
       }
     }
   }
@@ -96,8 +89,7 @@ Status BaClassifier::BuildSamples(
     const std::vector<datagen::LabeledAddress>& addresses,
     std::vector<AddressSample>* out) const {
   BA_RETURN_NOT_OK(options_.dataset.Validate());
-  GraphDatasetBuilder builder(options_.dataset);
-  *out = builder.Build(ledger, addresses);
+  *out = BuildAddressSamples(ledger.Snapshot(), addresses, options_.dataset);
   return Status::OK();
 }
 
@@ -167,7 +159,7 @@ Status BaClassifier::PredictSample(const AddressSample& sample,
     return Status::OK();
   }
   std::vector<EmbeddingSequence> seq =
-      BuildEmbeddingSequences(*graph_model_, {sample});
+      BuildEmbeddingSequences(*graph_model_, std::span(&sample, 1));
   scaler_.Apply(&seq);
   *out = aggregator_->Predict(seq[0].embeddings);
   return Status::OK();
@@ -183,9 +175,11 @@ Status BaClassifier::Predict(
   }
   out->clear();
   out->reserve(addresses.size());
-  GraphDatasetBuilder builder(options_.dataset);
+  // One epoch answers the whole call; each address is built alone, so
+  // only one address's graphs are alive at a time.
+  const chain::LedgerSnapshot snapshot = ledger.Snapshot();
   for (const auto& a : addresses) {
-    const auto samples = builder.Build(ledger, {a});
+    const auto samples = BuildAddressSamples(snapshot, {a}, options_.dataset);
     int predicted = 0;
     if (!samples.empty()) {
       BA_RETURN_NOT_OK(PredictSample(samples[0], &predicted));
@@ -388,9 +382,8 @@ std::vector<tensor::Var> CheckpointTensors(const GraphModel& graph_model,
 }
 
 tensor::Var RowTensor(const std::vector<float>& values) {
-  tensor::Tensor t({1, static_cast<int64_t>(values.size())});
-  std::copy(values.begin(), values.end(), t.data());
-  return tensor::Param(std::move(t));
+  return tensor::Param(
+      tensor::Tensor({1, static_cast<int64_t>(values.size())}, values));
 }
 
 /// The two length-prefixed sections of a BACL body.
@@ -458,10 +451,8 @@ Status BaClassifier::InstallParameters(const std::string& image,
   BA_RETURN_NOT_OK(tensor::DeserializeParameters(
       CheckpointTensors(*graph_model_, *aggregator_, mean, stddev), image,
       context));
-  for (int64_t j = 0; j < dim; ++j) {
-    scaler_.mean[static_cast<size_t>(j)] = mean->value.at(0, j);
-    scaler_.stddev[static_cast<size_t>(j)] = stddev->value.at(0, j);
-  }
+  std::copy_n(mean->value.data(), dim, scaler_.mean.begin());
+  std::copy_n(stddev->value.data(), dim, scaler_.stddev.begin());
   trained_ = true;
   return Status::OK();
 }

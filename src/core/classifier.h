@@ -111,9 +111,9 @@ class BaClassifier {
   /// True once Quantize() has succeeded on the trained model.
   bool quantized() const;
 
-  /// \brief Predicted class per address into `*out` (order preserved;
-  /// addresses with empty history predict class 0). FailedPrecondition
-  /// when the model is untrained.
+  /// \brief Predicted class per address into `*out`, in order, all at
+  /// one ledger snapshot (an empty history predicts class 0).
+  /// FailedPrecondition when the model is untrained.
   Status Predict(const chain::Ledger& ledger,
                  const std::vector<datagen::LabeledAddress>& addresses,
                  std::vector<int>* out) const;

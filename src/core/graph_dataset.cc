@@ -1,5 +1,7 @@
 #include "core/graph_dataset.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -18,58 +20,48 @@ Status GraphDatasetOptions::Validate() const {
   return Status::OK();
 }
 
-GraphDatasetBuilder::GraphDatasetBuilder(GraphDatasetOptions options)
-    : options_(options) {
-  BA_CHECK_GE(options_.num_threads, 1);
-}
-
-std::vector<AddressSample> GraphDatasetBuilder::Build(
-    const chain::Ledger& ledger,
-    const std::vector<datagen::LabeledAddress>& addresses) {
+std::vector<AddressSample> BuildAddressSamples(
+    const chain::LedgerSnapshot& snapshot,
+    const std::vector<datagen::LabeledAddress>& addresses,
+    const GraphDatasetOptions& options, StageTimings* timings) {
+  BA_CHECK_GE(options.num_threads, 1);
   const size_t n = addresses.size();
+  const size_t threads = std::min<size_t>(options.num_threads, n);
   obs::ScopedSpan span("core.dataset.build");
   span.AddArg("addresses", static_cast<double>(n));
-  span.AddArg("threads", static_cast<double>(options_.num_threads));
+  span.AddArg("threads", static_cast<double>(threads));
   std::vector<AddressSample> samples(n);
-
-  // One snapshot for the whole build: every worker reads the same
-  // pinned epoch, so the dataset is consistent even if the ledger grows
-  // while construction runs.
-  const chain::LedgerSnapshot snapshot = ledger.Snapshot();
 
   // One constructor per address: it holds nothing but its timings, so
   // each address's stage times land in their own slot and fold in
   // address order whatever thread built them.
   std::vector<StageTimings> address_timings(n);
   auto build_one = [&](size_t i) {
-    GraphConstructor constructor(options_.construction);
+    GraphConstructor constructor(options.construction);
     AddressSample& sample = samples[i];
     sample.address = addresses[i].address;
     sample.label = static_cast<int>(addresses[i].label);
     sample.graphs = constructor.BuildGraphs(snapshot, addresses[i].address);
     sample.tensors.reserve(sample.graphs.size());
     for (const auto& g : sample.graphs) {
-      sample.tensors.push_back(PrepareGraphTensors(g, options_.k_hops));
+      sample.tensors.push_back(PrepareGraphTensors(g, options.k_hops));
     }
     address_timings[i] = constructor.timings();
   };
-  // The caller builds alongside num_threads - 1 workers, so at most
-  // num_threads threads build at once; one thread needs no pool.
-  if (options_.num_threads > 1) {
-    ThreadPool pool(static_cast<size_t>(options_.num_threads - 1));
+  // The caller builds alongside threads - 1 workers; one thread needs
+  // no pool.
+  if (threads > 1) {
+    ThreadPool pool(threads - 1);
     pool.ParallelFor(n, build_one);
   } else {
     for (size_t i = 0; i < n; ++i) build_one(i);
   }
-  for (const StageTimings& t : address_timings) timings_ += t;
-
-  // Drop empty histories.
-  std::vector<AddressSample> out;
-  out.reserve(samples.size());
-  for (auto& s : samples) {
-    if (!s.graphs.empty()) out.push_back(std::move(s));
+  if (timings != nullptr) {
+    for (const StageTimings& t : address_timings) *timings += t;
   }
-  return out;
+  std::erase_if(samples,
+                [](const AddressSample& s) { return s.graphs.empty(); });
+  return samples;
 }
 
 }  // namespace ba::core

@@ -9,8 +9,9 @@
 
 /// \file graph_dataset.h
 /// \brief Materialized per-address samples: the chronological graph
-/// list of §III-A plus the tensors the models consume, built once and
-/// shared across every experiment on the same split.
+/// list of §III-A plus the tensors the models consume. BuildAddressSamples
+/// builds them from one pinned ledger snapshot, once per split, and
+/// every experiment on that split shares them.
 
 namespace ba::core {
 
@@ -42,26 +43,15 @@ struct GraphDatasetOptions {
   Status Validate() const;
 };
 
-/// \brief Builds AddressSamples from ledger history.
-class GraphDatasetBuilder {
- public:
-  explicit GraphDatasetBuilder(GraphDatasetOptions options = {});
-
-  /// Materializes samples for every labeled address. Addresses whose
-  /// history yields no graphs are dropped.
-  std::vector<AddressSample> Build(
-      const chain::Ledger& ledger,
-      const std::vector<datagen::LabeledAddress>& addresses);
-
-  /// Per-stage construction time accumulated across Build calls
-  /// (summed over worker threads — single-core equivalent).
-  const StageTimings& timings() const { return timings_; }
-
-  const GraphDatasetOptions& options() const { return options_; }
-
- private:
-  GraphDatasetOptions options_;
-  StageTimings timings_;
-};
+/// \brief Materializes the samples of `addresses` at `snapshot`'s
+/// epoch, in address order; addresses whose history yields no graphs
+/// are dropped. The caller builds alongside up to
+/// `options.num_threads - 1` workers, never more than there are
+/// addresses. When `timings` is non-null, the per-stage construction
+/// times (summed over threads: single-core equivalent) are added to it.
+std::vector<AddressSample> BuildAddressSamples(
+    const chain::LedgerSnapshot& snapshot,
+    const std::vector<datagen::LabeledAddress>& addresses,
+    const GraphDatasetOptions& options, StageTimings* timings = nullptr);
 
 }  // namespace ba::core

@@ -214,10 +214,11 @@ InferenceEngine::Lookup InferenceEngine::LookupLocked(Request* req,
     r.predicted = entry->predicted;
     r.cache_hit = true;
     r.tx_count = entry->tx_count;
-    r.slices_reused = static_cast<int>(entry->slice_embeddings.size());
+    r.slices_reused =
+        static_cast<int>(entry->slice_embeddings.size() / embed_dim_);
     if (entry->tx_count == n) {
       stats_.full_hits.Increment();
-      stats_.slices_reused.Increment(entry->slice_embeddings.size());
+      stats_.slices_reused.Increment(r.slices_reused);
     } else {
       // Stale: the last answer the cache holds, labeled with its lag.
       r.degraded = true;
@@ -567,17 +568,17 @@ std::vector<Result<ClassifyResult>> InferenceEngine::ClassifyBatch(
 }
 
 /// One address a batch builds: the requests it answers, the capped
-/// history length it is built at, and one embedding row per slice.
+/// history length it is built at, and its slice embeddings.
 struct InferenceEngine::Miss {
   std::vector<Request*> reqs;
   chain::AddressId address = chain::kInvalidAddress;
   uint64_t tx_count = 0;
   /// Leading complete slices reused from an older cache entry.
   int reuse_slices = 0;
-  /// Sized to the slice count at lookup: rows [0, reuse_slices) are the
-  /// reused embeddings, and BuildWindow writes every later row at its
-  /// slice index, so the LSTM reads them in chronological order.
-  std::vector<std::vector<float>> rows;
+  /// CacheEntry::slice_embeddings, sized at lookup: rows [0,
+  /// reuse_slices) are reused, and BuildWindow writes each later row at
+  /// its slice index, so the LSTM reads them in chronological order.
+  std::vector<float> rows;
   /// True only while every requester is no-promote sweep traffic; one
   /// normal requester earns the result a cache slot.
   bool no_promote = true;
@@ -697,11 +698,12 @@ void InferenceEngine::LookupStage(Batch* batch) {
       // An entry computed at a shorter history donates its complete
       // slices — they are immutable on the append-only ledger.
       const uint64_t slice = static_cast<uint64_t>(slice_size_);
-      m.rows.resize(static_cast<size_t>((n + slice - 1) / slice));
+      const size_t dim = static_cast<size_t>(embed_dim_);
+      m.rows.resize(static_cast<size_t>((n + slice - 1) / slice) * dim);
       if (decided.entry != nullptr && decided.entry->tx_count >= slice) {
         m.reuse_slices = static_cast<int>(decided.entry->tx_count / slice);
-        std::copy_n(decided.entry->slice_embeddings.begin(), m.reuse_slices,
-                    m.rows.begin());
+        std::copy_n(decided.entry->slice_embeddings.begin(),
+                    m.reuse_slices * dim, m.rows.begin());
         stats_.partial_hits.Increment();
       } else {
         stats_.misses.Increment();
@@ -763,8 +765,8 @@ void InferenceEngine::BuildStage(Batch* batch) {
   BA_TRACE_SPAN("serve.batch.build_embed");
   pool_->ParallelFor(batch->misses.size(), [this, batch](size_t i) {
     Miss& miss = batch->misses[i];
-    for (int first = miss.reuse_slices;
-         first < static_cast<int>(miss.rows.size());
+    const int num_slices = static_cast<int>(miss.rows.size() / embed_dim_);
+    for (int first = miss.reuse_slices; first < num_slices;
          first += kBuildWindowSlices) {
       BuildWindow(batch->snapshot, &miss, first);
     }
@@ -790,11 +792,8 @@ void InferenceEngine::BuildWindow(const chain::LedgerSnapshot& snapshot,
     const tensor::Tensor e = options_.precision == Precision::kInt8
                                  ? model.EmbedQuantized(gt)
                                  : model.Embed(gt);
-    std::vector<float>& row = miss->rows[static_cast<size_t>(g.slice_index)];
-    row.resize(static_cast<size_t>(embed_dim_));
-    for (int64_t j = 0; j < embed_dim_; ++j) {
-      row[static_cast<size_t>(j)] = e.at(0, j);
-    }
+    std::copy_n(e.data(), embed_dim_,
+                miss->rows.begin() + g.slice_index * embed_dim_);
   }
   embed_sw.Stop();
   stats_.build_seconds.AddSeconds(ctor.timings().TotalSeconds());
@@ -812,18 +811,13 @@ void InferenceEngine::AggregateStage(Batch* batch) {
   agg_sw.Start();
   for (Miss& m : batch->misses) {
     // A miss has at least one slice: the lookup settles empty histories.
-    const int num_slices = static_cast<int>(m.rows.size());
+    const int num_slices = static_cast<int>(m.rows.size() / embed_dim_);
     const int built = num_slices - m.reuse_slices;
     stats_.slices_built.Increment(static_cast<uint64_t>(built));
     stats_.slices_reused.Increment(static_cast<uint64_t>(m.reuse_slices));
+    // The scaler runs on the tensor's copy: the cache keeps raw rows.
     std::vector<core::EmbeddingSequence> seqs(1);
-    seqs[0].embeddings = tensor::Tensor({num_slices, embed_dim_});
-    for (int r = 0; r < num_slices; ++r) {
-      for (int64_t j = 0; j < embed_dim_; ++j) {
-        seqs[0].embeddings.at(r, j) =
-            m.rows[static_cast<size_t>(r)][static_cast<size_t>(j)];
-      }
-    }
+    seqs[0].embeddings = tensor::Tensor({num_slices, embed_dim_}, m.rows);
     classifier_->scaler().Apply(&seqs);
     const int predicted =
         classifier_->aggregator().Predict(seqs[0].embeddings);
@@ -1009,6 +1003,10 @@ Status InferenceEngine::SaveCacheOnce() const {
     std::unique_lock<std::mutex> lock(cache_mu_);
     entries.assign(cache_.begin(), cache_.end());
   }
+  // Least recently used first: a warm start replays the file in order,
+  // so it restores the recency order and a resave writes the same bytes.
+  std::ranges::sort(entries, {},
+                    [](const auto& e) { return e.second.last_used; });
   using util::AppendPod;
   std::string body;
   AppendPod(&body, static_cast<int32_t>(slice_size_));
@@ -1020,12 +1018,10 @@ Status InferenceEngine::SaveCacheOnce() const {
     AppendPod(&body, static_cast<uint64_t>(address));
     AppendPod(&body, entry.tx_count);
     AppendPod(&body, static_cast<int32_t>(entry.predicted));
-    AppendPod(&body,
-              static_cast<uint32_t>(entry.slice_embeddings.size()));
-    for (const std::vector<float>& row : entry.slice_embeddings) {
-      body.append(reinterpret_cast<const char*>(row.data()),
-                  row.size() * sizeof(float));
-    }
+    AppendPod(&body, static_cast<uint32_t>(entry.slice_embeddings.size() /
+                                           embed_dim_));
+    body.append(reinterpret_cast<const char*>(entry.slice_embeddings.data()),
+                entry.slice_embeddings.size() * sizeof(float));
   }
   util::SealedFileWriter out(options_.cache_path, kCacheFormat);
   BA_RETURN_NOT_OK(out.Open());
@@ -1070,28 +1066,36 @@ Status InferenceEngine::LoadCacheFile(const std::string& path) {
     return body.Corrupt("implausible entry count " + std::to_string(count));
   }
   const size_t row_bytes = static_cast<size_t>(embed_dim_) * sizeof(float);
-  std::unordered_map<chain::AddressId, CacheEntry> loaded;
+  const uint64_t slice = static_cast<uint64_t>(slice_size_);
+  const int num_classes = classifier_->options().aggregator.num_classes;
+  std::vector<std::pair<chain::AddressId, CacheEntry>> loaded(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t address = 0;
-    CacheEntry entry;
+    CacheEntry& entry = loaded[i].second;
     int32_t predicted = 0;
     uint32_t num_slices = 0;
     if (!body.ReadPod(&address) || !body.ReadPod(&entry.tx_count) ||
         !body.ReadPod(&predicted) || !body.ReadPod(&num_slices)) {
       return body.Corrupt("truncated entry " + std::to_string(i));
     }
+    // A lookup copies tx_count / slice_size rows out of an entry and
+    // serves `predicted` as a class, so both must be what a build makes.
+    const std::string what = "entry " + std::to_string(i) + " ";
+    if (entry.tx_count == 0 || num_slices != (entry.tx_count - 1) / slice + 1 ||
+        predicted < 0 || predicted >= num_classes) {
+      return body.Corrupt(what + "holds " + std::to_string(num_slices) +
+                          " slices of " + std::to_string(entry.tx_count) +
+                          " transactions and class " +
+                          std::to_string(predicted) + ": not a built entry");
+    }
     if (!body.CanHold(num_slices, row_bytes)) {
-      return body.Corrupt("entry " + std::to_string(i) + " claims " +
-                          std::to_string(num_slices) +
+      return body.Corrupt(what + "claims " + std::to_string(num_slices) +
                           " slices, more than the remaining bytes hold");
     }
+    loaded[i].first = static_cast<chain::AddressId>(address);
     entry.predicted = predicted;
-    entry.slice_embeddings.resize(num_slices);
-    for (std::vector<float>& row : entry.slice_embeddings) {
-      row.resize(static_cast<size_t>(embed_dim_));
-      body.ReadBytes(row.data(), row_bytes);
-    }
-    loaded[static_cast<chain::AddressId>(address)] = std::move(entry);
+    entry.slice_embeddings.resize(num_slices * static_cast<size_t>(embed_dim_));
+    body.ReadBytes(entry.slice_embeddings.data(), num_slices * row_bytes);
   }
   BA_RETURN_NOT_OK(body.ExpectEnd());
   std::unique_lock<std::mutex> lock(cache_mu_);

@@ -299,9 +299,9 @@ class InferenceEngine {
 
   /// \brief Validating factory. Fails on null/untrained classifier,
   /// invalid engine or classifier options, or (when `cache_path` names
-  /// an existing file) a cache file that is corrupt or was built under
-  /// different model options. `classifier` and `ledger` must outlive
-  /// the engine.
+  /// an existing file) a cache file that is corrupt (or holds an entry
+  /// no build makes) or was built under different model options.
+  /// `classifier` and `ledger` must outlive the engine.
   static Result<std::unique_ptr<InferenceEngine>> Create(
       const core::BaClassifier* classifier, const chain::Ledger* ledger,
       Options options);
@@ -351,8 +351,8 @@ class InferenceEngine {
       const ClassifyOptions& options = {});
 
   /// \brief Persists the cache to `options().cache_path` atomically
-  /// (no-op OK when persistence is disabled). Safe to call while
-  /// queries run.
+  /// (no-op OK when persistence is disabled), least recently used first.
+  /// Safe to call while queries run.
   Status SaveCache() const;
 
   /// Entries currently cached.
@@ -402,10 +402,10 @@ class InferenceEngine {
     /// Transaction-history length the entry was computed at (after the
     /// max_txs_per_address cap).
     uint64_t tx_count = 0;
-    /// Per-slice graph embeddings, unscaled, in chronological slice
-    /// order (embed_dim floats each). The first tx_count/slice_size of
-    /// them cover complete — hence immutable — slices.
-    std::vector<std::vector<float>> slice_embeddings;
+    /// Slice embeddings, unscaled: a row-major (num_slices, embed_dim)
+    /// matrix, row r for slice r. The first tx_count/slice_size rows
+    /// cover complete — hence immutable — slices.
+    std::vector<float> slice_embeddings;
     int predicted = 0;
     uint64_t last_used = 0;  ///< LRU tick
   };

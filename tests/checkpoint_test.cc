@@ -285,9 +285,8 @@ class GraphModelResumeTest : public ::testing::Test {
     GraphDatasetOptions opts;
     opts.construction.slice_size = 20;
     opts.k_hops = 2;
-    GraphDatasetBuilder builder(opts);
     samples_ = new std::vector<AddressSample>(
-        builder.Build(simulator.ledger(), labeled));
+        BuildAddressSamples(simulator.ledger().Snapshot(), labeled, opts));
     ASSERT_GT(samples_->size(), 10u);
   }
 

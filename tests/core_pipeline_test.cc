@@ -42,11 +42,11 @@ class PipelineTest : public ::testing::Test {
     GraphDatasetOptions opts;
     opts.construction.slice_size = 20;
     opts.k_hops = 2;
-    GraphDatasetBuilder builder(opts);
+    const chain::LedgerSnapshot snapshot = simulator_->ledger().Snapshot();
     train_ = new std::vector<AddressSample>(
-        builder.Build(simulator_->ledger(), split.train));
+        BuildAddressSamples(snapshot, split.train, opts));
     test_ = new std::vector<AddressSample>(
-        builder.Build(simulator_->ledger(), split.test));
+        BuildAddressSamples(snapshot, split.test, opts));
     ASSERT_GT(train_->size(), 40u);
     ASSERT_GT(test_->size(), 10u);
   }
@@ -229,6 +229,33 @@ TEST_F(PipelineTest, PredictSampleIsDeterministic) {
   ASSERT_TRUE(clf.PredictSample(s, &first).ok());
   ASSERT_TRUE(clf.PredictSample(s, &second).ok());
   EXPECT_EQ(first, second);
+}
+
+TEST_F(PipelineTest, PredictMatchesPredictSampleOnBuiltSamples) {
+  BaClassifier::Options opts;
+  opts.dataset.construction.slice_size = 20;
+  opts.dataset.num_threads = 3;
+  opts.graph_model.epochs = 3;
+  opts.aggregator.epochs = 5;
+  BaClassifier clf(opts);
+  ASSERT_TRUE(clf.TrainOnSamples(*train_).ok());
+  const chain::Ledger& ledger = simulator_->ledger();
+  const auto addresses = simulator_->CollectLabeledAddresses(0);
+  std::vector<int> predicted;
+  ASSERT_TRUE(clf.Predict(ledger, addresses, &predicted).ok());
+  std::vector<AddressSample> samples;
+  ASSERT_TRUE(clf.BuildSamples(ledger, addresses, &samples).ok());
+  ASSERT_EQ(predicted.size(), addresses.size());
+  size_t next = 0;
+  for (size_t i = 0; i < addresses.size(); ++i) {
+    int expected = 0;  // an address without history predicts class 0
+    if (next < samples.size() &&
+        samples[next].address == addresses[i].address) {
+      ASSERT_TRUE(clf.PredictSample(samples[next++], &expected).ok());
+    }
+    EXPECT_EQ(predicted[i], expected) << "address " << addresses[i].address;
+  }
+  EXPECT_EQ(next, samples.size());
 }
 
 TEST_F(PipelineTest, GraphModelTrainingIsDeterministic) {

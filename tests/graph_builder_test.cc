@@ -11,6 +11,7 @@
 #include "core/gfn_features.h"
 #include "core/graph_builder.h"
 #include "core/graph_dataset.h"
+#include "obs/trace.h"
 
 namespace ba::core {
 namespace {
@@ -412,15 +413,17 @@ TEST_F(GraphBuilderTest, DatasetBuilderDropsEmptyAndKeepsLabels) {
   const AddressId active = ledger_.NewAddress();
   const AddressId silent = ledger_.NewAddress();
   FundTarget(active, 0);
-  GraphDatasetBuilder builder;
-  const auto samples = builder.Build(
-      ledger_, {{active, datagen::BehaviorLabel::kMining},
-                {silent, datagen::BehaviorLabel::kExchange}});
+  StageTimings timings;
+  const auto samples = BuildAddressSamples(
+      ledger_.Snapshot(),
+      {{active, datagen::BehaviorLabel::kMining},
+       {silent, datagen::BehaviorLabel::kExchange}},
+      {}, &timings);
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].address, active);
   EXPECT_EQ(samples[0].label, static_cast<int>(datagen::BehaviorLabel::kMining));
   EXPECT_EQ(samples[0].graphs.size(), samples[0].tensors.size());
-  EXPECT_GT(builder.timings().TotalSeconds(), 0.0);
+  EXPECT_GT(timings.TotalSeconds(), 0.0);
 }
 
 TEST_F(GraphBuilderTest, ParallelDatasetBuildMatchesSerial) {
@@ -433,12 +436,12 @@ TEST_F(GraphBuilderTest, ParallelDatasetBuildMatchesSerial) {
     addresses.push_back({target, datagen::BehaviorLabel::kMining});
   }
   GraphDatasetOptions serial_opts;
-  GraphDatasetBuilder serial(serial_opts);
   GraphDatasetOptions parallel_opts;
   parallel_opts.num_threads = 4;
-  GraphDatasetBuilder parallel(parallel_opts);
-  const auto s = serial.Build(ledger_, addresses);
-  const auto p = parallel.Build(ledger_, addresses);
+  const auto s =
+      BuildAddressSamples(ledger_.Snapshot(), addresses, serial_opts);
+  const auto p =
+      BuildAddressSamples(ledger_.Snapshot(), addresses, parallel_opts);
   ASSERT_EQ(s.size(), p.size());
   for (size_t i = 0; i < s.size(); ++i) {
     EXPECT_EQ(s[i].address, p[i].address);
@@ -448,6 +451,42 @@ TEST_F(GraphBuilderTest, ParallelDatasetBuildMatchesSerial) {
       EXPECT_EQ(s[i].graphs[g].num_edges(), p[i].graphs[g].num_edges());
     }
   }
+}
+
+TEST_F(GraphBuilderTest, DatasetTimingsAccumulateAcrossCalls) {
+  const AddressId target = ledger_.NewAddress();
+  for (int i = 0; i < 4; ++i) FundTarget(target, i * 600);
+  const std::vector<datagen::LabeledAddress> addresses = {
+      {target, datagen::BehaviorLabel::kMining}};
+  const chain::LedgerSnapshot snapshot = ledger_.Snapshot();
+  StageTimings timings;
+  BuildAddressSamples(snapshot, addresses, {}, &timings);
+  const StageTimings first = timings;
+  ASSERT_GT(first.TotalSeconds(), 0.0);
+  BuildAddressSamples(snapshot, addresses, {}, &timings);
+  EXPECT_GT(timings.TotalSeconds(), first.TotalSeconds());
+  EXPECT_GE(timings.extract_seconds, first.extract_seconds);
+  EXPECT_GE(timings.single_compress_seconds, first.single_compress_seconds);
+  EXPECT_GE(timings.multi_compress_seconds, first.multi_compress_seconds);
+  EXPECT_GE(timings.augment_seconds, first.augment_seconds);
+  // Without a sink the samples are the same and nothing is recorded.
+  EXPECT_EQ(BuildAddressSamples(snapshot, addresses, {}).size(), 1u);
+}
+
+TEST_F(GraphBuilderTest, DatasetBuildStartsNoMoreThreadsThanAddresses) {
+  const AddressId target = ledger_.NewAddress();
+  FundTarget(target, 0);
+  GraphDatasetOptions opts;
+  opts.num_threads = 4;
+  obs::Tracer::Instance().Enable();
+  const auto samples = BuildAddressSamples(
+      ledger_.Snapshot(), {{target, datagen::BehaviorLabel::kMining}}, opts);
+  const std::string json = obs::Tracer::Instance().ToJson();
+  obs::Tracer::Instance().Disable();
+  obs::Tracer::Instance().Reset();
+  EXPECT_EQ(samples.size(), 1u);
+  EXPECT_NE(json.find("\"addresses\":1,\"threads\":1}"), std::string::npos)
+      << json;
 }
 
 }  // namespace

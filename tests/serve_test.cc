@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -679,6 +680,110 @@ TEST_F(ServeTest, CorruptCacheFileFailsCreateLoudly) {
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(engine.status().message().find("crc32"), std::string::npos);
+}
+
+TEST_F(ServeTest, WarmStartResavesTheSameBytes) {
+  TempFile cache("resave");
+  InferenceEngineOptions options;
+  options.cache_path = cache.path();
+  {
+    auto engine = MakeEngine(options);
+    for (const auto& a : *test_) {
+      ASSERT_TRUE(engine->Classify(a.address).ok());
+    }
+    // Recency then differs from insertion order.
+    for (size_t i = 0; i < test_->size(); i += 3) {
+      ASSERT_TRUE(engine->Classify((*test_)[i].address).ok());
+    }
+    ASSERT_TRUE(engine->SaveCache().ok());
+  }
+  auto saved = util::ReadFileToString(cache.path());
+  ASSERT_TRUE(saved.ok());
+  auto warm = MakeEngine(options);
+  ASSERT_GT(warm->CacheSize(), 1u);
+  ASSERT_TRUE(warm->SaveCache().ok());
+  auto resaved = util::ReadFileToString(cache.path());
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_TRUE(saved.value() == resaved.value())
+      << "a warm start re-saved " << resaved.value().size()
+      << " bytes against " << saved.value().size();
+}
+
+TEST_F(ServeTest, CacheEntryWithImpossibleFieldsFailsCreate) {
+  TempFile cache("fields");
+  InferenceEngineOptions options;
+  options.cache_path = cache.path();
+  {
+    auto engine = MakeEngine(options);
+    ASSERT_TRUE(engine->Classify((*test_)[0].address).ok());
+    ASSERT_TRUE(engine->SaveCache().ok());
+  }
+  auto file = util::ReadFileToString(cache.path());
+  ASSERT_TRUE(file.ok());
+  // magic | version | body | crc32. The body's header is slice_size,
+  // k_hops, embed_dim, precision and the entry count (25 bytes); entry
+  // 0 follows: address, tx_count, predicted, num_slices, then its rows.
+  const std::string body = file.value().substr(8, file.value().size() - 12);
+  constexpr size_t kTxCount = 25 + 8;
+  constexpr size_t kPredicted = kTxCount + 8;
+  constexpr size_t kSlices = kPredicted + 4;
+  constexpr size_t kRows = kSlices + 4;
+  int64_t embed_dim = 0;
+  uint32_t slices = 0;
+  std::memcpy(&embed_dim, body.data() + 8, sizeof(embed_dim));
+  std::memcpy(&slices, body.data() + kSlices, sizeof(slices));
+  const size_t row_bytes = static_cast<size_t>(embed_dim) * sizeof(float);
+  // Entry 0 rewritten with these fields, its rows cut or zero-padded to
+  // match `num_slices`, and the file re-sealed with a correct CRC.
+  auto write_entry = [&](uint64_t tx_count, int32_t predicted,
+                         uint32_t num_slices) {
+    std::string b = body.substr(0, kRows) +
+                    std::string(num_slices * row_bytes, '\0') +
+                    body.substr(kRows + slices * row_bytes);
+    body.copy(b.data() + kRows, std::min(slices, num_slices) * row_bytes,
+              kRows);
+    std::memcpy(b.data() + kTxCount, &tx_count, sizeof(tx_count));
+    std::memcpy(b.data() + kPredicted, &predicted, sizeof(predicted));
+    std::memcpy(b.data() + kSlices, &num_slices, sizeof(num_slices));
+    const util::SealedFormat basv{{'B', 'A', 'S', 'V'}, 2, "serve cache"};
+    std::ofstream out(cache.path(), std::ios::binary | std::ios::trunc);
+    out << util::SealImage(basv, b);
+  };
+  uint64_t tx_count = 0;
+  int32_t predicted = 0;
+  std::memcpy(&tx_count, body.data() + kTxCount, sizeof(tx_count));
+  std::memcpy(&predicted, body.data() + kPredicted, sizeof(predicted));
+  write_entry(tx_count, predicted, slices);
+  ASSERT_TRUE(InferenceEngine::Create(classifier_, &simulator_->ledger(),
+                                      options).ok());
+
+  const uint64_t slice = static_cast<uint64_t>(
+      classifier_->options().dataset.construction.slice_size);
+  const int num_classes = classifier_->options().aggregator.num_classes;
+  const struct {
+    uint64_t tx_count;
+    int32_t predicted;
+    uint32_t num_slices;
+  } cases[] = {
+      {2 * slice, predicted, 0},  // a partial hit would copy 2 rows of 0
+      {0, predicted, 0},
+      {2 * slice + 1, predicted, 2},
+      {2 * slice, predicted, 3},
+      {tx_count, num_classes, slices},
+      {tx_count, -1, slices},
+  };
+  for (const auto& c : cases) {
+    write_entry(c.tx_count, c.predicted, c.num_slices);
+    auto engine = InferenceEngine::Create(classifier_, &simulator_->ledger(),
+                                          options);
+    ASSERT_FALSE(engine.ok()) << c.tx_count << " txs, class " << c.predicted
+                              << ", " << c.num_slices << " slices";
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(engine.status().message().find("entry 0"), std::string::npos)
+        << engine.status().ToString();
+    EXPECT_NE(engine.status().message().find(cache.path()), std::string::npos)
+        << engine.status().ToString();
+  }
 }
 
 TEST_F(ServeTest, CacheEvictionRespectsCapacity) {
