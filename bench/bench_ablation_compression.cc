@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
       {"single+multi Psi=0.5 (paper)", true, true, 0.5},
       {"single+multi Psi=0.7", true, true, 0.7},
       {"single+multi Psi=0.9", true, true, 0.9},
-      {"Psi=0.5, sparse-S backend", true, true, 0.5},
   };
 
   ba::TablePrinter table({"Variant", "Avg nodes/graph", "Compression",
@@ -48,8 +47,6 @@ int main(int argc, char** argv) {
     dopts.construction.enable_single_compression = v.single;
     dopts.construction.enable_multi_compression = v.multi;
     dopts.construction.similarity_threshold = v.psi;
-    dopts.construction.use_sparse_similarity =
-        v.name.find("sparse") != std::string::npos;
     const ba::chain::LedgerSnapshot snapshot = simulator.ledger().Snapshot();
     ba::core::StageTimings timings;
     const auto train =

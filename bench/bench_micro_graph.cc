@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: SFE,
-// centrality measures, sparse products, normalized adjacency, the
-// individual construction stages on a fixed economy, per-slice
+// centrality measures, SpMM, normalized adjacency, the individual
+// construction stages on a fixed economy, per-slice
 // construction and tensor prep in the serving regime, the two
 // inference layers of a cold miss (GFN embed, LSTM aggregate) and the
 // one-row GEMM under both.
@@ -73,26 +73,6 @@ void BM_PageRank(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageRank)->Arg(256)->Arg(2048);
-
-void BM_SparseSimilarity(benchmark::State& state) {
-  // S = A·Aᵀ on an incidence pattern like Eq. 3's.
-  ba::Rng rng(5);
-  const int64_t n = state.range(0), d = state.range(0) / 2;
-  std::vector<ba::graph::Triplet> triplets;
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t k = 2 + static_cast<int64_t>(rng.UniformInt(6));
-    for (int64_t j = 0; j < k; ++j) {
-      triplets.push_back(
-          {i, static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(d))),
-           1.0f});
-    }
-  }
-  const auto a = ba::graph::SparseMatrix::FromTriplets(n, d, triplets);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.Multiply(a.Transpose()));
-  }
-}
-BENCHMARK(BM_SparseSimilarity)->Arg(128)->Arg(512)->Arg(1024);
 
 void BM_SpmmDense(benchmark::State& state) {
   ba::Rng rng(6);

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   auto config = ba::bench::ScenarioFromFlags(flags, ba::bench::ThreadsFlag(flags));
   // Table V measures the cost profile in the paper's regime: mining
   // pools paying out to hundreds of addresses per transaction, which is
-  // exactly what makes the all-pairs similarity of Stage 3 dominate.
+  // what makes Stage 3's pairwise similarity dominate: most candidate
+  // pairs share transactions.
   config.miners_per_pool = static_cast<int>(flags.GetInt("miners", 250));
   config.pool_payout_interval_blocks = 10;
   ba::datagen::Simulator simulator(config);

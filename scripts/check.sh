@@ -151,14 +151,15 @@ case "$MODE" in
   trace)
     BUILD_DIR="${2:-build}"
     TRACE_FILE="$(mktemp /tmp/ba_trace_smoke_XXXXXX.json)"
-    trap 'rm -f "$TRACE_FILE"' EXIT
+    CACHE_FILE="$(mktemp -u /tmp/ba_trace_smoke_cache_XXXXXX.basv)"
+    trap 'rm -f "$TRACE_FILE" "$CACHE_FILE"' EXIT
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$BUILD_DIR" -j "$(nproc)" --target serve_monitor
     # A short serving run exercises training, graph construction, the
     # micro-batching engine and the thread pool in one process.
     BA_TRACE_OUT="$TRACE_FILE" "$BUILD_DIR"/examples/serve_monitor \
       --blocks 60 --stream 3 --clients 2 --trace-out "$TRACE_FILE" \
-      --cache "$(mktemp -u /tmp/ba_trace_smoke_cache_XXXXXX.basv)"
+      --cache "$CACHE_FILE"
     python3 - "$TRACE_FILE" <<'EOF'
 import json, sys
 

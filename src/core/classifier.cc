@@ -312,6 +312,16 @@ const std::map<std::string, FieldParser>& OptionFields() {
    }},
       BA_CLASSIFIER_OPTION_FIELDS(BA_OPTION_FIELD_PARSER)
 #undef BA_OPTION_FIELD_PARSER
+      // Retired: older builds wrote which Stage 3 similarity backend
+      // to use. Both gave the merge groups of the one path left, so
+      // their checkpoints load unchanged; the value must still be a
+      // bool.
+      {"dataset.construction.use_sparse_similarity",
+       [](const std::string& value, BaClassifier::Options*) {
+         bool ignored = false;
+         return ParseValue("dataset.construction.use_sparse_similarity",
+                           value, &ignored);
+       }},
   };
   return *fields;
 }

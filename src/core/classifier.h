@@ -186,7 +186,6 @@ class BaClassifier {
   X(dataset.construction.enable_single_compression)     \
   X(dataset.construction.enable_multi_compression)      \
   X(dataset.construction.enable_augmentation)           \
-  X(dataset.construction.use_sparse_similarity)         \
   X(dataset.k_hops)                                     \
   X(dataset.num_threads)                                \
   X(graph_model.encoder)                                \
@@ -220,7 +219,9 @@ std::string EncodeClassifierOptions(const BaClassifier::Options& options);
 
 /// \brief Parses a block produced by EncodeClassifierOptions. Unknown
 /// keys and malformed values fail with a descriptive InvalidArgument;
-/// missing keys keep their defaults.
+/// missing keys keep their defaults. The retired key
+/// `dataset.construction.use_sparse_similarity`, written by older
+/// builds, is accepted as `0` or `1` and ignored.
 Status DecodeClassifierOptions(const std::string& text,
                                BaClassifier::Options* options);
 

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "graph/centrality.h"
-#include "graph/sparse_matrix.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -225,7 +225,7 @@ Status GraphConstructorOptions::Validate() const {
         "construction.slice_size must be positive (got " +
         std::to_string(slice_size) + ")");
   }
-  if (similarity_threshold < 0.0) {
+  if (!(similarity_threshold >= 0.0)) {  // also rejects NaN
     return Status::InvalidArgument(
         "construction.similarity_threshold must be non-negative (got " +
         std::to_string(similarity_threshold) + ")");
@@ -537,82 +537,51 @@ void GraphConstructor::CompressMultiTransactionAddresses(
   }
   if (candidates.size() < 2) return;
 
-  // A ∈ {0,1}^(n_multi x d): candidate-transaction incidence (Eq. 3).
+  // S = A·Aᵀ (Eq. 3) over the 0/1 candidate-transaction incidence A:
+  // s_ij is the exact count |txs(i) ∩ txs(j)| and s_jj = |txs(j)|. Each
+  // column's candidate rows are bucketed in ascending row order; row i
+  // counts its overlaps through its own columns' buckets.
   const int64_t rows = static_cast<int64_t>(candidates.size());
-  const int64_t cols = static_cast<int64_t>(num_cols);
-  const double psi = options_.similarity_threshold;
+  thread_local Buckets<int> rows_of;
+  FillBuckets(
+      static_cast<size_t>(num_cols),
+      [&](auto&& emit) {
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int col : txs_of[static_cast<size_t>(
+                   candidates[static_cast<size_t>(r)])]) {
+            emit(col, static_cast<int>(r));
+          }
+        }
+      },
+      &rows_of);
+  thread_local std::vector<float> degree;  // s_jj
+  degree.resize(static_cast<size_t>(rows));
+  for (int64_t j = 0; j < rows; ++j) {
+    degree[static_cast<size_t>(j)] = static_cast<float>(
+        txs_of[static_cast<size_t>(candidates[static_cast<size_t>(j)])]
+            .size());
+  }
+  thread_local std::vector<int> overlap;
+  overlap.assign(static_cast<size_t>(rows), 0);
+  const float psi = static_cast<float>(options_.similarity_threshold);
   std::vector<std::vector<int>> similar(static_cast<size_t>(rows));
-
-  if (options_.use_sparse_similarity) {
-    // Optimized backend: exploit that A is a sparse incidence matrix,
-    // so S = A·Aᵀ only materializes co-occurring pairs. Produces the
-    // same similar-sets as the dense computation below.
-    std::vector<graph::Triplet> triplets;
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int col : txs_of[static_cast<size_t>(
-               candidates[static_cast<size_t>(r)])]) {
-        triplets.push_back({r, col, 1.0f});
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int col :
+         txs_of[static_cast<size_t>(candidates[static_cast<size_t>(i)])]) {
+      for (int j : rows_of[static_cast<size_t>(col)]) {
+        ++overlap[static_cast<size_t>(j)];
       }
     }
-    const graph::SparseMatrix a =
-        graph::SparseMatrix::FromTriplets(rows, cols, std::move(triplets));
-    const graph::SparseMatrix s = a.Multiply(a.Transpose());
-    // q_ij > 0  ⇔  s_ij / s_jj > Ψ (Eq. 4-6).
-    for (int64_t i = 0; i < rows; ++i) {
-      const auto idx = s.RowIndices(i);
-      const auto vals = s.RowValues(i);
-      for (size_t k = 0; k < idx.size(); ++k) {
-        const int64_t j = idx[k];
-        if (j == i) continue;
-        const float degree_j = s.At(j, j);
-        if (degree_j <= 0.0f) continue;
-        if (static_cast<double>(vals[k]) / degree_j > psi) {
-          similar[static_cast<size_t>(i)].push_back(static_cast<int>(j));
-        }
-      }
-    }
-  } else {
-    // Paper-faithful dense computation (Eq. 3-5): materialize A, then
-    // S = A·Aᵀ, M = S·D⁻¹ and Q = ReLU(M − Ψ·I) as dense matrices.
-    // This all-pairs similarity is what makes Stage 3 the most
-    // expensive construction stage in the paper's Table V.
-    thread_local std::vector<float> a;
-    thread_local std::vector<float> s;
-    thread_local std::vector<float> q;
-    a.assign(static_cast<size_t>(rows * cols), 0.0f);
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int col : txs_of[static_cast<size_t>(
-               candidates[static_cast<size_t>(r)])]) {
-        a[static_cast<size_t>(r * cols + col)] = 1.0f;
-      }
-    }
-    s.assign(static_cast<size_t>(rows * rows), 0.0f);
-    for (int64_t i = 0; i < rows; ++i) {          // S = A·Aᵀ (Eq. 3)
-      for (int64_t j = 0; j < rows; ++j) {
-        float acc = 0.0f;
-        const float* ai = a.data() + i * cols;
-        const float* aj = a.data() + j * cols;
-        for (int64_t k = 0; k < cols; ++k) acc += ai[k] * aj[k];
-        s[static_cast<size_t>(i * rows + j)] = acc;
-      }
-    }
-    q.assign(static_cast<size_t>(rows * rows), 0.0f);
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < rows; ++j) {
-        const float degree_j = s[static_cast<size_t>(j * rows + j)];
-        // M = S·D⁻¹ (Eq. 4), Q = ReLU(M − Ψ·I) (Eq. 5).
-        const float m = degree_j > 0.0f
-                            ? s[static_cast<size_t>(i * rows + j)] / degree_j
-                            : 0.0f;
-        q[static_cast<size_t>(i * rows + j)] =
-            std::max(0.0f, m - static_cast<float>(psi));
-      }
-    }
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < rows; ++j) {
-        if (i != j && q[static_cast<size_t>(i * rows + j)] > 0.0f) {
-          similar[static_cast<size_t>(i)].push_back(static_cast<int>(j));
-        }
+    // M = S·D⁻¹ (Eq. 4) and Q = ReLU(M − Ψ·I) (Eq. 5) in float, as the
+    // dense matrices evaluate them; j joins i's similar set when
+    // q_ij > 0. The ascending scan also clears the counts for row i + 1.
+    for (int64_t j = 0; j < rows; ++j) {
+      const int count = std::exchange(overlap[static_cast<size_t>(j)], 0);
+      if (j == i) continue;
+      const float m =
+          static_cast<float>(count) / degree[static_cast<size_t>(j)];
+      if (std::max(0.0f, m - psi) > 0.0f) {
+        similar[static_cast<size_t>(i)].push_back(static_cast<int>(j));
       }
     }
   }

@@ -43,18 +43,6 @@ struct GraphConstructorOptions {
   bool enable_single_compression = true;
   bool enable_multi_compression = true;
   bool enable_augmentation = true;
-  /// Stage 3 similarity backend. `false` (default) computes the dense
-  /// all-pairs S = A·Aᵀ, M = S·D⁻¹, Q = ReLU(M − Ψ·I) exactly as
-  /// Eq. 3-5 describe — the cost profile the paper's Table V reports.
-  /// `true` uses this library's sparse-incidence product, which
-  /// produces identical merge groups but is not faster on this
-  /// repository's graphs. On a 4-vCPU Xeon, bench_ablation_compression
-  /// (400 addresses, slice 100) read 0.22-0.29 s of construction for
-  /// both backends, within 0.02 s of each other in each of 4 runs; over
-  /// bench_profile's labels at slice 20, sparse took 0.235 s against
-  /// dense's 0.152 s. Dense is the default and never the slower
-  /// backend here; the option stays because BACL checkpoints record it.
-  bool use_sparse_similarity = false;
 
   /// \brief Returns OK when every field is usable, or a descriptive
   /// InvalidArgument naming the offending field and value.
@@ -134,7 +122,12 @@ class GraphConstructor {
   void CompressSingleTransactionAddresses(AddressGraph* graph) const;
 
   /// Stage 3: merge multi-transaction addresses with similar
-  /// connectivity via S = A·Aᵀ, M = S·D⁻¹, Q = ReLU(M − Ψ·I).
+  /// connectivity via S = A·Aᵀ, M = S·D⁻¹, Q = ReLU(M − Ψ·I). A is the
+  /// 0/1 address-transaction incidence, so s_ij is the integer count of
+  /// transactions i and j share; it is counted exactly, one row at a
+  /// time, through per-transaction lists of candidate rows, and q_ij is
+  /// evaluated in the float arithmetic of the dense matrices, so the
+  /// merge groups equal those of materializing A, S and Q.
   void CompressMultiTransactionAddresses(AddressGraph* graph) const;
 
   /// Stage 4: compute degree / closeness / betweenness / PageRank over

@@ -56,7 +56,7 @@ Status GraphModelOptions::Validate() const {
         std::to_string(kMaxModelWidth) + "] (got " +
         std::to_string(diffpool_clusters) + ")");
   }
-  if (dropout < 0.0f || dropout >= 1.0f) {
+  if (!(dropout >= 0.0f && dropout < 1.0f)) {  // also rejects NaN
     return Status::InvalidArgument(
         "graph_model.dropout must be in [0, 1) (got " +
         std::to_string(dropout) + ")");
@@ -72,7 +72,7 @@ Status GraphModelOptions::Validate() const {
         "graph_model.learning_rate must be positive (got " +
         std::to_string(learning_rate) + ")");
   }
-  if (weight_decay < 0.0f) {
+  if (!(weight_decay >= 0.0f)) {  // also rejects NaN
     return Status::InvalidArgument(
         "graph_model.weight_decay must be >= 0 (got " +
         std::to_string(weight_decay) + ")");

@@ -132,6 +132,13 @@ std::vector<double> BetweennessCentrality(const AdjacencyList& g);
 /// \brief PageRank (Eq. 11) with damping `alpha`, power iteration until
 /// L1 change < `tol` or `max_iters`. Dangling mass is redistributed
 /// uniformly so the result always sums to 1.
+///
+/// On slice graphs the cap is what binds: they are bipartite
+/// (transaction ↔ address), so the error shrinks only as `alpha`^k and
+/// 0.85^100 ≈ 9·10⁻⁸ never reaches the default `tol`. Over every
+/// 20-transaction slice of bench_profile's labeled addresses, 5,447 of
+/// 5,591 (97%) stop at `max_iters` = 100. The iteration count sets the centrality
+/// features, so changing either bound changes labels.
 std::vector<double> PageRank(const AdjacencyList& g, double alpha = 0.85,
                              int max_iters = 100, double tol = 1e-10);
 

@@ -104,38 +104,6 @@ SparseMatrix SparseMatrix::Transpose() const {
   return FromTriplets(cols_, rows_, std::move(triplets));
 }
 
-SparseMatrix SparseMatrix::Multiply(const SparseMatrix& other) const {
-  BA_CHECK_EQ(cols_, other.rows_);
-  std::vector<Triplet> triplets;
-  // Row-by-row expansion with a dense accumulator over other.cols().
-  std::vector<float> acc(static_cast<size_t>(other.cols_), 0.0f);
-  std::vector<int64_t> touched;
-  for (int64_t r = 0; r < rows_; ++r) {
-    touched.clear();
-    const auto idx = RowIndices(r);
-    const auto vals = RowValues(r);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      const int64_t mid = idx[k];
-      const float v = vals[k];
-      const auto oidx = other.RowIndices(mid);
-      const auto ovals = other.RowValues(mid);
-      for (size_t j = 0; j < oidx.size(); ++j) {
-        const size_t c = static_cast<size_t>(oidx[j]);
-        if (acc[c] == 0.0f) touched.push_back(oidx[j]);
-        acc[c] += v * ovals[j];
-      }
-    }
-    for (int64_t c : touched) {
-      const size_t ci = static_cast<size_t>(c);
-      if (acc[ci] != 0.0f) {
-        triplets.push_back({r, c, acc[ci]});
-      }
-      acc[ci] = 0.0f;
-    }
-  }
-  return FromTriplets(rows_, other.cols_, std::move(triplets));
-}
-
 float SparseMatrix::RowSum(int64_t r) const {
   float s = 0.0f;
   for (float v : RowValues(r)) s += v;

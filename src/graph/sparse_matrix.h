@@ -8,9 +8,9 @@
 
 /// \file sparse_matrix.h
 /// \brief Compressed-sparse-row matrix used for adjacency structure:
-/// the similarity computation S = A·Aᵀ of multi-transaction compression
-/// (Eq. 3) and the propagated features ÃᵏX of GFN feature augmentation
-/// (Eq. 12-13).
+/// the normalized adjacency Ã and the propagated features ÃᵏX of GFN
+/// feature augmentation (Eq. 12-13), and the sparse products of the
+/// GCN layers (SpMM).
 
 namespace ba::graph {
 
@@ -68,11 +68,6 @@ class SparseMatrix {
 
   /// Transposed copy.
   SparseMatrix Transpose() const;
-
-  /// \brief Sparse product `this * other`. Used by the similarity
-  /// computation S = A·Aᵀ; sizes in this project keep the result small
-  /// because compression runs per 100-transaction slice.
-  SparseMatrix Multiply(const SparseMatrix& other) const;
 
   /// Sum of values in row `r`.
   float RowSum(int64_t r) const;

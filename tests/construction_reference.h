@@ -576,64 +576,38 @@ inline void CompressMultiTransactionAddresses(
   const double psi = options_.similarity_threshold;
   std::vector<std::vector<int>> similar(static_cast<size_t>(rows));
 
-  if (options_.use_sparse_similarity) {
-    std::vector<graph::Triplet> triplets;
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int tx :
-           txs_of[static_cast<size_t>(candidates[static_cast<size_t>(r)])]) {
-        triplets.push_back({r, tx_col.at(tx), 1.0f});
-      }
+  std::vector<float> a(static_cast<size_t>(rows * cols), 0.0f);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int tx :
+         txs_of[static_cast<size_t>(candidates[static_cast<size_t>(r)])]) {
+      a[static_cast<size_t>(r * cols + tx_col.at(tx))] = 1.0f;
     }
-    const graph::SparseMatrix a =
-        graph::SparseMatrix::FromTriplets(rows, cols, std::move(triplets));
-    const graph::SparseMatrix s = a.Multiply(a.Transpose());
-    for (int64_t i = 0; i < rows; ++i) {
-      const auto idx = s.RowIndices(i);
-      const auto vals = s.RowValues(i);
-      for (size_t k = 0; k < idx.size(); ++k) {
-        const int64_t j = idx[k];
-        if (j == i) continue;
-        const float degree_j = s.At(j, j);
-        if (degree_j <= 0.0f) continue;
-        if (static_cast<double>(vals[k]) / degree_j > psi) {
-          similar[static_cast<size_t>(i)].push_back(static_cast<int>(j));
-        }
-      }
+  }
+  std::vector<float> s(static_cast<size_t>(rows * rows), 0.0f);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < rows; ++j) {
+      float acc = 0.0f;
+      const float* ai = a.data() + i * cols;
+      const float* aj = a.data() + j * cols;
+      for (int64_t k = 0; k < cols; ++k) acc += ai[k] * aj[k];
+      s[static_cast<size_t>(i * rows + j)] = acc;
     }
-  } else {
-    std::vector<float> a(static_cast<size_t>(rows * cols), 0.0f);
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int tx :
-           txs_of[static_cast<size_t>(candidates[static_cast<size_t>(r)])]) {
-        a[static_cast<size_t>(r * cols + tx_col.at(tx))] = 1.0f;
-      }
+  }
+  std::vector<float> q(static_cast<size_t>(rows * rows), 0.0f);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < rows; ++j) {
+      const float degree_j = s[static_cast<size_t>(j * rows + j)];
+      const float m = degree_j > 0.0f
+                          ? s[static_cast<size_t>(i * rows + j)] / degree_j
+                          : 0.0f;
+      q[static_cast<size_t>(i * rows + j)] =
+          std::max(0.0f, m - static_cast<float>(psi));
     }
-    std::vector<float> s(static_cast<size_t>(rows * rows), 0.0f);
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < rows; ++j) {
-        float acc = 0.0f;
-        const float* ai = a.data() + i * cols;
-        const float* aj = a.data() + j * cols;
-        for (int64_t k = 0; k < cols; ++k) acc += ai[k] * aj[k];
-        s[static_cast<size_t>(i * rows + j)] = acc;
-      }
-    }
-    std::vector<float> q(static_cast<size_t>(rows * rows), 0.0f);
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < rows; ++j) {
-        const float degree_j = s[static_cast<size_t>(j * rows + j)];
-        const float m = degree_j > 0.0f
-                            ? s[static_cast<size_t>(i * rows + j)] / degree_j
-                            : 0.0f;
-        q[static_cast<size_t>(i * rows + j)] =
-            std::max(0.0f, m - static_cast<float>(psi));
-      }
-    }
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < rows; ++j) {
-        if (i != j && q[static_cast<size_t>(i * rows + j)] > 0.0f) {
-          similar[static_cast<size_t>(i)].push_back(static_cast<int>(j));
-        }
+  }
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < rows; ++j) {
+      if (i != j && q[static_cast<size_t>(i * rows + j)] > 0.0f) {
+        similar[static_cast<size_t>(i)].push_back(static_cast<int>(j));
       }
     }
   }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.h"
@@ -126,7 +127,6 @@ TEST(FacadeTest, OptionsCodecRoundTrips) {
   BaClassifier::Options opts;
   opts.dataset.construction.slice_size = 50;
   opts.dataset.construction.similarity_threshold = 0.75;
-  opts.dataset.construction.use_sparse_similarity = true;
   opts.dataset.k_hops = 3;
   opts.graph_model.k_hops = 3;
   opts.graph_model.encoder = GraphEncoderKind::kGcn;
@@ -140,7 +140,6 @@ TEST(FacadeTest, OptionsCodecRoundTrips) {
   ASSERT_TRUE(DecodeClassifierOptions(text, &decoded).ok());
   EXPECT_EQ(decoded.dataset.construction.slice_size, 50);
   EXPECT_DOUBLE_EQ(decoded.dataset.construction.similarity_threshold, 0.75);
-  EXPECT_TRUE(decoded.dataset.construction.use_sparse_similarity);
   EXPECT_EQ(decoded.dataset.k_hops, 3);
   EXPECT_EQ(decoded.graph_model.encoder, GraphEncoderKind::kGcn);
   EXPECT_EQ(decoded.graph_model.embed_dim, 48);
@@ -148,6 +147,26 @@ TEST(FacadeTest, OptionsCodecRoundTrips) {
   EXPECT_EQ(decoded.aggregator.hidden_dim, 24);
   EXPECT_EQ(decoded.seed, 99u);
   EXPECT_TRUE(decoded.Validate().ok());
+}
+
+// NaN fails every comparison, so a range check written as `x < 0` lets
+// it through to the first BA_CHECK that uses the value.
+TEST(FacadeTest, OptionsRejectNanFromDecodedText) {
+  // Each key, and the name its Validate message gives the field.
+  const std::pair<const char*, const char*> fields[] = {
+      {"dataset.construction.similarity_threshold",
+       "construction.similarity_threshold"},
+      {"graph_model.dropout", "graph_model.dropout"},
+      {"graph_model.weight_decay", "graph_model.weight_decay"}};
+  for (const auto& [key, name] : fields) {
+    BaClassifier::Options decoded;
+    ASSERT_TRUE(
+        DecodeClassifierOptions(std::string(key) + "=nan\n", &decoded).ok())
+        << key;
+    const Status s = decoded.Validate();
+    ASSERT_EQ(s.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(s.message().find(name), std::string::npos) << s.message();
+  }
 }
 
 TEST(FacadeTest, OptionsCodecRejectsUnknownKeys) {

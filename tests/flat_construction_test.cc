@@ -2,8 +2,8 @@
 // PrepareGraphTensors must reproduce the hash-map reference in
 // construction_reference.h bit for bit (nodes, edges, features, Ã and
 // X^G), on every slice of a simulated economy, under every stage
-// toggle and similarity backend, and when several threads build at
-// once through their thread-local scratch.
+// toggle and a sweep of Stage 3's Ψ and σ, and when several threads
+// build at once through their thread-local scratch.
 
 #include <gtest/gtest.h>
 
@@ -110,7 +110,8 @@ std::string TensorDiff(const GraphTensors& want, const GraphTensors& got) {
 struct Config {
   std::string name;
   int slice_size = 100;
-  bool sparse = false;
+  double psi = 0.5;
+  int sigma = 1;
   bool single = true;
   bool multi = true;
   bool augment = true;
@@ -119,7 +120,8 @@ struct Config {
   GraphConstructorOptions Options() const {
     GraphConstructorOptions o;
     o.slice_size = slice_size;
-    o.use_sparse_similarity = sparse;
+    o.similarity_threshold = psi;
+    o.sigma = sigma;
     o.enable_single_compression = single;
     o.enable_multi_compression = multi;
     o.enable_augmentation = augment;
@@ -133,23 +135,37 @@ void PrintTo(const Config& config, std::ostream* os) { *os << config.name; }
 std::vector<Config> SweepConfigs() {
   std::vector<Config> out;
   for (int slice : {20, 100}) {
-    for (bool sparse : {false, true}) {
-      const std::string base = "Slice" + std::to_string(slice) +
-                               (sparse ? "Sparse" : "Dense");
-      Config c;
-      c.slice_size = slice;
-      c.sparse = sparse;
-      out.push_back(c);
-      out.back().name = base + "AllStages";
-      out.push_back(c);
-      out.back().name = base + "NoSingle";
-      out.back().single = false;
-      out.push_back(c);
-      out.back().name = base + "NoMulti";
-      out.back().multi = false;
-      out.push_back(c);
-      out.back().name = base + "NoAugment";
-      out.back().augment = false;
+    const std::string base = "Slice" + std::to_string(slice) + "Dense";
+    Config c;
+    c.slice_size = slice;
+    out.push_back(c);
+    out.back().name = base + "AllStages";
+    out.push_back(c);
+    out.back().name = base + "NoSingle";
+    out.back().single = false;
+    out.push_back(c);
+    out.back().name = base + "NoMulti";
+    out.back().multi = false;
+    out.push_back(c);
+    out.back().name = base + "NoAugment";
+    out.back().augment = false;
+  }
+  // Stage 3's threshold and seed size, with the threshold on both sides
+  // of and exactly at overlap fractions such as 1/3, 1/2 and 1.
+  const std::pair<double, const char*> psis[] = {
+      {0.0, "0"}, {0.3, "30"}, {1.0 / 3.0, "Third"},
+      {0.8, "80"}, {1.0, "100"}};
+  for (int slice : {20, 100}) {
+    for (const auto& [psi, psi_name] : psis) {
+      for (int sigma : {0, 1, 2}) {
+        Config c;
+        c.name = "Slice" + std::to_string(slice) + "Psi" + psi_name +
+                 "Sigma" + std::to_string(sigma);
+        c.slice_size = slice;
+        c.psi = psi;
+        c.sigma = sigma;
+        out.push_back(c);
+      }
     }
   }
   // The history cap cuts an address's list mid-slice.

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/io.h"
@@ -20,6 +21,7 @@
 #include "tensor/serialize.h"
 #include "util/fs.h"
 #include "util/logging.h"
+#include "util/status.h"
 
 namespace ba {
 namespace {
@@ -107,7 +109,6 @@ core::BaClassifier::Options NonDefaultOptions() {
   core::BaClassifier::Options opts;
   opts.dataset.construction.slice_size = 50;
   opts.dataset.construction.similarity_threshold = 0.75;
-  opts.dataset.construction.use_sparse_similarity = true;
   opts.dataset.k_hops = 3;
   opts.graph_model.k_hops = 3;
   opts.graph_model.encoder = core::GraphEncoderKind::kGcn;
@@ -118,46 +119,105 @@ core::BaClassifier::Options NonDefaultOptions() {
   return opts;
 }
 
+/// The default options text as written while BACL recorded the Stage 3
+/// similarity backend: the writer's pinned text until that key was
+/// retired, kept byte for byte as a decode fixture.
+constexpr char kDefaultOptionsTextWithRetiredKey[] =
+  "dataset.construction.slice_size=100\n"
+  "dataset.construction.similarity_threshold=0.5\n"
+  "dataset.construction.sigma=1\n"
+  "dataset.construction.max_txs_per_address=2000\n"
+  "dataset.construction.enable_single_compression=1\n"
+  "dataset.construction.enable_multi_compression=1\n"
+  "dataset.construction.enable_augmentation=1\n"
+  "dataset.construction.use_sparse_similarity=0\n"
+  "dataset.k_hops=2\n"
+  "dataset.num_threads=1\n"
+  "graph_model.encoder=0\n"
+  "graph_model.num_classes=4\n"
+  "graph_model.k_hops=2\n"
+  "graph_model.hidden_dim=64\n"
+  "graph_model.embed_dim=32\n"
+  "graph_model.diffpool_clusters=8\n"
+  "graph_model.dropout=0.100000001\n"
+  "graph_model.epochs=20\n"
+  "graph_model.batch_size=16\n"
+  "graph_model.learning_rate=0.00100000005\n"
+  "graph_model.weight_decay=0\n"
+  "graph_model.seed=1\n"
+  "graph_model.checkpoint_every=1\n"
+  "aggregator.kind=0\n"
+  "aggregator.embed_dim=32\n"
+  "aggregator.hidden_dim=32\n"
+  "aggregator.mlp_hidden=32\n"
+  "aggregator.num_classes=4\n"
+  "aggregator.epochs=30\n"
+  "aggregator.batch_size=16\n"
+  "aggregator.learning_rate=0.00100000005\n"
+  "aggregator.seed=7\n"
+  "seed=1\n";
+
+/// `text` with the retired key set to `value`, on the line where older
+/// writers put it: right after `enable_augmentation`.
+std::string WithRetiredKey(const std::string& text, const char* value) {
+  const std::string after = "dataset.construction.enable_augmentation=1\n";
+  const size_t at = text.find(after);
+  EXPECT_NE(at, std::string::npos);
+  std::string out = text;
+  out.insert(at + after.size(),
+             std::string("dataset.construction.use_sparse_similarity=") +
+                 value + "\n");
+  return out;
+}
+
 TEST(FormatGoldenTest, DefaultOptionsTextIsPinned) {
-  EXPECT_EQ(core::EncodeClassifierOptions(core::BaClassifier::Options{}),
-      "dataset.construction.slice_size=100\n"
-      "dataset.construction.similarity_threshold=0.5\n"
-      "dataset.construction.sigma=1\n"
-      "dataset.construction.max_txs_per_address=2000\n"
-      "dataset.construction.enable_single_compression=1\n"
-      "dataset.construction.enable_multi_compression=1\n"
-      "dataset.construction.enable_augmentation=1\n"
-      "dataset.construction.use_sparse_similarity=0\n"
-      "dataset.k_hops=2\n"
-      "dataset.num_threads=1\n"
-      "graph_model.encoder=0\n"
-      "graph_model.num_classes=4\n"
-      "graph_model.k_hops=2\n"
-      "graph_model.hidden_dim=64\n"
-      "graph_model.embed_dim=32\n"
-      "graph_model.diffpool_clusters=8\n"
-      "graph_model.dropout=0.100000001\n"
-      "graph_model.epochs=20\n"
-      "graph_model.batch_size=16\n"
-      "graph_model.learning_rate=0.00100000005\n"
-      "graph_model.weight_decay=0\n"
-      "graph_model.seed=1\n"
-      "graph_model.checkpoint_every=1\n"
-      "aggregator.kind=0\n"
-      "aggregator.embed_dim=32\n"
-      "aggregator.hidden_dim=32\n"
-      "aggregator.mlp_hidden=32\n"
-      "aggregator.num_classes=4\n"
-      "aggregator.epochs=30\n"
-      "aggregator.batch_size=16\n"
-      "aggregator.learning_rate=0.00100000005\n"
-      "aggregator.seed=7\n"
-      "seed=1\n");
+  const std::string text =
+      core::EncodeClassifierOptions(core::BaClassifier::Options{});
+  ExpectGolden(text, {912, 0x7c177843}, "default options text");
+  EXPECT_EQ(WithRetiredKey(text, "0"), kDefaultOptionsTextWithRetiredKey);
 }
 
 TEST(FormatGoldenTest, NonDefaultOptionsTextIsPinned) {
-  ExpectGolden(core::EncodeClassifierOptions(NonDefaultOptions()),
-               {958, 0x60e79ff9}, "options text");
+  const std::string text = core::EncodeClassifierOptions(NonDefaultOptions());
+  ExpectGolden(text, {913, 0x274dfc0d}, "options text");
+  // The golden of the text older writers produced for the same options
+  // (with the retired key set): the removed line is the only change.
+  ExpectGolden(WithRetiredKey(text, "1"), {958, 0x60e79ff9},
+               "options text with the retired key");
+}
+
+// Checkpoints written while BACL recorded the similarity backend still
+// load, to the options the current writer encodes as the same text.
+TEST(FormatGoldenTest, OptionsTextWithRetiredKeyDecodes) {
+  const std::string new_default =
+      core::EncodeClassifierOptions(core::BaClassifier::Options{});
+  const std::string new_non_default =
+      core::EncodeClassifierOptions(NonDefaultOptions());
+  const std::pair<std::string, std::string> cases[] = {
+      {kDefaultOptionsTextWithRetiredKey, new_default},
+      {WithRetiredKey(new_default, "1"), new_default},
+      {WithRetiredKey(new_non_default, "1"), new_non_default},
+      {WithRetiredKey(new_non_default, "0"), new_non_default}};
+  for (const auto& [old_text, new_text] : cases) {
+    core::BaClassifier::Options from_old;
+    ASSERT_TRUE(core::DecodeClassifierOptions(old_text, &from_old).ok());
+    EXPECT_EQ(core::EncodeClassifierOptions(from_old), new_text);
+    EXPECT_TRUE(from_old.Validate().ok());
+  }
+}
+
+TEST(FormatGoldenTest, RetiredOptionKeyStillNeedsABool) {
+  for (const char* value : {"2", "", "true", "nan"}) {
+    core::BaClassifier::Options decoded;
+    const Status s = core::DecodeClassifierOptions(
+        WithRetiredKey(
+            core::EncodeClassifierOptions(core::BaClassifier::Options{}),
+            value),
+        &decoded);
+    ASSERT_EQ(s.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(s.message().find("use_sparse_similarity"), std::string::npos)
+        << s.message();
+  }
 }
 
 /// The two-block ledger of LedgerIoTest (one coinbase, one spend).

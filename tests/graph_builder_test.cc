@@ -244,45 +244,6 @@ TEST_F(GraphBuilderTest, MultiCompressionRespectsThreshold) {
   EXPECT_EQ(graphs[0].CountKind(NodeKind::kMultiHyper), 2);
 }
 
-TEST_F(GraphBuilderTest, SparseAndDenseSimilarityBackendsAgree) {
-  // Randomized economy shape: overlapping miner subsets per payout.
-  const AddressId target = ledger_.NewAddress();
-  std::vector<AddressId> miners;
-  for (int i = 0; i < 16; ++i) miners.push_back(ledger_.NewAddress());
-  Rng rng(77);
-  for (int round = 0; round < 6; ++round) {
-    const auto cb = FundTarget(target, round * 1200);
-    TxDraft draft;
-    draft.timestamp = round * 1200 + 600;
-    draft.inputs = {OutPoint{cb, 0}};
-    for (AddressId m : miners) {
-      if (rng.Bernoulli(0.7)) draft.outputs.push_back({m, 5 * kCoin});
-    }
-    if (draft.outputs.empty()) draft.outputs.push_back({miners[0], 5 * kCoin});
-    ASSERT_TRUE(ledger_.ApplyTransaction(draft).ok());
-    ASSERT_TRUE(ledger_.SealBlock(draft.timestamp).ok());
-  }
-
-  for (double psi : {0.3, 0.5, 0.8}) {
-    GraphConstructorOptions dense_opts;
-    dense_opts.similarity_threshold = psi;
-    dense_opts.use_sparse_similarity = false;
-    GraphConstructorOptions sparse_opts = dense_opts;
-    sparse_opts.use_sparse_similarity = true;
-    GraphConstructor dense(dense_opts), sparse(sparse_opts);
-    const auto gd = dense.BuildGraphs(ledger_, target);
-    const auto gs = sparse.BuildGraphs(ledger_, target);
-    ASSERT_EQ(gd.size(), gs.size());
-    for (size_t g = 0; g < gd.size(); ++g) {
-      EXPECT_EQ(gd[g].num_nodes(), gs[g].num_nodes()) << "psi=" << psi;
-      EXPECT_EQ(gd[g].num_edges(), gs[g].num_edges()) << "psi=" << psi;
-      EXPECT_EQ(gd[g].CountKind(NodeKind::kMultiHyper),
-                gs[g].CountKind(NodeKind::kMultiHyper))
-          << "psi=" << psi;
-    }
-  }
-}
-
 TEST_F(GraphBuilderTest, AugmentationFillsCentralitySlots) {
   const AddressId target = ledger_.NewAddress();
   const auto cb = FundTarget(target, 0);

@@ -57,52 +57,6 @@ TEST(SparseMatrixTest, TransposeSwapsIndices) {
   EXPECT_FLOAT_EQ(t.At(0, 1), 7.0f);
 }
 
-TEST(SparseMatrixTest, SparseMultiplyMatchesDense) {
-  Rng rng(5);
-  const int64_t n = 12;
-  std::vector<Triplet> ta, tb;
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      if (rng.Bernoulli(0.3)) {
-        ta.push_back({i, j, static_cast<float>(rng.UniformInt(1, 5))});
-      }
-      if (rng.Bernoulli(0.3)) {
-        tb.push_back({i, j, static_cast<float>(rng.UniformInt(1, 5))});
-      }
-    }
-  }
-  auto a = SparseMatrix::FromTriplets(n, n, ta);
-  auto b = SparseMatrix::FromTriplets(n, n, tb);
-  auto c = a.Multiply(b);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      double expected = 0.0;
-      for (int64_t k = 0; k < n; ++k) {
-        expected += static_cast<double>(a.At(i, k)) * b.At(k, j);
-      }
-      EXPECT_NEAR(c.At(i, j), expected, 1e-4) << i << "," << j;
-    }
-  }
-}
-
-TEST(SparseMatrixTest, SimilarityPatternOfEq3) {
-  // A: 3 addresses x 3 transactions; addr0 & addr1 share both txs,
-  // addr2 shares one with addr0.
-  auto a = SparseMatrix::FromTriplets(3, 3,
-                                      {{0, 0, 1.0f},
-                                       {0, 1, 1.0f},
-                                       {1, 0, 1.0f},
-                                       {1, 1, 1.0f},
-                                       {2, 1, 1.0f},
-                                       {2, 2, 1.0f}});
-  auto s = a.Multiply(a.Transpose());
-  EXPECT_FLOAT_EQ(s.At(0, 0), 2.0f);  // degree of addr0
-  EXPECT_FLOAT_EQ(s.At(0, 1), 2.0f);  // 2 common txs
-  EXPECT_FLOAT_EQ(s.At(0, 2), 1.0f);
-  EXPECT_FLOAT_EQ(s.At(1, 2), 1.0f);
-  EXPECT_FLOAT_EQ(s.At(2, 2), 2.0f);
-}
-
 AdjacencyList PathGraph(int64_t n) {
   std::vector<Edge> edges;
   for (int64_t i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
